@@ -39,6 +39,51 @@ class Semantics(Enum):
     INIT = "init"
 
 
+class WeightedAutomaton:
+    """State bookkeeping shared by word and tree automata: the algebra, the
+    nonempty tuple of distinct state names, and weight vectors over them.
+
+    States are always looked up by name, whatever their type; only the run
+    normalisers of ``words`` and ``trees`` also take integer indices.
+    """
+
+    def __init__(self, algebra: WeightAlgebra, states):
+        if not states:
+            raise ValueError("state set must be nonempty")
+        self.algebra = algebra
+        self.states = tuple(states)
+        if len(set(self.states)) != len(self.states):
+            raise ValueError("duplicate state names")
+        self._state_index = {s: i for i, s in enumerate(self.states)}
+
+    def state_index(self, name) -> int:
+        try:
+            return self._state_index[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown state {name!r}") from None
+
+    def _run_state(self, q) -> int:
+        """A state in a run: an index into ``states``, or a state name."""
+        i = q if isinstance(q, int) else self.state_index(q)
+        if not 0 <= i < len(self.states):
+            raise ValueError(f"state index {i} out of range")
+        return i
+
+    def _vector(self, data) -> tuple:
+        """Weights aligned with ``states``, from a sequence or a name mapping
+        (missing names are zero)."""
+        n = len(self.states)
+        if isinstance(data, dict):
+            vec = [self.algebra.zero] * n
+            for name, w in data.items():
+                vec[self.state_index(name)] = w
+            return tuple(vec)
+        vec = tuple(data)
+        if len(vec) != n:
+            raise ValueError(f"weight vector has {len(vec)} entries, expected {n}")
+        return vec
+
+
 class WeightAlgebra:
     """Base interface: add/mul/zero/one plus decidable equality and labels.
 
@@ -780,41 +825,40 @@ def poly_monome() -> PolyMonomeAlgebra:
     return PolyMonomeAlgebra()
 
 
-_BUILTINS: dict = {
-    "boole": boole,
-    "natplusmin": nat_plus_min,
-    "natplusplus": nat_plus_plus,
-    "pentagonn5": pentagon,
-    "pentagon": pentagon,
-    "hexagon": hexagon,
-    "b4": b4,
-    "b3prime": b3prime,
-    "polymonome": poly_monome,
-}
-
-BUILTIN_NAMES = (
-    "Boole",
-    "NatPlusMin",
-    "NatPlusPlus",
-    "PentagonN5",
-    "Hexagon",
-    "B4",
-    "B3prime",
-    "TruncFun(m)",
-    "PolyMonome",
+# The one registry of bundled algebras: display name, factory, extra
+# lookup aliases. A name ending in "(m)" or "[m]" takes a natural-number
+# parameter written in the same brackets, e.g. "TruncFun(3)"; its aliases
+# call the factory with its default parameter.
+_REGISTRY = (
+    ("Boole", boole, ()),
+    ("NatPlusMin", nat_plus_min, ()),
+    ("NatPlusPlus", nat_plus_plus, ()),
+    ("NatPlusPlus[m]", nat_plus_plus_table, ()),
+    ("PentagonN5", pentagon, ("pentagon",)),
+    ("Hexagon", hexagon, ()),
+    ("Diamond", diamond, ()),
+    ("B4", b4, ()),
+    ("B3prime", b3prime, ()),
+    ("TruncFun(m)", trunc_fun, ("truncfun",)),
+    ("PolyMonome", poly_monome, ()),
 )
+
+BUILTIN_NAMES = tuple(name for name, _, _ in _REGISTRY)
 
 
 def builtin(name: str) -> WeightAlgebra:
-    """Look up a bundled algebra by name (case-insensitive; TruncFun(m) parameterized)."""
+    """Look up a bundled algebra by name (case-insensitive), see BUILTIN_NAMES."""
     key = name.strip().lower()
-    m = re.fullmatch(r"truncfun\((\d+)\)", key)
-    if m:
-        return trunc_fun(int(m.group(1)))
-    if key == "truncfun":
-        return trunc_fun()
-    if key in _BUILTINS:
-        return _BUILTINS[key]()
+    for label, factory, aliases in _REGISTRY:
+        if key in aliases:
+            return factory()
+        if label.endswith(("(m)", "[m]")):
+            pattern = re.escape(label[:-2].lower()) + r"(\d+)" + re.escape(label[-1])
+            m = re.fullmatch(pattern, key)
+            if m:
+                return factory(int(m.group(1)))
+        elif key == label.lower():
+            return factory()
     raise UnknownAlgebraError(
         f"unknown algebra {name!r}; valid names: {', '.join(BUILTIN_NAMES)}"
     )

@@ -57,10 +57,13 @@ def _load_input(automaton, text: str):
     return parse_word_input(automaton, text)
 
 
+def _module(automaton):
+    """The semantics module that evaluates this automaton."""
+    return T if isinstance(automaton, TreeAutomaton) else W
+
+
 def _evaluate(automaton, inp, semantics: Semantics):
-    if isinstance(automaton, TreeAutomaton):
-        return T.evaluate(automaton, inp, semantics, prune=True)
-    return W.evaluate(automaton, inp, semantics, prune=True)
+    return _module(automaton).evaluate(automaton, inp, semantics, prune=True)
 
 
 def _emit(args, payload, text: str):
@@ -109,9 +112,15 @@ def cmd_props(args):
 def cmd_check(args):
     alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
     if args.target in ("supports-words", "supports-trees"):
+        word_alphabet = tuple(args.word_alphabet.split(","))
+        if not all(word_alphabet):
+            raise ValueError(
+                f"--word-alphabet {args.word_alphabet!r} has an empty symbol;"
+                " give nonempty symbols separated by commas"
+            )
         config = TheoremCheckConfig(
             algebra=alg,
-            word_alphabet=tuple(args.word_alphabet.split(",")),
+            word_alphabet=word_alphabet,
             tree_alphabet=_parse_ranked_alphabet(args.tree_alphabet),
             max_word_len=args.max_len,
             max_tree_size=args.max_size,
@@ -159,20 +168,15 @@ def cmd_profile(args):
 def cmd_image(args):
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
     alg = automaton.algebra
-    if isinstance(automaton, TreeAutomaton):
-        bound = args.max_size
-        images = {
-            sem.value: [alg.describe(v) for v in T.image_up_to(automaton, bound, sem)]
-            for sem in (Semantics.RUN, Semantics.INIT)
-        }
-        label = f"trees of size <= {bound}"
+    mod = _module(automaton)
+    if mod is T:
+        bound, label = args.max_size, f"trees of size <= {args.max_size}"
     else:
-        bound = args.max_len
-        images = {
-            sem.value: [alg.describe(v) for v in W.image_up_to(automaton, bound, sem)]
-            for sem in (Semantics.RUN, Semantics.INIT)
-        }
-        label = f"words of length <= {bound}"
+        bound, label = args.max_len, f"words of length <= {args.max_len}"
+    images = {
+        sem.value: [alg.describe(v) for v in mod.image_up_to(automaton, bound, sem)]
+        for sem in (Semantics.RUN, Semantics.INIT)
+    }
     text = "\n".join(
         f"{sem}: {{{', '.join(vals)}}}" for sem, vals in images.items()
     )

@@ -3,10 +3,11 @@
 Algebra file: ``names`` (array), ``add``/``mul`` (n x n arrays of names),
 ``zero``/``one`` (names). Automaton file: ``algebra`` (builtin name or inline
 algebra object), ``alphabet`` (array of symbols for word automata, mapping
-symbol -> rank for tree automata), ``states``, ``initial``/``final`` or
-``final`` alone for trees (mappings state -> element label; omissions mean
-zero), ``transitions`` (array of {from, symbol, to, weight}; omissions mean
-zero; ``from`` is a state name for words, an array of state names for trees).
+symbol -> rank for tree automata), ``states`` (strings or integers),
+``initial``/``final`` or ``final`` alone for trees (mappings state -> element
+label, keyed by the state's name as text; omissions mean zero),
+``transitions`` (array of {from, symbol, to, weight}; omissions mean zero;
+``from`` is a state name for words, an array of state names for trees).
 """
 
 from __future__ import annotations
@@ -25,34 +26,46 @@ class FileFormatError(ValueError):
         self.source = source
 
 
+def _expect(ok: bool, source, message: str):
+    if not ok:
+        raise FileFormatError(source, message)
+
+
 def _require(obj, key, source):
     if key not in obj:
         raise FileFormatError(source, f"missing key {key!r}")
     return obj[key]
 
 
+def _is_state(value) -> bool:
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def algebra_from_dict(obj: dict, source: str = "<algebra>", allow_invalid: bool = False) -> FiniteTableAlgebra:
+    _expect(isinstance(obj, dict), source, "an algebra is a JSON object")
     names = _require(obj, "names", source)
     add_names = _require(obj, "add", source)
     mul_names = _require(obj, "mul", source)
     zero = _require(obj, "zero", source)
     one = _require(obj, "one", source)
+    _expect(isinstance(names, list) and all(isinstance(x, str) for x in names),
+            source, "'names' must be an array of element names")
+    for label, rows in (("add", add_names), ("mul", mul_names)):
+        _expect(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
+                source, f"{label!r} must be an array of rows")
     index = {x: i for i, x in enumerate(names)}
 
     def table(rows, label):
         out = []
         for i, row in enumerate(rows):
-            try:
-                out.append([index[v] for v in row])
-            except KeyError as exc:
-                raise FileFormatError(
-                    source, f"{label} table row {i} uses unknown element {exc.args[0]!r}"
-                ) from None
+            for v in row:
+                _expect(isinstance(v, str) and v in index,
+                        source, f"{label} table row {i} uses unknown element {v!r}")
+            out.append([index[v] for v in row])
         return out
 
     for x in (zero, one):
-        if x not in index:
-            raise FileFormatError(source, f"unknown element {x!r} for zero/one")
+        _expect(isinstance(x, str) and x in index, source, f"unknown element {x!r} for zero/one")
     alg = FiniteTableAlgebra(
         obj.get("name", source),
         names,
@@ -103,44 +116,54 @@ def load_algebra(source: Union[str, dict], allow_invalid: bool = False) -> Weigh
 
 
 def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: bool = False):
-    alg = load_algebra(_require(obj, "algebra", source), allow_invalid=allow_invalid)
+    _expect(isinstance(obj, dict), source, "an automaton is a JSON object")
+    algebra = _require(obj, "algebra", source)
+    _expect(isinstance(algebra, (str, dict)), source,
+            "'algebra' must be a builtin name or an algebra object")
+    alg = load_algebra(algebra, allow_invalid=allow_invalid)
     alphabet = _require(obj, "alphabet", source)
+    _expect(isinstance(alphabet, (list, dict)) and all(isinstance(a, str) and a for a in alphabet),
+            source, "'alphabet' must be an array of symbols (word automaton)"
+            " or an object mapping symbols to ranks (tree automaton)")
     states = _require(obj, "states", source)
+    _expect(isinstance(states, list) and all(_is_state(q) for q in states),
+            source, "'states' must be an array of state names (strings or integers)")
+    # JSON object keys spell every state name as text
+    by_key = {str(q): q for q in states}
+    _expect(len(by_key) == len(states), source, "state names must be distinct")
     transitions = obj.get("transitions", [])
-    final = {s: alg.parse(w) for s, w in obj.get("final", {}).items()}
+    _expect(isinstance(transitions, list) and all(isinstance(tr, dict) for tr in transitions),
+            source, "'transitions' must be an array of objects")
 
-    if isinstance(alphabet, dict):
+    def weight(value, where):
         try:
-            ranked = RankedAlphabet(alphabet)
-            quads = []
-            for i, tr in enumerate(transitions):
-                src = tr.get("from", [])
-                if isinstance(src, str):
-                    src = [src]
-                quads.append(
-                    (
-                        tuple(src),
-                        _require(tr, "symbol", f"{source} transition {i}"),
-                        _require(tr, "to", f"{source} transition {i}"),
-                        alg.parse(_require(tr, "weight", f"{source} transition {i}")),
-                    )
-                )
-            return TreeAutomaton(alg, ranked, states, quads, final)
-        except ValueError as exc:
-            raise FileFormatError(source, str(exc)) from None
+            return alg.parse(value)
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(where, str(exc)) from None
 
+    def state_weights(key):
+        entries = obj.get(key, {})
+        _expect(isinstance(entries, dict), source, f"{key!r} must be an object mapping states to weights")
+        return {by_key.get(q, q): weight(w, f"{source} {key} {q!r}") for q, w in entries.items()}
+
+    tree = isinstance(alphabet, dict)
+    quads = []
+    for i, tr in enumerate(transitions):
+        where = f"{source} transition {i}"
+        if tree:
+            src = tr.get("from", [])
+            src = tuple(src) if isinstance(src, list) else (src,)
+        else:
+            src = _require(tr, "from", where)
+        symbol = _require(tr, "symbol", where)
+        _expect(isinstance(symbol, str), where, f"symbol {symbol!r} must be a string")
+        quads.append((src, symbol, _require(tr, "to", where),
+                      weight(_require(tr, "weight", where), where)))
+    final = state_weights("final")
+    initial = {} if tree else state_weights("initial")
     try:
-        initial = {s: alg.parse(w) for s, w in obj.get("initial", {}).items()}
-        quads = []
-        for i, tr in enumerate(transitions):
-            quads.append(
-                (
-                    _require(tr, "from", f"{source} transition {i}"),
-                    _require(tr, "symbol", f"{source} transition {i}"),
-                    _require(tr, "to", f"{source} transition {i}"),
-                    alg.parse(_require(tr, "weight", f"{source} transition {i}")),
-                )
-            )
+        if tree:
+            return TreeAutomaton(alg, RankedAlphabet(alphabet), states, quads, final)
         return WordAutomaton(alg, alphabet, states, initial, final, quads)
     except ValueError as exc:
         raise FileFormatError(source, str(exc)) from None

@@ -18,7 +18,13 @@ from typing import Optional
 from . import trees as T
 from . import words as W
 from .algebra import CountingAlgebra, Semantics, WeightAlgebra
-from .properties import BimonoidProperty, HalfCondition, check, check_half
+from .properties import (
+    BimonoidProperty,
+    HalfCondition,
+    HierarchyInconsistencyError,
+    check,
+    check_half,
+)
 from .trees import RankedAlphabet, Tree, TreeAutomaton, classify_alphabet
 from .words import WordAutomaton
 
@@ -165,90 +171,107 @@ def random_tree_automaton(
     return TreeAutomaton(algebra, alphabet, states, quads, final)
 
 
-def random_tree_run(rng: random.Random, automaton: TreeAutomaton, t: Tree) -> dict:
-    return {p: rng.randrange(len(automaton.states)) for p in T.positions(t)}
-
-
 # --------------------------------------------------------------------------
 # Support theorems
 
 
-def _word_half_failure(alg):
-    """First failing word half-condition, checked in a fixed order."""
-    for half in (HalfCondition.RUN_TO_INIT, HalfCondition.INIT_TO_RUN):
+def _supports_differ(alg, run_val, init_val) -> Optional[str]:
+    run_in, init_in = not alg.is_zero(run_val), not alg.is_zero(init_val)
+    if run_in == init_in:
+        return None
+    return "run-only" if run_in else "init-only"
+
+
+def _values_differ(alg, run_val, init_val) -> Optional[str]:
+    return None if alg.equal(run_val, init_val) else "values-differ"
+
+
+def _sweep(theorem, config, hypothesis, mod, random_automaton, inputs, compare) -> CheckReport:
+    """Evaluate both semantics of ``config.num_automata`` random automata on
+    every input of ``inputs()``, and report the first input on which
+    ``compare(alg, run_value, init_value)`` names a direction."""
+    alg = config.algebra
+    rng = random.Random(config.seed)
+    checked = 0
+    for trial in range(config.num_automata):
+        automaton = random_automaton(rng)
+        for inp in inputs():
+            checked += 1
+            run_val = mod.evaluate(automaton, inp, Semantics.RUN, prune=True)
+            init_val = mod.evaluate(automaton, inp, Semantics.INIT)
+            direction = compare(alg, run_val, init_val)
+            if direction is not None:
+                witness = CheckWitness(
+                    automaton, inp, alg.describe(run_val), alg.describe(init_val), direction
+                )
+                return CheckReport(
+                    theorem, alg.name, "counterexample", False, hypothesis, witness,
+                    {"automata_checked": trial + 1, "inputs_checked": checked}, config.seed,
+                )
+    return CheckReport(
+        theorem, alg.name, "consistent", True, hypothesis, None,
+        {"automata_checked": config.num_automata, "inputs_checked": checked}, config.seed,
+    )
+
+
+# The halves of each support hypothesis, run-to-init first.
+_WORD_HALVES = (HalfCondition.RUN_TO_INIT, HalfCondition.INIT_TO_RUN)
+_TREE_HALVES = (HalfCondition.TREE_RUN_TO_INIT, HalfCondition.TREE_INIT_TO_RUN)
+
+
+def _first_failing_half(alg, halves):
+    """First failing half-condition, checked in the given order."""
+    for half in halves:
         verdict = check_half(alg, half)
         if not verdict.holds:
             return half, verdict
-    return None, None
+    # a hypothesis fails only through one of its halves in a strong bimonoid
+    raise HierarchyInconsistencyError(
+        f"{alg.name}: a support hypothesis fails but neither of its halves does"
+    )
 
 
-def _tree_half_failure(alg):
-    for half in (HalfCondition.TREE_RUN_TO_INIT, HalfCondition.TREE_INIT_TO_RUN):
-        verdict = check_half(alg, half)
-        if not verdict.holds:
-            return half, verdict
-    return None, None
+def _probe(theorem, config, hypothesis, half, verdict, mod, automaton, inp) -> CheckReport:
+    """Evaluate the probe built from a failing half's witness and confirm the
+    one-sided support difference that half predicts."""
+    alg = config.algebra
+    run_val = mod.evaluate(automaton, inp, Semantics.RUN, prune=True)
+    init_val = mod.evaluate(automaton, inp, Semantics.INIT)
+    run_to_init = half in (HalfCondition.RUN_TO_INIT, HalfCondition.TREE_RUN_TO_INIT)
+    expected = "run-only" if run_to_init else "init-only"
+    witness = CheckWitness(
+        automaton, inp, alg.describe(run_val), alg.describe(init_val),
+        expected, verdict.witness_labels,
+    )
+    return CheckReport(
+        theorem, alg.name, "counterexample",
+        _supports_differ(alg, run_val, init_val) == expected,
+        {**hypothesis, "failing-half": half.value}, witness,
+        {"automata_checked": 1, "inputs_checked": 1}, config.seed,
+    )
 
 
 def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
     """Supports of the two word semantics coincide iff the algebra is strongly
     zero-sum-free: sweep when the hypothesis holds, probe when it fails."""
     alg = config.algebra
+    alphabet = config.word_alphabet
     strongly = check(alg, BimonoidProperty.STRONGLY_ZSF)
     hypothesis = {"strongly-zero-sum-free": strongly.holds}
 
     if strongly.holds:
-        rng = random.Random(config.seed)
-        inputs = 0
-        for trial in range(config.num_automata):
-            automaton = random_word_automaton(rng, alg, config.word_alphabet, config.max_states)
-            for word in W.all_words(config.word_alphabet, config.max_word_len):
-                inputs += 1
-                run_in = W.in_support(automaton, word, Semantics.RUN)
-                init_in = W.in_support(automaton, word, Semantics.INIT)
-                if run_in != init_in:
-                    witness = CheckWitness(
-                        automaton,
-                        word,
-                        alg.describe(W.run_semantics(automaton, word, prune=True)),
-                        alg.describe(W.initial_semantics(automaton, word)),
-                        "run-only" if run_in else "init-only",
-                    )
-                    return CheckReport(
-                        "supports-words", alg.name, "counterexample", False,
-                        hypothesis, witness,
-                        {"automata_checked": trial + 1, "inputs_checked": inputs},
-                        config.seed,
-                    )
-        return CheckReport(
-            "supports-words", alg.name, "consistent", True, hypothesis, None,
-            {"automata_checked": config.num_automata, "inputs_checked": inputs},
-            config.seed,
+        return _sweep(
+            "supports-words", config, hypothesis, W,
+            lambda rng: random_word_automaton(rng, alg, alphabet, config.max_states),
+            lambda: W.all_words(alphabet, config.max_word_len),
+            _supports_differ,
         )
 
-    half, verdict = _word_half_failure(alg)
+    half, verdict = _first_failing_half(alg, _WORD_HALVES)
     a, b, c = verdict.witness
-    gamma = config.word_alphabet[0]
-    automaton = W.probe_automaton(alg, a, b, c, gamma, config.word_alphabet)
-    word = (gamma,)
-    run_val = W.run_semantics(automaton, word)
-    init_val = W.initial_semantics(automaton, word)
-    run_in, init_in = not alg.is_zero(run_val), not alg.is_zero(init_val)
-    if half is HalfCondition.RUN_TO_INIT:
-        as_predicted = run_in and not init_in
-        direction = "run-only"
-    else:
-        as_predicted = init_in and not run_in
-        direction = "init-only"
-    witness = CheckWitness(
-        automaton, word, alg.describe(run_val), alg.describe(init_val),
-        direction, verdict.witness_labels,
-    )
-    return CheckReport(
-        "supports-words", alg.name, "counterexample", as_predicted,
-        {**hypothesis, "failing-half": half.value}, witness,
-        {"automata_checked": 1, "inputs_checked": 1}, config.seed,
-    )
+    gamma = alphabet[0]
+    automaton = W.probe_automaton(alg, a, b, c, gamma, alphabet)
+    return _probe("supports-words", config, hypothesis, half, verdict, W, automaton, (gamma,))
 
 
 def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
@@ -259,33 +282,18 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     alphabet = config.tree_alphabet
     cls = classify_alphabet(alphabet)
 
-    if cls.trivial:
-        rng = random.Random(config.seed)
-        inputs = 0
-        for trial in range(config.num_automata):
-            automaton = random_tree_automaton(rng, alg, alphabet, config.max_states)
-            for sym in alphabet.symbols:
-                t = Tree(sym)
-                inputs += 1
-                run_val = T.run_semantics(automaton, t, prune=True)
-                init_val = T.initial_semantics(automaton, t)
-                if not alg.equal(run_val, init_val):
-                    witness = CheckWitness(
-                        automaton, t, alg.describe(run_val), alg.describe(init_val),
-                        "values-differ",
-                    )
-                    return CheckReport(
-                        "supports-trees", alg.name, "counterexample", False,
-                        {"alphabet-class": "trivial"}, witness,
-                        {"automata_checked": trial + 1, "inputs_checked": inputs},
-                        config.seed,
-                    )
-        return CheckReport(
-            "supports-trees", alg.name, "consistent", True,
-            {"alphabet-class": "trivial"}, None,
-            {"automata_checked": config.num_automata, "inputs_checked": inputs},
-            config.seed,
+    def sweep(hypothesis, max_size, compare):
+        test_trees = list(T.enumerate_trees(alphabet, max_size))
+        return _sweep(
+            "supports-trees", config, hypothesis, T,
+            lambda rng: random_tree_automaton(rng, alg, alphabet, config.max_states),
+            lambda: test_trees,
+            compare,
         )
+
+    if cls.trivial:
+        # every tree is a single leaf, on which the two semantics coincide
+        return sweep({"alphabet-class": "trivial"}, 1, _values_differ)
 
     if cls.monadic:
         hypothesis_prop = BimonoidProperty.STRONGLY_ZSF
@@ -297,37 +305,11 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     hypothesis = {"alphabet-class": label, hypothesis_prop.value: hyp.holds}
 
     if hyp.holds:
-        rng = random.Random(config.seed)
-        inputs = 0
-        test_trees = list(T.enumerate_trees(alphabet, config.max_tree_size))
-        for trial in range(config.num_automata):
-            automaton = random_tree_automaton(rng, alg, alphabet, config.max_states)
-            for t in test_trees:
-                inputs += 1
-                run_in = T.in_support(automaton, t, Semantics.RUN)
-                init_in = T.in_support(automaton, t, Semantics.INIT)
-                if run_in != init_in:
-                    witness = CheckWitness(
-                        automaton, t,
-                        alg.describe(T.run_semantics(automaton, t, prune=True)),
-                        alg.describe(T.initial_semantics(automaton, t)),
-                        "run-only" if run_in else "init-only",
-                    )
-                    return CheckReport(
-                        "supports-trees", alg.name, "counterexample", False,
-                        hypothesis, witness,
-                        {"automata_checked": trial + 1, "inputs_checked": inputs},
-                        config.seed,
-                    )
-        return CheckReport(
-            "supports-trees", alg.name, "consistent", True, hypothesis, None,
-            {"automata_checked": config.num_automata, "inputs_checked": inputs},
-            config.seed,
-        )
+        return sweep(hypothesis, config.max_tree_size, _supports_differ)
 
     if cls.monadic:
         # word-style failure lifted through the unary spine
-        half, verdict = _word_half_failure(alg)
+        half, verdict = _first_failing_half(alg, _WORD_HALVES)
         a, b, c = verdict.witness
         gamma = alphabet.of_rank(1)[0]
         alpha = alphabet.of_rank(0)[0]
@@ -340,27 +322,12 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
         ]
         automaton = TreeAutomaton(alg, alphabet, states, quads, {"r": c})
         t = Tree(gamma, (Tree(alpha),))
-        expect_run_only = half is HalfCondition.RUN_TO_INIT
     else:
-        half, verdict = _tree_half_failure(alg)
+        half, verdict = _first_failing_half(alg, _TREE_HALVES)
         a, b, bp, c = verdict.witness
         automaton = T.branching_probe_automaton(alg, a, b, bp, c, alphabet)
         t = T.doubled_probe_tree(alphabet)
-        expect_run_only = half is HalfCondition.TREE_RUN_TO_INIT
-
-    run_val = T.run_semantics(automaton, t, prune=True)
-    init_val = T.initial_semantics(automaton, t)
-    run_in, init_in = not alg.is_zero(run_val), not alg.is_zero(init_val)
-    as_predicted = (run_in and not init_in) if expect_run_only else (init_in and not run_in)
-    witness = CheckWitness(
-        automaton, t, alg.describe(run_val), alg.describe(init_val),
-        "run-only" if expect_run_only else "init-only", verdict.witness_labels,
-    )
-    return CheckReport(
-        "supports-trees", alg.name, "counterexample", as_predicted,
-        {**hypothesis, "failing-half": half.value}, witness,
-        {"automata_checked": 1, "inputs_checked": 1}, config.seed,
-    )
+    return _probe("supports-trees", config, hypothesis, half, verdict, T, automaton, t)
 
 
 # --------------------------------------------------------------------------
@@ -380,59 +347,42 @@ def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
     pins down the left law)."""
     carrier = list(alg.elements())
     if mode == "words":
-        lhs = check(alg, BimonoidProperty.RIGHT_DISTRIBUTIVE)
-        hypothesis = {"right-distributive": lhs.holds}
-        lhs_holds = lhs.holds
-        differing = None
-        checked = 0
-        for a, b, c in itertools.product(carrier, repeat=3):
-            automaton = W.probe_automaton(alg, a, b, c)
-            im_run = W.image_up_to(automaton, 1, Semantics.RUN)
-            im_init = W.image_up_to(automaton, 1, Semantics.INIT)
-            checked += 1
-            if not _sets_equal(alg, im_run, im_init):
-                differing = ((a, b, c), im_run, im_init, automaton, ("gamma",))
-                break
-        theorem = "images-words"
+        props = (BimonoidProperty.RIGHT_DISTRIBUTIVE,)
+        probe = lambda a, b, c: W.probe_automaton(alg, a, b, c)
+        mod, inp, bound = W, ("gamma",), 1
     elif mode == "trees":
-        rd = check(alg, BimonoidProperty.RIGHT_DISTRIBUTIVE)
-        ld = check(alg, BimonoidProperty.LEFT_DISTRIBUTIVE)
-        hypothesis = {"right-distributive": rd.holds, "left-distributive": ld.holds}
-        lhs_holds = rd.holds and ld.holds
+        props = (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE)
         alphabet = RankedAlphabet(dict(DEFAULT_TREE_ALPHABET))
-        probe_tree = T.doubled_probe_tree(alphabet)
-        differing = None
-        checked = 0
-        for a, b, bp in itertools.product(carrier, repeat=3):
-            automaton = T.branching_probe_automaton(alg, a, b, bp, alg.one, alphabet)
-            im_run = T.image_up_to(automaton, T.size(probe_tree), Semantics.RUN)
-            im_init = T.image_up_to(automaton, T.size(probe_tree), Semantics.INIT)
-            checked += 1
-            if not _sets_equal(alg, im_run, im_init):
-                differing = ((a, b, bp), im_run, im_init, automaton, probe_tree)
-                break
-        theorem = "images-trees"
+        probe = lambda a, b, bp: T.branching_probe_automaton(alg, a, b, bp, alg.one, alphabet)
+        mod, inp = T, T.doubled_probe_tree(alphabet)
+        bound = T.size(inp)
     else:
         raise ValueError("mode must be 'words' or 'trees'")
+    hypothesis = {prop.value: check(alg, prop).holds for prop in props}
 
-    images_all_equal = differing is None
-    as_predicted = lhs_holds == images_all_equal
     witness = None
-    if differing is not None:
-        params, im_run, im_init, automaton, inp = differing
-        witness = CheckWitness(
-            automaton,
-            inp,
-            "{" + ", ".join(alg.describe(v) for v in im_run) + "}",
-            "{" + ", ".join(alg.describe(v) for v in im_init) + "}",
-            "values-differ",
-            tuple(alg.describe(p) for p in params),
-        )
+    checked = 0
+    for params in itertools.product(carrier, repeat=3):
+        automaton = probe(*params)
+        im_run = mod.image_up_to(automaton, bound, Semantics.RUN)
+        im_init = mod.image_up_to(automaton, bound, Semantics.INIT)
+        checked += 1
+        if not _sets_equal(alg, im_run, im_init):
+            witness = CheckWitness(
+                automaton,
+                inp,
+                "{" + ", ".join(alg.describe(v) for v in im_run) + "}",
+                "{" + ", ".join(alg.describe(v) for v in im_init) + "}",
+                "values-differ",
+                tuple(alg.describe(p) for p in params),
+            )
+            break
+    images_all_equal = witness is None
     return CheckReport(
-        theorem,
+        f"images-{mode}",
         alg.name,
         "consistent" if images_all_equal else "counterexample",
-        as_predicted,
+        all(hypothesis.values()) == images_all_equal,
         hypothesis,
         witness,
         {"tuples_checked": checked},
@@ -504,42 +454,31 @@ def cost_profile(automaton, inp) -> CostProfile:
     counting = CountingAlgebra(automaton.algebra)
     shadow = automaton.with_algebra(counting)
     n_states = len(automaton.states)
-
     if isinstance(automaton, WordAutomaton):
-        word = shadow.check_word(inp)
-        counting.reset_counts()
-        run_val = W.run_semantics(shadow, word)
-        run_counts = dict(zip(("adds", "muls"), counting.read_counts()))
-        counting.reset_counts()
-        init_val = W.initial_semantics(shadow, word)
-        init_counts = dict(zip(("adds", "muls"), counting.read_counts()))
-        predicted = {
-            "run": word_run_cost(n_states, len(word)),
-            "init": word_init_cost(n_states, len(word)),
-        }
-        return CostProfile(
-            "word", " ".join(word) or "<empty>", n_states, len(word),
-            run_counts, init_counts,
-            automaton.algebra.describe(run_val), automaton.algebra.describe(init_val),
-            predicted,
-        )
+        mod, inp = W, shadow.check_word(inp)
+    else:
+        mod, inp = T, shadow.check_tree(inp)
 
-    t = shadow.check_tree(inp)
-    counting.reset_counts()
-    run_val = T.run_semantics(shadow, t)
-    run_counts = dict(zip(("adds", "muls"), counting.read_counts()))
-    counting.reset_counts()
-    init_val = T.initial_semantics(shadow, t)
-    init_counts = dict(zip(("adds", "muls"), counting.read_counts()))
-    predicted = {
-        "runs_enumerated": n_states ** len(T.positions(t)),
-        "init_ops_bound": tree_init_cost_bound(
-            n_states, automaton.alphabet.max_rank, T.size(t)
-        ),
-    }
+    def measured(semantics):
+        counting.reset_counts()
+        value = mod.evaluate(shadow, inp, semantics)
+        return dict(zip(("adds", "muls"), counting.read_counts())), automaton.algebra.describe(value)
+
+    run_counts, run_value = measured(Semantics.RUN)
+    init_counts, init_value = measured(Semantics.INIT)
+
+    if mod is W:
+        kind, label, size = "word", " ".join(inp) or "<empty>", len(inp)
+        predicted = {
+            "run": word_run_cost(n_states, size),
+            "init": word_init_cost(n_states, size),
+        }
+    else:
+        kind, label, size = "tree", str(inp), T.size(inp)
+        predicted = {
+            "runs_enumerated": n_states ** len(T.positions(inp)),
+            "init_ops_bound": tree_init_cost_bound(n_states, automaton.alphabet.max_rank, size),
+        }
     return CostProfile(
-        "tree", str(t), n_states, T.size(t),
-        run_counts, init_counts,
-        automaton.algebra.describe(run_val), automaton.algebra.describe(init_val),
-        predicted,
+        kind, label, n_states, size, run_counts, init_counts, run_value, init_value, predicted
     )

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .algebra import Semantics, WeightAlgebra
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -250,7 +250,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
 # Weighted tree automata
 
 
-class TreeAutomaton:
+class TreeAutomaton(WeightedAutomaton):
     """States, transition weights per (state word, symbol, state), root weights.
 
     Transitions are stored sparsely: a missing entry means zero. Input may be
@@ -259,16 +259,10 @@ class TreeAutomaton:
     """
 
     def __init__(self, algebra: WeightAlgebra, alphabet: RankedAlphabet, states, transitions, root_weights):
-        if not states:
-            raise ValueError("state set must be nonempty")
-        self.algebra = algebra
+        super().__init__(algebra, states)
         self.alphabet = alphabet
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state names")
         if any(s in alphabet for s in self.states):
             raise ValueError("state names must be disjoint from the alphabet")
-        self._state_index = {s: i for i, s in enumerate(self.states)}
         self.root_weights = self._vector(root_weights)
         self._delta: Dict[tuple, dict] = {}
         if isinstance(transitions, dict):
@@ -287,28 +281,6 @@ class TreeAutomaton:
                     f"state word {sw!r} has length {len(word)} but {sym!r} has rank {k}"
                 )
             self._delta.setdefault((word, sym), {})[self.state_index(q)] = w
-
-    def _vector(self, data):
-        n = len(self.states)
-        if isinstance(data, dict):
-            vec = [self.algebra.zero] * n
-            for name, w in data.items():
-                vec[self.state_index(name)] = w
-            return tuple(vec)
-        vec = tuple(data)
-        if len(vec) != n:
-            raise ValueError(f"root weight vector has {len(vec)} entries, expected {n}")
-        return vec
-
-    def state_index(self, name) -> int:
-        if isinstance(name, int):
-            if 0 <= name < len(self.states):
-                return name
-            raise ValueError(f"state index {name} out of range")
-        try:
-            return self._state_index[name]
-        except KeyError:
-            raise ValueError(f"unknown state {name!r}") from None
 
     def delta(self, state_word: tuple, symbol: str, state: int):
         row = self._delta.get((tuple(state_word), symbol))
@@ -352,7 +324,7 @@ class TreeAutomaton:
 
 def _normalize_run(automaton: TreeAutomaton, t: Tree, run) -> dict:
     pos = positions(t)
-    mapped = {p: automaton.state_index(q) for p, q in run.items()}
+    mapped = {p: automaton._run_state(q) for p, q in run.items()}
     if set(mapped) != set(pos):
         raise ValueError("run domain does not match the tree's position set")
     return mapped

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import Semantics, WeightAlgebra
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton
 
 Word = Sequence[str]
 
 
-class WordAutomaton:
+class WordAutomaton(WeightedAutomaton):
     """(states, initial vector, per-symbol matrices, final vector) over an algebra.
 
     ``initial``/``final`` may be given as sequences aligned with ``states`` or
@@ -28,33 +28,15 @@ class WordAutomaton:
     """
 
     def __init__(self, algebra: WeightAlgebra, alphabet, states, initial, final, transitions):
-        if not states:
-            raise ValueError("state set must be nonempty")
+        super().__init__(algebra, states)
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
-        self.algebra = algebra
         self.alphabet = tuple(alphabet)
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state names")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet symbols")
-        self._state_index = {s: i for i, s in enumerate(self.states)}
         self.initial = self._vector(initial)
         self.final = self._vector(final)
         self.transitions = self._matrices(transitions)
-
-    def _vector(self, data):
-        n = len(self.states)
-        if isinstance(data, dict):
-            vec = [self.algebra.zero] * n
-            for name, w in data.items():
-                vec[self.state_index(name)] = w
-            return tuple(vec)
-        vec = tuple(data)
-        if len(vec) != n:
-            raise ValueError(f"weight vector has {len(vec)} entries, expected {n}")
-        return vec
 
     def _matrices(self, data):
         n = len(self.states)
@@ -73,12 +55,6 @@ class WordAutomaton:
                     raise ValueError(f"unknown symbol {sym!r}")
                 mats[sym][self.state_index(src)][self.state_index(dst)] = w
         return {a: tuple(tuple(row) for row in m) for a, m in mats.items()}
-
-    def state_index(self, name) -> int:
-        try:
-            return self._state_index[name]
-        except KeyError:
-            raise ValueError(f"unknown state {name!r}") from None
 
     def matrix(self, symbol):
         try:
@@ -111,14 +87,9 @@ class WordAutomaton:
 
 
 def _normalize_run(automaton, run, length):
-    states = tuple(
-        q if isinstance(q, int) else automaton.state_index(q) for q in run
-    )
+    states = tuple(automaton._run_state(q) for q in run)
     if len(states) != length + 1:
         raise ValueError(f"run has {len(states)} states, expected {length + 1}")
-    for q in states:
-        if not 0 <= q < len(automaton.states):
-            raise ValueError(f"state index {q} out of range")
     return states
 
 

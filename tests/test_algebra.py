@@ -67,6 +67,36 @@ def test_builtin_lookup_and_unknown_name():
     assert "PentagonN5" in str(exc.value)
 
 
+def _registry_instances():
+    """One algebra per registry name, two per parameterised name."""
+    for name in ba.BUILTIN_NAMES:
+        if name.endswith(("(m)", "[m]")):
+            for m in (1, 3):
+                yield ba.builtin(f"{name[:-2]}{m}{name[-1]}")
+        else:
+            yield ba.builtin(name)
+
+
+def test_registry_round_trips_every_bundled_algebra(finite_algebras):
+    assert {"Diamond", "NatPlusPlus[m]", "TruncFun(m)"} <= set(ba.BUILTIN_NAMES)
+    with pytest.raises(UnknownAlgebraError) as exc:
+        ba.builtin("NoSuchThing")
+    assert all(name in str(exc.value) for name in ba.BUILTIN_NAMES)
+
+    instances = list(_registry_instances()) + list(finite_algebras)
+    instances += [ba.diamond(), ba.nat_plus_plus_table(3)]
+    for alg in instances:
+        again = ba.builtin(alg.name)
+        assert type(again) is type(alg) and again.name == alg.name
+        assert again.zero == alg.zero and again.one == alg.one
+        if alg.is_finite:
+            elems = list(alg.elements())
+            assert list(again.elements()) == elems
+            for a, b in itertools.product(elems, repeat=2):
+                assert again.add(a, b) == alg.add(a, b), (alg.name, a, b)
+                assert again.mul(a, b) == alg.mul(a, b), (alg.name, a, b)
+
+
 def test_nat_plus_plus_multiplication_is_addition():
     alg = ba.nat_plus_plus()
     assert alg.mul(3, 2) == 5

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import bimonoid_automata as ba
-from bimonoid_automata import cli, fileio
+from bimonoid_automata import bridge, cli, fileio
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Semantics
@@ -81,6 +81,54 @@ def test_tree_automaton_file_round_trip(tree_probe_file):
     assert alg.equal(T.initial_semantics(automaton, xi), expected)
     again = fileio.automaton_from_dict(fileio.automaton_to_dict(automaton))
     assert list(again.stored_transitions()) == list(automaton.stored_transitions())
+
+
+def test_integer_state_names_are_names_not_indices(tmp_path):
+    # states [1, 0]: the state named 0 sits at index 1, and JSON object keys
+    # spell state names as text
+    word_obj = {
+        "algebra": "B4",
+        "alphabet": ["a", "b"],
+        "states": [1, 0],
+        "initial": {"1": "1", "0": "2"},
+        "final": {"0": "1"},
+        "transitions": [
+            {"from": 1, "symbol": "a", "to": 0, "weight": "2"},
+            {"from": 1, "symbol": "a", "to": 1, "weight": "1"},
+            {"from": 0, "symbol": "a", "to": 1, "weight": "2"},
+            {"from": 0, "symbol": "b", "to": 0, "weight": "3"},
+        ],
+    }
+    tree_obj = {
+        "algebra": "B4",
+        "alphabet": {"e": 0, "a": 1, "b": 1},
+        "states": [1, 0],
+        "final": {"0": "1"},
+        "transitions": [
+            {"from": [], "symbol": "e", "to": 1, "weight": "1"},
+            {"from": [], "symbol": "e", "to": 0, "weight": "2"},
+        ] + [dict(tr, **{"from": [tr["from"]]}) for tr in word_obj["transitions"]],
+    }
+    loaded = []
+    for name, obj in (("word.json", word_obj), ("tree.json", tree_obj)):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        loaded.append(fileio.load_automaton(str(path)))
+    word_aut, tree_aut = loaded
+
+    assert word_aut.initial == (1, 2) and word_aut.final == (0, 1)
+    assert word_aut.matrix("a")[0][1] == 2  # from state 1 (index 0) to state 0 (index 1)
+    assert tree_aut.delta((0,), "a", 1) == 2
+    assert tree_aut.delta((), "e", 1) == 2 and tree_aut.root_weights == (0, 1)
+
+    converted = bridge.wsa_to_wta(word_aut)
+    assert list(converted.stored_transitions()) == list(tree_aut.stored_transitions())
+    for word in W.all_words(word_aut.alphabet, 3):
+        t = bridge.word_to_tree(word)
+        for semantics in (Semantics.RUN, Semantics.INIT):
+            expected = W.evaluate(word_aut, word, semantics)
+            assert T.evaluate(converted, t, semantics) == expected
+            assert T.evaluate(tree_aut, t, semantics) == expected
 
 
 def test_missing_keys_and_bad_json(tmp_path):
@@ -201,6 +249,52 @@ def test_cli_usage_errors_exit_two(probe_file, capsys):
     assert code == 2 and "missing.json" in err
 
 
+_WORD_FILE = {
+    "algebra": "Boole",
+    "alphabet": ["a"],
+    "states": ["p", "q"],
+    "initial": {"p": "1"},
+    "final": {"q": "1"},
+    "transitions": [{"from": "p", "symbol": "a", "to": "q", "weight": "1"}],
+}
+
+
+_MALFORMED_FILES = {
+    "states-number": {"states": 5},
+    "states-string": {"states": "pq"},
+    "final-array": {"final": []},
+    "initial-string": {"initial": "p"},
+    "transition-number": {"transitions": [5]},
+    "symbol-array": {"transitions": [{"from": "p", "symbol": ["a"], "to": "q", "weight": "1"}]},
+    "word-from-array": {"transitions": [{"from": ["p"], "symbol": "a", "to": "q", "weight": "1"}]},
+    "alphabet-string": {"alphabet": "ab"},
+    "alphabet-empty-symbol": {"alphabet": ["a", ""]},
+    "algebra-number": {"algebra": 5},
+    "weight-array": {"algebra": "NatPlusMin", "final": {"q": [1]}},
+    "inline-algebra-names": {"algebra": {"names": 5, "add": [], "mul": [], "zero": "0", "one": "1"}},
+    "states-same-key": {"states": [1, "1"], "initial": {"1": "1"}, "final": {"1": "1"},
+                        "transitions": []},
+    "file-number": 5,
+}
+_EMPTY_WORD_SYMBOLS = {"word-alphabet-empty": "", "word-alphabet-inner": "a,,b", "word-alphabet-trailing": "a,"}
+
+
+@pytest.mark.parametrize(
+    "patch, word_alphabet",
+    [pytest.param(patch, None, id=name) for name, patch in _MALFORMED_FILES.items()]
+    + [pytest.param(None, text, id=name) for name, text in _EMPTY_WORD_SYMBOLS.items()],
+)
+def test_cli_malformed_input_exits_two(tmp_path, capsys, patch, word_alphabet):
+    if patch is None:
+        argv = ["check", "supports-words", "--algebra", "B4", "--word-alphabet", word_alphabet]
+    else:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({**_WORD_FILE, **patch} if isinstance(patch, dict) else patch))
+        argv = ["eval", "--automaton", str(path), "--input", "a"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_cli_convert_round_trip(probe_file, tmp_path, capsys):
     out_path = str(tmp_path / "as_tree.json")
     code, _, _ = run_cli(
@@ -306,4 +400,23 @@ def test_cli_props_survives_hierarchy_breaking_table(tmp_path, capsys):
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps(obj))
     code, _, err = run_cli(["props", "--algebra", str(path), "--allow-invalid"], capsys)
+    assert code == 2 and "axioms" in err
+
+
+def test_cli_check_survives_hypothesis_failing_without_a_half(tmp_path, capsys):
+    # add is not commutative (1+2 = 1, 2+1 = 2): strong zero-sum-freeness
+    # fails at (2, 1, 2) as (2+1)*2 = 0 but 1*2 != 0, yet neither half
+    # condition fails, which the strong-bimonoid axioms rule out
+    obj = {
+        "names": ["0", "1", "2"],
+        "add": [["0", "1", "2"], ["1", "1", "1"], ["2", "2", "2"]],
+        "mul": [["0", "0", "0"], ["0", "1", "2"], ["0", "2", "0"]],
+        "zero": "0",
+        "one": "1",
+    }
+    path = tmp_path / "noncommutative.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(
+        ["check", "supports-words", "--algebra", str(path), "--allow-invalid"], capsys
+    )
     assert code == 2 and "axioms" in err

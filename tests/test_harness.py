@@ -190,3 +190,50 @@ def test_unexpected_counterexample_is_flagged():
     report = H.check_support_theorem_words(config(z2))
     assert report.verdict == "counterexample"
     assert not report.as_predicted
+
+
+def _disagree_once(monkeypatch, mod, target, automaton_number, run_value, init_value):
+    """Patch ``mod.evaluate`` so that on ``target``, evaluated on the n-th
+    automaton the sweep draws, the semantics return the given values."""
+    real = mod.evaluate
+    seen = []
+
+    def evaluate(automaton, inp, semantics, prune=False):
+        if not seen or seen[-1] is not automaton:
+            seen.append(automaton)
+        if len(seen) == automaton_number and inp == target:
+            alg = automaton.algebra
+            return alg.parse(run_value if semantics is Semantics.RUN else init_value)
+        return real(automaton, inp, semantics, prune=prune)
+
+    monkeypatch.setattr(mod, "evaluate", evaluate)
+
+
+def test_word_sweep_reports_unexpected_counterexample(monkeypatch, capsys):
+    # words up to length 2 over (a, b): (), a, b, aa, ab, ... so "ab" is the
+    # 5th input of each automaton and the 12th input overall on the second
+    _disagree_once(monkeypatch, W, ("a", "b"), 2, "1", "0")
+    report = H.check_support_theorem_words(config(ba.boole(), max_word_len=2))
+    assert report.verdict == "counterexample" and report.as_predicted is False
+    assert report.witness.direction == "run-only"
+    assert report.witness.input == ("a", "b")
+    assert (report.witness.run_value, report.witness.init_value) == ("1", "0")
+    assert report.stats == {"automata_checked": 2, "inputs_checked": 12}
+
+    from bimonoid_automata import cli
+
+    monkeypatch.undo()
+    _disagree_once(monkeypatch, W, ("a", "b"), 2, "1", "0")
+    code = cli.main(["check", "supports-words", "--algebra", "Boole", "--max-len", "2"])
+    assert code == 1 and "NOT AS PREDICTED" in capsys.readouterr().out
+
+
+def test_tree_sweep_reports_unexpected_counterexample(monkeypatch):
+    # trees up to 3 nodes over {alpha:0, sigma:2}: alpha, sigma(alpha,alpha)
+    target = T.parse("sigma(alpha,alpha)")
+    _disagree_once(monkeypatch, T, target, 3, "0", "1")
+    report = H.check_support_theorem_trees(config(ba.pentagon(), max_tree_size=3))
+    assert report.verdict == "counterexample" and report.as_predicted is False
+    assert report.witness.direction == "init-only"
+    assert report.witness.input == target
+    assert report.stats == {"automata_checked": 3, "inputs_checked": 6}
