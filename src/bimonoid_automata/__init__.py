@@ -11,6 +11,7 @@ that verifies those characterizations exhaustively at desk scale.
 from .algebra import (
     ADJOINED_ZERO,
     BUILTIN_NAMES,
+    CarrierNotClosedError,
     CountingAlgebra,
     FiniteTableAlgebra,
     INFINITY,
@@ -18,6 +19,7 @@ from .algebra import (
     MalformedTableError,
     Polynomial,
     Semantics,
+    Tabulation,
     UnknownAlgebraError,
     ValidationReport,
     WeightAlgebra,
@@ -34,6 +36,7 @@ from .algebra import (
     nat_plus_plus_table,
     pentagon,
     poly_monome,
+    tabulate,
     trunc_fun,
     validate_axioms,
     wrap_counting,

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import trees as T
 from . import words as W
-from .algebra import CountingAlgebra, Semantics, WeightAlgebra
+from .algebra import CountingAlgebra, Semantics, WeightAlgebra, tabulate
 from .properties import (
     BimonoidProperty,
     HalfCondition,
@@ -219,15 +219,15 @@ _WORD_HALVES = (HalfCondition.RUN_TO_INIT, HalfCondition.INIT_TO_RUN)
 _TREE_HALVES = (HalfCondition.TREE_RUN_TO_INIT, HalfCondition.TREE_INIT_TO_RUN)
 
 
-def _first_failing_half(alg, halves):
+def _first_failing_half(tables, halves):
     """First failing half-condition, checked in the given order."""
     for half in halves:
-        verdict = check_half(alg, half)
+        verdict = check_half(tables, half)
         if not verdict.holds:
             return half, verdict
     # a hypothesis fails only through one of its halves in a strong bimonoid
     raise HierarchyInconsistencyError(
-        f"{alg.name}: a support hypothesis fails but neither of its halves does"
+        f"{tables.algebra.name}: a support hypothesis fails but neither of its halves does"
     )
 
 
@@ -256,7 +256,8 @@ def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
     zero-sum-free: sweep when the hypothesis holds, probe when it fails."""
     alg = config.algebra
     alphabet = config.word_alphabet
-    strongly = check(alg, BimonoidProperty.STRONGLY_ZSF)
+    tables = tabulate(alg)
+    strongly = check(tables, BimonoidProperty.STRONGLY_ZSF)
     hypothesis = {"strongly-zero-sum-free": strongly.holds}
 
     if strongly.holds:
@@ -267,7 +268,7 @@ def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
             _supports_differ,
         )
 
-    half, verdict = _first_failing_half(alg, _WORD_HALVES)
+    half, verdict = _first_failing_half(tables, _WORD_HALVES)
     a, b, c = verdict.witness
     gamma = alphabet[0]
     automaton = W.probe_automaton(alg, a, b, c, gamma, alphabet)
@@ -301,7 +302,8 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     else:
         hypothesis_prop = BimonoidProperty.BI_STRONGLY_ZSF
         label = "branching"
-    hyp = check(alg, hypothesis_prop)
+    tables = tabulate(alg)
+    hyp = check(tables, hypothesis_prop)
     hypothesis = {"alphabet-class": label, hypothesis_prop.value: hyp.holds}
 
     if hyp.holds:
@@ -309,7 +311,7 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
 
     if cls.monadic:
         # word-style failure lifted through the unary spine
-        half, verdict = _first_failing_half(alg, _WORD_HALVES)
+        half, verdict = _first_failing_half(tables, _WORD_HALVES)
         a, b, c = verdict.witness
         gamma = alphabet.of_rank(1)[0]
         alpha = alphabet.of_rank(0)[0]
@@ -323,7 +325,7 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
         automaton = TreeAutomaton(alg, alphabet, states, quads, {"r": c})
         t = Tree(gamma, (Tree(alpha),))
     else:
-        half, verdict = _first_failing_half(alg, _TREE_HALVES)
+        half, verdict = _first_failing_half(tables, _TREE_HALVES)
         a, b, bp, c = verdict.witness
         automaton = T.branching_probe_automaton(alg, a, b, bp, c, alphabet)
         t = T.doubled_probe_tree(alphabet)
@@ -345,7 +347,7 @@ def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
     distributivity verdicts: right-distributivity for words; right and left
     for trees over a branching alphabet (the tree probe, taken with c = one,
     pins down the left law)."""
-    carrier = list(alg.elements())
+    tables = tabulate(alg)
     if mode == "words":
         props = (BimonoidProperty.RIGHT_DISTRIBUTIVE,)
         probe = lambda a, b, c: W.probe_automaton(alg, a, b, c)
@@ -358,11 +360,11 @@ def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
         bound = T.size(inp)
     else:
         raise ValueError("mode must be 'words' or 'trees'")
-    hypothesis = {prop.value: check(alg, prop).holds for prop in props}
+    hypothesis = {prop.value: check(tables, prop).holds for prop in props}
 
     witness = None
     checked = 0
-    for params in itertools.product(carrier, repeat=3):
+    for params in itertools.product(tables.elements, repeat=3):
         automaton = probe(*params)
         im_run = mod.image_up_to(automaton, bound, Semantics.RUN)
         im_init = mod.image_up_to(automaton, bound, Semantics.INIT)

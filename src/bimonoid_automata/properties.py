@@ -1,19 +1,27 @@
 """Exhaustive property decisions on finite strong bimonoids.
 
 Each property is the universally quantified "iff" from its definition; both
-directions are checked literally (one direction is usually trivial, but the
-checker encodes no reasoning). Verdicts carry the first violating tuple in
-carrier enumeration order, so reports are reproducible.
+directions are checked (one direction is usually trivial, but the checker
+encodes no reasoning). Verdicts carry the first violating tuple in carrier
+enumeration order, so reports are reproducible.
+
+The algebra is tabulated once (:func:`~.algebra.tabulate`: n^2 calls of add
+and of mul) and every condition is decided on the integer tables. Where the
+last quantified variable c only meets zero tests, the condition for all c at
+once is a bitmask: with Z[x] = {c : x*c = 0}, strong zero-sum-freeness
+compares Z[a+b] with Z[a] & Z[b], and the tree forms use Z[a*x] per a. The
+lowest set bit of the violation mask is the first witness c, so a 4-ary
+quantifier costs n^3 mask operations instead of n^4 algebra calls. The other
+laws scan table rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .algebra import WeightAlgebra
+from .algebra import Tabulation, WeightAlgebra, _first_difference, tabulate
 
 
 class BimonoidProperty(Enum):
@@ -56,100 +64,149 @@ class PropertyVerdict:
         return f"{self.property.value}: fails at ({', '.join(self.witness_labels)})"
 
 
-def _verdict(alg, prop, witness):
+def _verdict(t: Tabulation, prop, witness):
     if witness is None:
         return PropertyVerdict(prop, True)
-    return PropertyVerdict(prop, False, tuple(witness), tuple(alg.describe(x) for x in witness))
+    return PropertyVerdict(prop, False, t.values(witness), t.labels(witness))
 
 
-def _first(alg, arity, violates):
-    elems = list(alg.elements())
-    for tup in itertools.product(elems, repeat=arity):
-        if violates(*tup):
-            return tup
+def _tables(alg) -> Tabulation:
+    return alg if isinstance(alg, Tabulation) else tabulate(alg)
+
+
+def _zero_masks(t: Tabulation) -> list:
+    """Z[x] = {c : x*c = 0} as an int bitmask over carrier indices."""
+    zero = t.zero
+    return [sum(1 << c for c, v in enumerate(row) if v == zero) for row in t.mul]
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _first_pair(t: Tabulation, violated):
+    """First (a, b) whose ``violated(a, b)`` is true."""
+    n = len(t.elements)
+    return next(((a, b) for a in range(n) for b in range(n) if violated(a, b)), None)
+
+
+def _first_triple(t: Tabulation, violations):
+    """First (a, b, c) with bit c set in ``violations(a, b)``."""
+    n = len(t.elements)
+    for a in range(n):
+        for b in range(n):
+            mask = violations(a, b)
+            if mask:
+                return a, b, _lowest(mask)
     return None
 
 
-def check(alg: WeightAlgebra, prop: BimonoidProperty) -> PropertyVerdict:
-    """Decide one property by exhaustive search; witness on failure."""
-    z = alg.is_zero
-    add, mul = alg.add, alg.mul
-    eq = alg.equal
+def _first_quad(t: Tabulation, violations):
+    """First (a, b, b', c) with bit c set in ``violations(zm, b, b', s)``,
+    where s = b + b' and zm[x] = Z[a*x] for the current a."""
+    n = len(t.elements)
+    z = _zero_masks(t)
+    add = t.add
+    for a in range(n):
+        zm = [z[x] for x in t.mul[a]]
+        for b in range(n):
+            masks = [violations(zm, b, bp, s) for bp, s in enumerate(add[b])]
+            if any(masks):
+                bp = next(i for i, mask in enumerate(masks) if mask)
+                return a, b, bp, _lowest(masks[bp])
+    return None
+
+
+def _first_row_difference(t: Tabulation, lhs, rhs):
+    """First (a, b, c) at which row ``lhs(a, b)`` and row ``rhs(a, b)``
+    differ, both indexed by c."""
+    n = len(t.elements)
+    for a in range(n):
+        for b in range(n):
+            c = _first_difference(lhs(a, b), rhs(a, b))
+            if c is not None:
+                return a, b, c
+    return None
+
+
+def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVerdict:
+    """Decide one property by exhaustive search; witness on failure.
+
+    ``alg`` is a finite algebra or its :func:`tabulate` tables.
+    """
+    t = _tables(alg)
+    add, mul, zero = t.add, t.mul, t.zero
 
     if prop is BimonoidProperty.ZERO_SUM_FREE:
-        witness = _first(alg, 2, lambda a, b: z(add(a, b)) != (z(a) and z(b)))
+        witness = _first_pair(t, lambda a, b: (add[a][b] == zero) != (a == zero and b == zero))
     elif prop is BimonoidProperty.STRONGLY_ZSF:
-        witness = _first(
-            alg, 3, lambda a, b, c: z(mul(add(a, b), c)) != (z(mul(a, c)) and z(mul(b, c)))
-        )
+        z = _zero_masks(t)
+        witness = _first_triple(t, lambda a, b: z[add[a][b]] ^ (z[a] & z[b]))
     elif prop is BimonoidProperty.BI_STRONGLY_ZSF:
-        witness = _first(
-            alg,
-            4,
-            lambda a, b, bp, c: z(mul(mul(a, add(b, bp)), c))
-            != (z(mul(mul(a, b), c)) and z(mul(mul(a, bp), c))),
-        )
+        witness = _first_quad(t, lambda zm, b, bp, s: zm[s] ^ (zm[b] & zm[bp]))
     elif prop is BimonoidProperty.ZERO_DIVISOR_FREE:
-        witness = _first(alg, 2, lambda a, b: z(mul(a, b)) != (z(a) or z(b)))
+        witness = _first_pair(t, lambda a, b: (mul[a][b] == zero) != (a == zero or b == zero))
     elif prop is BimonoidProperty.POSITIVE:
         for part in (BimonoidProperty.ZERO_SUM_FREE, BimonoidProperty.ZERO_DIVISOR_FREE):
-            sub = check(alg, part)
+            sub = check(t, part)
             if not sub.holds:
                 return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
         witness = None
     elif prop is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
-        witness = _first(
-            alg, 3, lambda a, b, c: z(mul(add(a, b), c)) != z(add(mul(a, c), mul(b, c)))
+        sum_is_zero = [[v == zero for v in row] for row in add]
+        product_is_zero = [[v == zero for v in row] for row in mul]
+        witness = _first_row_difference(
+            t,
+            lambda a, b: product_is_zero[add[a][b]],
+            lambda a, b: [sum_is_zero[x][y] for x, y in zip(mul[a], mul[b])],
         )
     elif prop is BimonoidProperty.RIGHT_DISTRIBUTIVE:
-        witness = _first(
-            alg, 3, lambda a, b, c: not eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))
+        witness = _first_row_difference(
+            t,
+            lambda a, b: mul[add[a][b]],
+            lambda a, b: [add[x][y] for x, y in zip(mul[a], mul[b])],
         )
     elif prop is BimonoidProperty.LEFT_DISTRIBUTIVE:
-        witness = _first(
-            alg, 3, lambda a, b, c: not eq(mul(c, add(a, b)), add(mul(c, a), mul(c, b)))
+        cols = [list(col) for col in zip(*mul)]  # cols[x][c] = c*x
+        witness = _first_row_difference(
+            t,
+            lambda a, b: cols[add[a][b]],
+            lambda a, b: [add[x][y] for x, y in zip(cols[a], cols[b])],
         )
     elif prop is BimonoidProperty.DISTRIBUTIVE:
         for part in (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE):
-            sub = check(alg, part)
+            sub = check(t, part)
             if not sub.holds:
                 return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
         witness = None
     elif prop is BimonoidProperty.COMMUTATIVE:
-        witness = _first(alg, 2, lambda a, b: not eq(mul(a, b), mul(b, a)))
+        witness = _first_pair(t, lambda a, b: mul[a][b] != mul[b][a])
     else:
         raise ValueError(f"unknown property {prop!r}")
-    return _verdict(alg, prop, witness)
+    return _verdict(t, prop, witness)
 
 
-def check_half(alg: WeightAlgebra, half: HalfCondition) -> PropertyVerdict:
-    """Decide one one-sided support condition; witness violates the implication."""
-    z = alg.is_zero
-    add, mul = alg.add, alg.mul
+def check_half(alg: WeightAlgebra | Tabulation, half: HalfCondition) -> PropertyVerdict:
+    """Decide one one-sided support condition; witness violates the implication.
+
+    ``alg`` is a finite algebra or its :func:`tabulate` tables.
+    """
+    t = _tables(alg)
+    add = t.add
 
     if half is HalfCondition.RUN_TO_INIT:
-        witness = _first(alg, 3, lambda a, b, c: not z(mul(a, c)) and z(mul(add(a, b), c)))
+        z = _zero_masks(t)
+        witness = _first_triple(t, lambda a, b: z[add[a][b]] & ~z[a])
     elif half is HalfCondition.INIT_TO_RUN:
-        witness = _first(
-            alg, 3, lambda a, b, c: not z(mul(add(a, b), c)) and z(mul(a, c)) and z(mul(b, c))
-        )
+        z = _zero_masks(t)
+        witness = _first_triple(t, lambda a, b: z[a] & z[b] & ~z[add[a][b]])
     elif half is HalfCondition.TREE_RUN_TO_INIT:
-        witness = _first(
-            alg,
-            4,
-            lambda a, b, bp, c: not z(mul(mul(a, b), c)) and z(mul(mul(a, add(b, bp)), c)),
-        )
+        witness = _first_quad(t, lambda zm, b, bp, s: zm[s] & ~zm[b])
     elif half is HalfCondition.TREE_INIT_TO_RUN:
-        witness = _first(
-            alg,
-            4,
-            lambda a, b, bp, c: not z(mul(mul(a, add(b, bp)), c))
-            and z(mul(mul(a, b), c))
-            and z(mul(mul(a, bp), c)),
-        )
+        witness = _first_quad(t, lambda zm, b, bp, s: zm[b] & zm[bp] & ~zm[s])
     else:
         raise ValueError(f"unknown half condition {half!r}")
-    return _verdict(alg, half, witness)
+    return _verdict(t, half, witness)
 
 
 @dataclass(frozen=True)
@@ -196,8 +253,9 @@ def classify(alg: WeightAlgebra) -> PropertyReport:
     A hierarchy violation can only come from an implementation bug, so it
     raises instead of being reported as a result.
     """
-    verdicts = {prop: check(alg, prop) for prop in BimonoidProperty}
-    halves = {half: check_half(alg, half) for half in HalfCondition}
+    t = tabulate(alg)
+    verdicts = {prop: check(t, prop) for prop in BimonoidProperty}
+    halves = {half: check_half(t, half) for half in HalfCondition}
 
     def h(prop):
         return verdicts[prop].holds

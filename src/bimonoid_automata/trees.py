@@ -26,7 +26,7 @@ class RankedAlphabet:
         if not ranks:
             raise ValueError("alphabet must be nonempty")
         for sym, k in ranks.items():
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"rank of {sym!r} must be a natural number, got {k!r}")
         if all(k != 0 for k in ranks.values()):
             raise ValueError("alphabet needs at least one rank-0 symbol")

@@ -2,8 +2,8 @@
 
 The oracles here deliberately re-derive expected values by brute force
 (subset-construction NFA simulation, dense state-word enumeration, pointwise
-function evaluation) so the library code paths they check are never trusted
-to test themselves.
+function evaluation, the literal property and axiom checkers) so the library
+code paths they check are never trusted to test themselves.
 """
 
 import itertools
@@ -14,6 +14,8 @@ import pytest
 import bimonoid_automata as ba
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
+from bimonoid_automata.algebra import AxiomCheck, ValidationReport
+from bimonoid_automata.properties import BimonoidProperty, HalfCondition, PropertyVerdict
 
 
 @pytest.fixture(scope="session")
@@ -126,3 +128,178 @@ def merge_normal_forms(t, cut, memo):
     )
     memo[cut] = result
     return result
+
+
+# --------------------------------------------------------------------------
+# Literal property and axiom checkers: every quantified tuple in carrier
+# enumeration order, each condition evaluated with the algebra's own
+# add/mul/is_zero/equal. The library decides the same conditions on
+# tabulated operations; these are the reference for verdicts and witnesses.
+
+
+def _verdict(alg, prop, witness):
+    if witness is None:
+        return PropertyVerdict(prop, True)
+    return PropertyVerdict(prop, False, tuple(witness), tuple(alg.describe(x) for x in witness))
+
+
+def _first(alg, arity, violates):
+    elems = list(alg.elements())
+    for tup in itertools.product(elems, repeat=arity):
+        if violates(*tup):
+            return tup
+    return None
+
+
+def literal_check(alg, prop: BimonoidProperty) -> PropertyVerdict:
+    """Decide one property by exhaustive search; witness on failure."""
+    z = alg.is_zero
+    add, mul = alg.add, alg.mul
+    eq = alg.equal
+
+    if prop is BimonoidProperty.ZERO_SUM_FREE:
+        witness = _first(alg, 2, lambda a, b: z(add(a, b)) != (z(a) and z(b)))
+    elif prop is BimonoidProperty.STRONGLY_ZSF:
+        witness = _first(
+            alg, 3, lambda a, b, c: z(mul(add(a, b), c)) != (z(mul(a, c)) and z(mul(b, c)))
+        )
+    elif prop is BimonoidProperty.BI_STRONGLY_ZSF:
+        witness = _first(
+            alg,
+            4,
+            lambda a, b, bp, c: z(mul(mul(a, add(b, bp)), c))
+            != (z(mul(mul(a, b), c)) and z(mul(mul(a, bp), c))),
+        )
+    elif prop is BimonoidProperty.ZERO_DIVISOR_FREE:
+        witness = _first(alg, 2, lambda a, b: z(mul(a, b)) != (z(a) or z(b)))
+    elif prop is BimonoidProperty.POSITIVE:
+        for part in (BimonoidProperty.ZERO_SUM_FREE, BimonoidProperty.ZERO_DIVISOR_FREE):
+            sub = literal_check(alg, part)
+            if not sub.holds:
+                return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
+        witness = None
+    elif prop is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
+        witness = _first(
+            alg, 3, lambda a, b, c: z(mul(add(a, b), c)) != z(add(mul(a, c), mul(b, c)))
+        )
+    elif prop is BimonoidProperty.RIGHT_DISTRIBUTIVE:
+        witness = _first(
+            alg, 3, lambda a, b, c: not eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))
+        )
+    elif prop is BimonoidProperty.LEFT_DISTRIBUTIVE:
+        witness = _first(
+            alg, 3, lambda a, b, c: not eq(mul(c, add(a, b)), add(mul(c, a), mul(c, b)))
+        )
+    elif prop is BimonoidProperty.DISTRIBUTIVE:
+        for part in (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE):
+            sub = literal_check(alg, part)
+            if not sub.holds:
+                return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
+        witness = None
+    elif prop is BimonoidProperty.COMMUTATIVE:
+        witness = _first(alg, 2, lambda a, b: not eq(mul(a, b), mul(b, a)))
+    else:
+        raise ValueError(f"unknown property {prop!r}")
+    return _verdict(alg, prop, witness)
+
+
+def literal_check_half(alg, half: HalfCondition) -> PropertyVerdict:
+    """Decide one one-sided support condition; witness violates the implication."""
+    z = alg.is_zero
+    add, mul = alg.add, alg.mul
+
+    if half is HalfCondition.RUN_TO_INIT:
+        witness = _first(alg, 3, lambda a, b, c: not z(mul(a, c)) and z(mul(add(a, b), c)))
+    elif half is HalfCondition.INIT_TO_RUN:
+        witness = _first(
+            alg, 3, lambda a, b, c: not z(mul(add(a, b), c)) and z(mul(a, c)) and z(mul(b, c))
+        )
+    elif half is HalfCondition.TREE_RUN_TO_INIT:
+        witness = _first(
+            alg,
+            4,
+            lambda a, b, bp, c: not z(mul(mul(a, b), c)) and z(mul(mul(a, add(b, bp)), c)),
+        )
+    elif half is HalfCondition.TREE_INIT_TO_RUN:
+        witness = _first(
+            alg,
+            4,
+            lambda a, b, bp, c: not z(mul(mul(a, add(b, bp)), c))
+            and z(mul(mul(a, b), c))
+            and z(mul(mul(a, bp), c)),
+        )
+    else:
+        raise ValueError(f"unknown half condition {half!r}")
+    return _verdict(alg, half, witness)
+
+
+def literal_validate_axioms(alg) -> ValidationReport:
+    """Exhaustively check the strong-bimonoid axioms on a finite algebra."""
+    elems = list(alg.elements())
+    checks = []
+
+    def record(axiom, witness):
+        if witness is None:
+            checks.append(AxiomCheck(axiom, True))
+        else:
+            labels = tuple(alg.describe(x) for x in witness)
+            checks.append(AxiomCheck(axiom, False, tuple(witness), labels))
+
+    def first_triple(violates):
+        for triple in itertools.product(elems, repeat=3):
+            if violates(*triple):
+                return triple
+        return None
+
+    def first_pair(violates):
+        for pair in itertools.product(elems, repeat=2):
+            if violates(*pair):
+                return pair
+        return None
+
+    record(
+        "add-associativity",
+        first_triple(lambda a, b, c: not alg.equal(alg.add(alg.add(a, b), c), alg.add(a, alg.add(b, c)))),
+    )
+    record(
+        "add-commutativity",
+        first_pair(lambda a, b: not alg.equal(alg.add(a, b), alg.add(b, a))),
+    )
+    record(
+        "add-identity",
+        next(
+            (
+                (a,)
+                for a in elems
+                if not alg.equal(alg.add(alg.zero, a), a) or not alg.equal(alg.add(a, alg.zero), a)
+            ),
+            None,
+        ),
+    )
+    record(
+        "mul-associativity",
+        first_triple(lambda a, b, c: not alg.equal(alg.mul(alg.mul(a, b), c), alg.mul(a, alg.mul(b, c)))),
+    )
+    record(
+        "mul-identity",
+        next(
+            (
+                (a,)
+                for a in elems
+                if not alg.equal(alg.mul(alg.one, a), a) or not alg.equal(alg.mul(a, alg.one), a)
+            ),
+            None,
+        ),
+    )
+    record(
+        "zero-annihilation",
+        next(
+            (
+                (a,)
+                for a in elems
+                if not alg.is_zero(alg.mul(alg.zero, a)) or not alg.is_zero(alg.mul(a, alg.zero))
+            ),
+            None,
+        ),
+    )
+    return ValidationReport(alg.name, all(c.holds for c in checks), tuple(checks))

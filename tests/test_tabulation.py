@@ -1,0 +1,277 @@
+"""Tabulated property decisions and axiom validation against the literal
+checkers in conftest: equal verdicts and the same first witness, plus the
+operation-count gates and error paths of ``tabulate``."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bimonoid_automata as ba
+from bimonoid_automata import cli
+from bimonoid_automata.algebra import (
+    CarrierNotClosedError,
+    MalformedTableError,
+    WeightAlgebra,
+    tabulate,
+)
+from bimonoid_automata.properties import BimonoidProperty as P
+from bimonoid_automata.properties import HalfCondition as H
+from bimonoid_automata.properties import check, check_half, classify
+
+from conftest import literal_check, literal_check_half, literal_validate_axioms
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def assert_same_as_literal(alg):
+    for prop in P:
+        assert check(alg, prop) == literal_check(alg, prop), (alg.name, prop)
+    for half in H:
+        assert check_half(alg, half) == literal_check_half(alg, half), (alg.name, half)
+    assert ba.validate_axioms(alg) == literal_validate_axioms(alg), alg.name
+
+
+class Relabelled(WeightAlgebra):
+    """A table algebra whose elements are its names, enumerated in a given
+    order, so witnesses must map back through the tabulation."""
+
+    def __init__(self, table, order):
+        self.table = table
+        self.name = f"{table.name}/relabelled"
+        self.order = [table.names[i] for i in order]
+        self.zero = table.names[table.zero]
+        self.one = table.names[table.one]
+
+    def _op(self, op, a, b):
+        return self.table.names[op(self.table.parse(a), self.table.parse(b))]
+
+    def add(self, a, b):
+        return self._op(self.table.add, a, b)
+
+    def mul(self, a, b):
+        return self._op(self.table.mul, a, b)
+
+    @property
+    def is_finite(self):
+        return True
+
+    def elements(self):
+        return iter(self.order)
+
+
+@st.composite
+def random_tables(draw):
+    """Arbitrary 1-5 element tables with arbitrary zero and one: the axioms
+    need not hold."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, n - 1)
+    table = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    alg = ba.FiniteTableAlgebra(
+        "random", [f"e{i}" for i in range(n)], draw(table), draw(table), draw(entry), draw(entry)
+    )
+    return alg, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_tables())
+def test_random_tables_match_literal_checker(case):
+    alg, order = case
+    assert_same_as_literal(alg)
+    assert_same_as_literal(Relabelled(alg, order))
+
+
+def _chain(n):
+    names = [f"c{i}" for i in range(n)]
+    return names, list(zip(names, names[1:]))
+
+
+def _grid(a, b):
+    names = [f"g{i}{j}" for i in range(a) for j in range(b)]
+    pairs = [(f"g{i}{j}", f"g{i + 1}{j}") for i in range(a - 1) for j in range(b)]
+    pairs += [(f"g{i}{j}", f"g{i}{j + 1}") for i in range(a) for j in range(b - 1)]
+    return names, pairs
+
+
+def _two_chain(a, b):
+    xs, ys = [f"x{i}" for i in range(a)], [f"y{i}" for i in range(b)]
+    pairs = list(zip(xs, xs[1:])) + list(zip(ys, ys[1:]))
+    pairs += [("0", xs[0]), ("0", ys[0]), (xs[-1], "1"), (ys[-1], "1")]
+    return ["0", *xs, *ys, "1"], pairs
+
+
+def _m_k(k):
+    atoms = [f"a{i}" for i in range(k)]
+    return ["0", *atoms, "1"], [("0", x) for x in atoms] + [(x, "1") for x in atoms]
+
+
+def _generated_lattices():
+    rng = random.Random(7)
+    for name, (names, pairs) in {
+        "chain-2": _chain(2),
+        "chain-8": _chain(8),
+        "chain-16": _chain(16),
+        "grid-2x2": _grid(2, 2),
+        "grid-3x3": _grid(3, 3),
+        "grid-4x4": _grid(4, 4),
+        "two-chain-1-3": _two_chain(1, 3),
+        "two-chain-5-9": _two_chain(5, 9),
+        "m-3": _m_k(3),
+        "m-7": _m_k(7),
+        "m-14": _m_k(14),
+    }.items():
+        rng.shuffle(names)  # moves the first witness of every failing property
+        yield ba.lattice_algebra(name, names, pairs)
+
+
+def _bundled():
+    yield from ba.bundled_finite_algebras()
+    yield ba.diamond()
+    yield ba.nat_plus_plus_table(3)
+    yield ba.nat_plus_plus_table(14)
+
+
+@pytest.mark.parametrize(
+    "alg", [*_bundled(), *_generated_lattices()], ids=lambda alg: alg.name
+)
+def test_bundled_and_generated_algebras_match_literal_checker(alg):
+    assert_same_as_literal(alg)
+
+
+# TruncFun(3)'s witnesses, computed once with the literal checker (about 20 s).
+TRUNC_FUN_3_WITNESSES = {
+    "zero-sum-free": None,
+    "strongly-zero-sum-free": None,
+    "bi-strongly-zero-sum-free": ["[0,0,0,1]", "[0,0,0,1]", "[0,0,0,2]", "[0,0,0,3]"],
+    "zero-divisor-free": ["[0,0,0,1]", "[0,0,0,1]"],
+    "positive": ["[0,0,0,1]", "[0,0,0,1]"],
+    "zero-right-distributive": None,
+    "right-distributive": None,
+    "left-distributive": ["[0,0,0,1]", "[0,0,0,1]", "[0,0,1,0]"],
+    "distributive": ["[0,0,0,1]", "[0,0,0,1]", "[0,0,1,0]"],
+    "commutative": ["[0,0,0,1]", "[0,0,0,3]"],
+    "run-to-init": None,
+    "init-to-run": None,
+    "tree-run-to-init": ["[0,0,1,0]", "[0,0,0,2]", "[0,0,0,1]", "[0,0,0,3]"],
+    "tree-init-to-run": ["[0,0,0,1]", "[0,0,0,1]", "[0,0,0,2]", "[0,0,0,3]"],
+}
+
+
+def _witnesses(report_dict):
+    rows = {**report_dict["properties"], **report_dict["half_conditions"]}
+    return {name: row.get("witness") for name, row in rows.items()}
+
+
+def test_trunc_fun_3_pinned_witnesses():
+    assert _witnesses(classify(ba.trunc_fun(3)).to_dict()) == TRUNC_FUN_3_WITNESSES
+
+
+def test_trunc_fun_3_costs_one_tabulation():
+    counting = ba.wrap_counting(ba.trunc_fun(3))
+    classify(counting)
+    assert counting.read_counts() == (64 * 64, 64 * 64)
+    counting.reset_counts()
+    assert ba.validate_axioms(counting).ok
+    assert counting.read_counts() == (64 * 64, 64 * 64)
+
+
+def test_tabulation_is_not_cached_between_calls():
+    counting = ba.wrap_counting(ba.b4())
+    classify(counting)
+    classify(counting)
+    assert counting.read_counts() == (2 * 16, 2 * 16)
+
+
+def test_trunc_fun_3_native_and_table_copy_agree():
+    native = ba.trunc_fun(3)
+    t = tabulate(native)
+    copy = ba.FiniteTableAlgebra(
+        native.name, t.labels(range(len(t.elements))), t.add, t.mul, t.zero, t.one
+    )
+    assert classify(copy).to_dict() == classify(native).to_dict()
+
+
+def test_cli_props_trunc_fun_3_end_to_end():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "bimonoid_automata", "props", "--algebra", "TruncFun(3)",
+         "--format", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["algebra"] == "TruncFun(3)"
+    assert _witnesses(data) == TRUNC_FUN_3_WITNESSES
+
+
+class Leaky(WeightAlgebra):
+    """Two elements whose sum 1 + 1 = 2 is not one of them."""
+
+    name = "Leaky"
+    zero, one = 0, 1
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    @property
+    def is_finite(self):
+        return True
+
+    def elements(self):
+        return iter((0, 1))
+
+
+def test_non_closed_carrier_is_a_named_error():
+    with pytest.raises(CarrierNotClosedError, match=r"1 \+ 1 = 2"):
+        tabulate(Leaky())
+    assert issubclass(CarrierNotClosedError, ValueError)
+    with pytest.raises(CarrierNotClosedError):
+        check(Leaky(), P.ZERO_SUM_FREE)
+    with pytest.raises(CarrierNotClosedError):
+        ba.validate_axioms(Leaky())
+
+
+def test_check_takes_an_algebra_or_its_tables():
+    alg = ba.b4()
+    t = tabulate(alg)
+    for prop in P:
+        assert check(t, prop) == check(alg, prop)
+    for half in H:
+        assert check_half(t, half) == check_half(alg, half)
+
+
+def test_bool_is_not_a_table_index_or_rank():
+    with pytest.raises(MalformedTableError):
+        ba.FiniteTableAlgebra("bad", ("0", "1"), ((0, True), (1, 1)), ((0, 0), (0, 1)), 0, 1)
+    with pytest.raises(MalformedTableError):
+        ba.FiniteTableAlgebra("bad", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), False, 1)
+    with pytest.raises(MalformedTableError):
+        ba.FiniteTableAlgebra("bad", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, True)
+    with pytest.raises(ValueError):
+        ba.RankedAlphabet({"e": 0, "a": True})
+
+
+def test_cli_rejects_bool_rank(tmp_path, capsys):
+    path = tmp_path / "bool-rank.json"
+    path.write_text(json.dumps({
+        "algebra": "Boole",
+        "alphabet": {"e": 0, "a": True},
+        "states": ["p"],
+        "final": {"p": "1"},
+        "transitions": [
+            {"from": [], "symbol": "e", "to": "p", "weight": "1"},
+            {"from": ["p"], "symbol": "a", "to": "p", "weight": "1"},
+        ],
+    }))
+    code = cli.main(["eval", "--automaton", str(path), "--input", "a(e)"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ")
