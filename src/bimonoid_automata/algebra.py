@@ -90,6 +90,13 @@ class WeightAlgebra:
     Subclasses set ``self.zero`` and ``self.one`` and implement ``add`` and
     ``mul``. Values are immutable and shareable; the one mutable exception is
     :class:`CountingAlgebra`.
+
+    Pruned run semantics (``run_semantics(..., prune=True)`` and the
+    ``values`` streams) counts runs by (state, weight) instead of listing
+    them: it relies on ``add`` being commutative and associative, on zero
+    annihilating, and on values being hashable with ``equal`` agreeing with
+    ``==``. Every bundled algebra meets this. On tables that break the axioms
+    (loaded with ``allow_invalid``) only the unpruned enumeration is literal.
     """
 
     name = "algebra"
@@ -272,6 +279,56 @@ class CountingAlgebra(WeightAlgebra):
 
 def wrap_counting(alg: WeightAlgebra) -> CountingAlgebra:
     return CountingAlgebra(alg)
+
+
+# --------------------------------------------------------------------------
+# Counted runs and value sets, shared by the word and tree evaluators
+#
+# Since add is commutative and associative, the run semantics depends only on
+# the multiset of run weights. The evaluators therefore keep counted runs: a
+# list indexed by state of {weight: number of runs with that weight}, zero
+# weights dropped.
+
+
+def _multiple(alg: WeightAlgebra, count: int, x):
+    """x added to itself until there are ``count`` >= 1 summands, by
+    double-and-add: fewer than 2 log2(count) additions."""
+    total = None
+    while True:
+        if count & 1:
+            total = x if total is None else alg.add(total, x)
+        count >>= 1
+        if not count:
+            return total
+        x = alg.add(x, x)
+
+
+def _run_total(alg: WeightAlgebra, runs: list, final) -> object:
+    """The sum over counted runs of weight times ``final[state]``."""
+    totals: dict = {}
+    for weights, f in zip(runs, final):
+        if alg.is_zero(f):
+            continue
+        for w, count in weights.items():
+            x = alg.mul(w, f)
+            if not alg.is_zero(x):
+                totals[x] = totals.get(x, 0) + count
+    total = None
+    for x, count in totals.items():
+        term = _multiple(alg, count, x)
+        total = term if total is None else alg.add(total, term)
+    return alg.zero if total is None else total
+
+
+def _images(alg: WeightAlgebra, rows) -> dict:
+    """The run and init value sets of ``(input, run value, init value)``
+    rows, each deduplicated by ``alg.equal`` in first-seen order."""
+    images: dict = {Semantics.RUN: [], Semantics.INIT: []}
+    for _, run_value, init_value in rows:
+        for seen, v in ((images[Semantics.RUN], run_value), (images[Semantics.INIT], init_value)):
+            if not any(alg.equal(v, s) for s in seen):
+                seen.append(v)
+    return images
 
 
 # --------------------------------------------------------------------------

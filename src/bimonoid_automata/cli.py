@@ -174,8 +174,8 @@ def cmd_image(args):
     else:
         bound, label = args.max_len, f"words of length <= {args.max_len}"
     images = {
-        sem.value: [alg.describe(v) for v in mod.image_up_to(automaton, bound, sem)]
-        for sem in (Semantics.RUN, Semantics.INIT)
+        sem.value: [alg.describe(v) for v in vals]
+        for sem, vals in mod.images_up_to(automaton, bound).items()
     }
     text = "\n".join(
         f"{sem}: {{{', '.join(vals)}}}" for sem, vals in images.items()

@@ -13,6 +13,7 @@ label, keyed by the state's name as text; omissions mean zero),
 from __future__ import annotations
 
 import json
+import os
 from typing import Union
 
 from .algebra import FiniteTableAlgebra, WeightAlgebra, builtin, validate_axioms
@@ -98,18 +99,22 @@ def algebra_to_dict(alg: FiniteTableAlgebra) -> dict:
 
 
 def load_algebra(source: Union[str, dict], allow_invalid: bool = False) -> WeightAlgebra:
-    """Resolve an algebra from a builtin name, an inline dict, or a JSON file path."""
+    """Resolve an algebra from an inline dict, a JSON file path, or a builtin
+    name; an existing file wins over a builtin of the same name."""
     if isinstance(source, dict):
         return algebra_from_dict(source, allow_invalid=allow_invalid)
-    try:
-        return builtin(source)
-    except LookupError as builtin_error:
-        lookup_message = str(builtin_error)
+    if not os.path.isfile(source):
+        try:
+            return builtin(source)
+        except LookupError as builtin_error:
+            raise FileFormatError(
+                source, f"not a readable algebra file, and {builtin_error}"
+            ) from None
     try:
         with open(source) as fh:
             obj = json.load(fh)
-    except OSError:
-        raise FileFormatError(source, f"not a readable algebra file, and {lookup_message}") from None
+    except OSError as exc:
+        raise FileFormatError(source, f"cannot read algebra file: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(source, f"invalid JSON at line {exc.lineno}") from None
     return algebra_from_dict(obj, source=source, allow_invalid=allow_invalid)

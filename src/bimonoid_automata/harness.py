@@ -188,17 +188,16 @@ def _values_differ(alg, run_val, init_val) -> Optional[str]:
 
 def _sweep(theorem, config, hypothesis, mod, random_automaton, inputs, compare) -> CheckReport:
     """Evaluate both semantics of ``config.num_automata`` random automata on
-    every input of ``inputs()``, and report the first input on which
-    ``compare(alg, run_value, init_value)`` names a direction."""
+    every input of ``inputs()`` (one ``mod.values`` stream per automaton), and
+    report the first input on which ``compare(alg, run_value, init_value)``
+    names a direction."""
     alg = config.algebra
     rng = random.Random(config.seed)
     checked = 0
     for trial in range(config.num_automata):
         automaton = random_automaton(rng)
-        for inp in inputs():
+        for inp, run_val, init_val in mod.values(automaton, inputs()):
             checked += 1
-            run_val = mod.evaluate(automaton, inp, Semantics.RUN, prune=True)
-            init_val = mod.evaluate(automaton, inp, Semantics.INIT)
             direction = compare(alg, run_val, init_val)
             if direction is not None:
                 witness = CheckWitness(
@@ -235,8 +234,7 @@ def _probe(theorem, config, hypothesis, half, verdict, mod, automaton, inp) -> C
     """Evaluate the probe built from a failing half's witness and confirm the
     one-sided support difference that half predicts."""
     alg = config.algebra
-    run_val = mod.evaluate(automaton, inp, Semantics.RUN, prune=True)
-    init_val = mod.evaluate(automaton, inp, Semantics.INIT)
+    [(_, run_val, init_val)] = mod.values(automaton, [inp])
     run_to_init = half in (HalfCondition.RUN_TO_INIT, HalfCondition.TREE_RUN_TO_INIT)
     expected = "run-only" if run_to_init else "init-only"
     witness = CheckWitness(
@@ -366,8 +364,8 @@ def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
     checked = 0
     for params in itertools.product(tables.elements, repeat=3):
         automaton = probe(*params)
-        im_run = mod.image_up_to(automaton, bound, Semantics.RUN)
-        im_init = mod.image_up_to(automaton, bound, Semantics.INIT)
+        images = mod.images_up_to(automaton, bound)
+        im_run, im_init = images[Semantics.RUN], images[Semantics.INIT]
         checked += 1
         if not _sets_equal(alg, im_run, im_init):
             witness = CheckWitness(

@@ -129,6 +129,25 @@ def _first_row_difference(t: Tabulation, lhs, rhs):
     return None
 
 
+# Properties that are the conjunction of others, checked in this order.
+_COMPOSITES = {
+    BimonoidProperty.POSITIVE: (BimonoidProperty.ZERO_SUM_FREE, BimonoidProperty.ZERO_DIVISOR_FREE),
+    BimonoidProperty.DISTRIBUTIVE: (
+        BimonoidProperty.RIGHT_DISTRIBUTIVE,
+        BimonoidProperty.LEFT_DISTRIBUTIVE,
+    ),
+}
+
+
+def _composite(prop: BimonoidProperty, parts) -> PropertyVerdict:
+    """A composite verdict from its parts' verdicts, taken lazily in order:
+    it fails with the first failing part's witness."""
+    for sub in parts:
+        if not sub.holds:
+            return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
+    return PropertyVerdict(prop, True)
+
+
 def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVerdict:
     """Decide one property by exhaustive search; witness on failure.
 
@@ -146,12 +165,8 @@ def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVe
         witness = _first_quad(t, lambda zm, b, bp, s: zm[s] ^ (zm[b] & zm[bp]))
     elif prop is BimonoidProperty.ZERO_DIVISOR_FREE:
         witness = _first_pair(t, lambda a, b: (mul[a][b] == zero) != (a == zero or b == zero))
-    elif prop is BimonoidProperty.POSITIVE:
-        for part in (BimonoidProperty.ZERO_SUM_FREE, BimonoidProperty.ZERO_DIVISOR_FREE):
-            sub = check(t, part)
-            if not sub.holds:
-                return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
-        witness = None
+    elif prop in _COMPOSITES:
+        return _composite(prop, (check(t, part) for part in _COMPOSITES[prop]))
     elif prop is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
         sum_is_zero = [[v == zero for v in row] for row in add]
         product_is_zero = [[v == zero for v in row] for row in mul]
@@ -173,12 +188,6 @@ def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVe
             lambda a, b: cols[add[a][b]],
             lambda a, b: [add[x][y] for x, y in zip(cols[a], cols[b])],
         )
-    elif prop is BimonoidProperty.DISTRIBUTIVE:
-        for part in (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE):
-            sub = check(t, part)
-            if not sub.holds:
-                return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
-        witness = None
     elif prop is BimonoidProperty.COMMUTATIVE:
         witness = _first_pair(t, lambda a, b: mul[a][b] != mul[b][a])
     else:
@@ -254,7 +263,12 @@ def classify(alg: WeightAlgebra) -> PropertyReport:
     raises instead of being reported as a result.
     """
     t = tabulate(alg)
-    verdicts = {prop: check(t, prop) for prop in BimonoidProperty}
+    verdicts: dict = {}
+    for prop in BimonoidProperty:  # a composite's parts come before it
+        if prop in _COMPOSITES:
+            verdicts[prop] = _composite(prop, (verdicts[part] for part in _COMPOSITES[prop]))
+        else:
+            verdicts[prop] = check(t, prop)
     halves = {half: check_half(t, half) for half in HalfCondition}
 
     def h(prop):

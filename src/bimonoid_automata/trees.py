@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -81,12 +81,23 @@ def classify_alphabet(alphabet: RankedAlphabet) -> AlphabetClass:
     return AlphabetClass(trivial, monadic, string_ranked, branching=not monadic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
-    """A term: a symbol with exactly rank-many child trees."""
+    """A term: a symbol with exactly rank-many child trees.
+
+    The hash is computed once, at construction, from the children's cached
+    hashes, so hashing a tree (a memo lookup) costs O(1) at any depth.
+    """
 
     symbol: str
     children: Tuple["Tree", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.symbol, self.children)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         if not self.children:
@@ -281,16 +292,18 @@ class TreeAutomaton(WeightedAutomaton):
                     f"state word {sw!r} has length {len(word)} but {sym!r} has rank {k}"
                 )
             self._delta.setdefault((word, sym), {})[self.state_index(q)] = w
+        # per symbol: (state word, ((target, weight), ...)) in state-word order,
+        # targets ascending, so evaluation never rescans _delta
+        self._by_symbol: Dict[str, list] = {}
+        for sw, sym in sorted(self._delta, key=lambda key: key[0]):
+            row = tuple(sorted(self._delta[(sw, sym)].items()))
+            self._by_symbol.setdefault(sym, []).append((sw, row))
 
     def delta(self, state_word: tuple, symbol: str, state: int):
         row = self._delta.get((tuple(state_word), symbol))
         if row is None:
             return self.algebra.zero
         return row.get(state, self.algebra.zero)
-
-    def delta_row(self, state_word: tuple, symbol: str) -> dict:
-        """Stored target-state weights for one (state word, symbol); sparse."""
-        return self._delta.get((tuple(state_word), symbol), {})
 
     def stored_transitions(self) -> Iterator[tuple]:
         for (sw, sym) in sorted(self._delta, key=lambda key: (key[1], key[0])):
@@ -371,86 +384,125 @@ def run_weight_postorder(automaton: TreeAutomaton, t: Tree, run) -> object:
 def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
     """Sum of run weight times root weight over all runs.
 
-    Default: full odometer enumeration (cost baseline). With ``prune``, a
-    depth-first assignment over post-order positions abandons zero prefixes;
-    same value, far fewer operations on sparse automata.
+    Default: full odometer enumeration (cost baseline). With ``prune`` the
+    runs are counted instead of listed: bottom up, each subtree keeps, per
+    state, how many of its runs have each nonzero weight, and a node combines
+    its children's counts (counts multiply). Same value, because zero
+    annihilates products and add is commutative and associative.
     """
     alg = automaton.algebra
-    t = automaton.check_tree(t)
     if not prune:
+        t = automaton.check_tree(t)
         return alg.sum(
             alg.mul(run_weight(automaton, t, run), automaton.root_weights[run[()]])
             for run in enumerate_runs(automaton, t)
         )
+    return _run_total(alg, _bottom_up(automaton, t, {}, _run_node), automaton.root_weights)
 
-    po = postorder(t)
-    nodes = {u: subtree_at(t, u) for u in po}
-    assigned: dict = {}
-    total = None
 
-    def descend(i, acc):
-        nonlocal total
-        if i == len(po):
-            final = alg.mul(acc, automaton.root_weights[assigned[()]]) if acc is not None else None
-            if final is not None and not alg.is_zero(final):
-                total = final if total is None else alg.add(total, final)
-            return
-        u = po[i]
-        node = nodes[u]
-        child_states = tuple(assigned[u + (j,)] for j in range(1, len(node.children) + 1))
-        row = automaton.delta_row(child_states, node.symbol)
-        for q in sorted(row):
-            w = row[q]
-            step = w if acc is None else alg.mul(acc, w)
-            if alg.is_zero(step):
-                continue
-            assigned[u] = q
-            descend(i + 1, step)
-            del assigned[u]
+def _bottom_up(automaton: TreeAutomaton, t: Tree, memo: dict, step):
+    """``memo[t]``, after filling ``memo[u] = step(automaton, transitions of
+    u's symbol, [memo[c] for c in u.children])`` for every subtree u of t not
+    yet in it, children first. Ranks are checked on the way; an explicit
+    stack keeps the depth unbounded."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        pending = [c for c in node.children if c not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        k = automaton.alphabet.rank(node.symbol)
+        if k != len(node.children):
+            raise ValueError(
+                f"symbol {node.symbol!r} has rank {k} but {len(node.children)} children"
+            )
+        transitions = automaton._by_symbol.get(node.symbol, ())
+        memo[node] = step(automaton, transitions, [memo[c] for c in node.children])
+    return memo[t]
 
-    descend(0, None)
-    return alg.zero if total is None else total
+
+def _init_node(automaton: TreeAutomaton, transitions, child_vecs: list) -> tuple:
+    """A node's evolved vector: for each stored transition, the children's
+    entries multiplied, times the transition weight, summed per target."""
+    alg = automaton.algebra
+    sums: list = [None] * len(automaton.states)
+    for sw, row in transitions:
+        prod = None
+        for vec, qi in zip(child_vecs, sw):
+            v = vec[qi]
+            prod = v if prod is None else alg.mul(prod, v)
+        for q, w in row:
+            term = w if prod is None else alg.mul(prod, w)
+            sums[q] = term if sums[q] is None else alg.add(sums[q], term)
+    return tuple(alg.zero if s is None else s for s in sums)
+
+
+def _run_node(automaton: TreeAutomaton, transitions, child_runs: list) -> list:
+    """A node's counted runs: for each stored transition, every combination
+    of child run weights multiplied (their counts multiply), times the
+    transition weight; zero products are dropped as soon as they appear."""
+    alg = automaton.algebra
+    mul, is_zero = alg.mul, alg.is_zero
+    out: list = [{} for _ in automaton.states]
+    for sw, row in transitions:
+        partial = {None: 1}  # product of the children's weights so far -> count
+        for runs, qi in zip(child_runs, sw):
+            grown: dict = {}
+            for p, count in partial.items():
+                for w, c in runs[qi].items():
+                    x = w if p is None else mul(p, w)
+                    if not is_zero(x):
+                        grown[x] = grown.get(x, 0) + count * c
+            partial = grown
+        for p, count in partial.items():
+            for q, w in row:
+                x = w if p is None else mul(p, w)
+                if not is_zero(x):
+                    target = out[q]
+                    target[x] = target.get(x, 0) + count
+    return out
+
+
+def _both_nodes(automaton: TreeAutomaton, transitions, children: list) -> tuple:
+    return (
+        _init_node(automaton, transitions, [c[0] for c in children]),
+        _run_node(automaton, transitions, [c[1] for c in children]),
+    )
 
 
 def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
     """Bottom-up evolved weight vector (the initial-algebra recursion).
 
     Only stored transitions are visited; absent entries would contribute a
-    zero factor and change nothing.
+    zero factor and change nothing. Repeated subtrees are evaluated once.
     """
-    alg = automaton.algebra
-    t = automaton.check_tree(t)
-    nq = len(automaton.states)
-    memo: dict = {}
-
-    def h(node):
-        if node in memo:
-            return memo[node]
-        child_vecs = [h(c) for c in node.children]
-        k = len(node.children)
-        sums: list = [None] * nq
-        for sw in sorted(
-            word for (word, sym) in automaton._delta if sym == node.symbol and len(word) == k
-        ):
-            row = automaton._delta[(sw, node.symbol)]
-            prod = None
-            for i, qi in enumerate(sw):
-                v = child_vecs[i][qi]
-                prod = v if prod is None else alg.mul(prod, v)
-            for q in sorted(row):
-                term = row[q] if prod is None else alg.mul(prod, row[q])
-                sums[q] = term if sums[q] is None else alg.add(sums[q], term)
-        vec = tuple(alg.zero if s is None else s for s in sums)
-        memo[node] = vec
-        return vec
-
-    return h(t)
+    return _bottom_up(automaton, t, {}, _init_node)
 
 
 def initial_semantics(automaton: TreeAutomaton, t: Tree):
     alg = automaton.algebra
-    vec = state_vector(automaton, t)
-    return alg.sum(alg.mul(vec[q], automaton.root_weights[q]) for q in range(len(vec)))
+    return alg.sum(map(alg.mul, state_vector(automaton, t), automaton.root_weights))
+
+
+def values(automaton: TreeAutomaton, trees: Iterable[Tree]) -> Iterator[tuple]:
+    """``(tree, run value, init value)`` for each tree, in order.
+
+    Run values are the pruned (counted) ones. The evolved vector and the
+    counted runs of every subtree evaluated are kept while the stream lives,
+    so a tree costs one node step per node not seen before: one in all when
+    its children came earlier, as :func:`enumerate_trees` lists them.
+    """
+    alg = automaton.algebra
+    root = automaton.root_weights
+    memo: dict = {}
+    for t in trees:
+        vec, runs = _bottom_up(automaton, t, memo, _both_nodes)
+        yield t, _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
 
 
 def evaluate(automaton: TreeAutomaton, t: Tree, semantics: Semantics, prune: bool = False):
@@ -463,18 +515,19 @@ def in_support(automaton: TreeAutomaton, t: Tree, semantics: Semantics) -> bool:
     return not automaton.algebra.is_zero(evaluate(automaton, t, semantics, prune=True))
 
 
-def image_up_to(automaton: TreeAutomaton, max_size: int, semantics: Semantics) -> list:
-    """Exact value set over all trees with <= max_size nodes (deterministic
-    enumeration), deduplicated by algebra equality in first-seen order."""
+def images_up_to(automaton: TreeAutomaton, max_size: int) -> dict:
+    """Exact value sets of both semantics over all trees with <= max_size
+    nodes (deterministic enumeration), keyed by :class:`Semantics`, each
+    deduplicated by algebra equality in first-seen order; one pass of
+    :func:`values`."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    alg = automaton.algebra
-    values: list = []
-    for t in enumerate_trees(automaton.alphabet, max_size):
-        v = evaluate(automaton, t, semantics, prune=True)
-        if not any(alg.equal(v, seen) for seen in values):
-            values.append(v)
-    return values
+    return _images(automaton.algebra, values(automaton, enumerate_trees(automaton.alphabet, max_size)))
+
+
+def image_up_to(automaton: TreeAutomaton, max_size: int, semantics: Semantics) -> list:
+    """One semantics' value set from :func:`images_up_to`."""
+    return images_up_to(automaton, max_size)[semantics]
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,10 @@ this package.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total
 
 Word = Sequence[str]
 
@@ -37,6 +38,16 @@ class WordAutomaton(WeightedAutomaton):
         self.initial = self._vector(initial)
         self.final = self._vector(final)
         self.transitions = self._matrices(transitions)
+        # per symbol: the matrix's columns (init step) and each row's nonzero
+        # entries as (target, weight) pairs (counted run step)
+        is_zero = algebra.is_zero
+        self._steps = {
+            a: (
+                tuple(zip(*m)),
+                tuple(tuple((q, w) for q, w in enumerate(row) if not is_zero(w)) for row in m),
+            )
+            for a, m in self.transitions.items()
+        }
 
     def _matrices(self, data):
         n = len(self.states)
@@ -56,21 +67,27 @@ class WordAutomaton(WeightedAutomaton):
                 mats[sym][self.state_index(src)][self.state_index(dst)] = w
         return {a: tuple(tuple(row) for row in m) for a, m in mats.items()}
 
+    def _unknown(self, symbol) -> ValueError:
+        return ValueError(f"unknown symbol {symbol!r} (alphabet: {', '.join(self.alphabet)})")
+
     def matrix(self, symbol):
         try:
             return self.transitions[symbol]
         except KeyError:
-            raise ValueError(
-                f"unknown symbol {symbol!r} (alphabet: {', '.join(self.alphabet)})"
-            ) from None
+            raise self._unknown(symbol) from None
+
+    def _step(self, symbol) -> tuple:
+        """(columns, nonzero successors per row) of ``symbol``'s matrix."""
+        try:
+            return self._steps[symbol]
+        except KeyError:
+            raise self._unknown(symbol) from None
 
     def check_word(self, word: Word) -> tuple:
         word = tuple(word)
         for a in word:
             if a not in self.transitions:
-                raise ValueError(
-                    f"unknown symbol {a!r} (alphabet: {', '.join(self.alphabet)})"
-                )
+                raise self._unknown(a)
         return word
 
     def with_algebra(self, algebra: WeightAlgebra) -> "WordAutomaton":
@@ -115,63 +132,89 @@ def enumerate_runs(automaton: WordAutomaton, word: Word) -> Iterator[tuple]:
 
 
 def run_semantics(automaton: WordAutomaton, word: Word, prune: bool = False):
-    """Sum of run weights over every run, in lexicographic run order.
+    """Sum of run weights over every run.
 
-    By default every run is enumerated and multiplied out in full (this is
-    the cost baseline). With ``prune`` a depth-first sweep drops zero-weight
-    prefixes; the value is unchanged because zero annihilates products and is
-    neutral for the sum.
+    By default every run is enumerated in lexicographic order and multiplied
+    out in full (this is the cost baseline). With ``prune`` the runs are
+    counted instead of listed: a left-to-right sweep keeps, per state, how
+    many runs reach it with each nonzero prefix weight, and the total folds
+    each final value times its count. The value is the same because zero
+    annihilates products and add is commutative and associative.
     """
     alg = automaton.algebra
-    word = automaton.check_word(word)
     if not prune:
+        word = automaton.check_word(word)
         return alg.sum(
             run_weight(automaton, word, run) for run in enumerate_runs(automaton, word)
         )
+    runs = _run_start(automaton)
+    for a in word:
+        runs = _run_step(alg, runs, automaton._step(a)[1])
+    return _run_total(alg, runs, automaton.final)
 
-    n = len(word)
-    nq = len(automaton.states)
-    mats = [automaton.matrix(a) for a in word]
-    total = None
 
-    def descend(j, q, acc):
-        nonlocal total
-        if j == n:
-            final = alg.mul(acc, automaton.final[q])
-            if not alg.is_zero(final):
-                total = final if total is None else alg.add(total, final)
-            return
-        row = mats[j][q]
-        for q2 in range(nq):
-            step = alg.mul(acc, row[q2])
-            if not alg.is_zero(step):
-                descend(j + 1, q2, step)
+def _run_start(automaton: WordAutomaton) -> list:
+    """Counted runs of the empty prefix: one per nonzero initial weight."""
+    is_zero = automaton.algebra.is_zero
+    return [{} if is_zero(w) else {w: 1} for w in automaton.initial]
 
-    for q0 in range(nq):
-        start = automaton.initial[q0]
-        if not alg.is_zero(start):
-            descend(0, q0, start)
-    return alg.zero if total is None else total
+
+def _run_step(alg: WeightAlgebra, runs: list, successors: tuple) -> list:
+    """Counted runs one symbol on, from each state's nonzero successors."""
+    mul, is_zero = alg.mul, alg.is_zero
+    out: list = [{} for _ in runs]
+    for weights, row in zip(runs, successors):
+        for w, count in weights.items():
+            for q, m in row:
+                x = mul(w, m)
+                if not is_zero(x):
+                    target = out[q]
+                    target[x] = target.get(x, 0) + count
+    return out
+
+
+def _init_step(alg: WeightAlgebra, vec: tuple, columns: tuple) -> tuple:
+    """The vector times one matrix: |Q|^2 muls and |Q|(|Q|-1) adds."""
+    add, mul = alg.add, alg.mul
+    return tuple(reduce(add, map(mul, vec, column)) for column in columns)
 
 
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix."""
     alg = automaton.algebra
-    word = automaton.check_word(word)
-    nq = len(automaton.states)
     vec = automaton.initial
     for a in word:
-        mat = automaton.matrix(a)
-        vec = tuple(
-            alg.sum(alg.mul(vec[p], mat[p][q]) for p in range(nq)) for q in range(nq)
-        )
+        vec = _init_step(alg, vec, automaton._step(a)[0])
     return vec
 
 
 def initial_semantics(automaton: WordAutomaton, word: Word):
     alg = automaton.algebra
-    vec = state_vector(automaton, word)
-    return alg.sum(alg.mul(vec[q], automaton.final[q]) for q in range(len(vec)))
+    return alg.sum(map(alg.mul, state_vector(automaton, word), automaton.final))
+
+
+def values(automaton: WordAutomaton, words: Iterable[Word]) -> Iterator[tuple]:
+    """``(word, run value, init value)`` for each word, in order.
+
+    Run values are the pruned (counted) ones. The evolved vector and the
+    counted runs of every prefix evaluated are kept in a trie while the
+    stream lives, so a word costs one init step and one counted step per
+    symbol past its longest prefix seen before: one of each when the words
+    are prefix-closed and shortest first, as :func:`all_words` lists them.
+    """
+    alg = automaton.algebra
+    final = automaton.final
+    root = (automaton.initial, _run_start(automaton), {})
+    for word in words:
+        node = root
+        for a in word:
+            child = node[2].get(a)
+            if child is None:
+                columns, successors = automaton._step(a)
+                child = (_init_step(alg, node[0], columns), _run_step(alg, node[1], successors), {})
+                node[2][a] = child
+            node = child
+        yield word, _run_total(alg, node[1], final), alg.sum(map(alg.mul, node[0], final))
 
 
 def evaluate(automaton: WordAutomaton, word: Word, semantics: Semantics, prune: bool = False):
@@ -191,18 +234,18 @@ def all_words(alphabet, max_len: int) -> Iterator[tuple]:
         yield from itertools.product(alphabet, repeat=n)
 
 
-def image_up_to(automaton: WordAutomaton, max_len: int, semantics: Semantics) -> list:
-    """Exact value set on all words of length <= max_len, deduplicated by
-    algebra equality, in first-seen order."""
+def images_up_to(automaton: WordAutomaton, max_len: int) -> dict:
+    """Exact value sets of both semantics on all words of length <= max_len,
+    keyed by :class:`Semantics`, each deduplicated by algebra equality in
+    first-seen order; one pass of :func:`values`."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    alg = automaton.algebra
-    values: list = []
-    for word in all_words(automaton.alphabet, max_len):
-        v = evaluate(automaton, word, semantics, prune=True)
-        if not any(alg.equal(v, seen) for seen in values):
-            values.append(v)
-    return values
+    return _images(automaton.algebra, values(automaton, all_words(automaton.alphabet, max_len)))
+
+
+def image_up_to(automaton: WordAutomaton, max_len: int, semantics: Semantics) -> list:
+    """One semantics' value set from :func:`images_up_to`."""
+    return images_up_to(automaton, max_len)[semantics]
 
 
 def mixed_prefix_product(automaton: WordAutomaton, word: Word, run, i: int):

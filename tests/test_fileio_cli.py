@@ -344,6 +344,19 @@ def test_cli_profile_and_image(probe_file, capsys):
     assert data["images"]["init"] == ["0", "2"]
 
 
+def test_algebra_file_wins_over_builtin_name(tmp_path, monkeypatch, capsys):
+    # a file named like a builtin is read, not shadowed by the builtin
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B4").write_text(json.dumps(fileio.algebra_to_dict(ba.boole())))
+    assert fileio.load_algebra("B4").names == ("0", "1")
+    code, out, _ = run_cli(["props", "--algebra", "B4", "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["algebra"] == "Boole"
+    assert data["properties"]["strongly-zero-sum-free"]["holds"] is True
+    assert fileio.load_algebra("B3prime").name == "B3prime"
+
+
 def test_cli_eval_works_over_infinite_algebras(tmp_path, capsys):
     # tropical-style weights: run/init evaluation needs no enumeration
     automaton = {

@@ -6,7 +6,6 @@ import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
-from bimonoid_automata.algebra import Semantics
 
 
 def config(alg, **kw):
@@ -193,20 +192,21 @@ def test_unexpected_counterexample_is_flagged():
 
 
 def _disagree_once(monkeypatch, mod, target, automaton_number, run_value, init_value):
-    """Patch ``mod.evaluate`` so that on ``target``, evaluated on the n-th
-    automaton the sweep draws, the semantics return the given values."""
-    real = mod.evaluate
+    """Patch ``mod.values`` so that on ``target``, evaluated on the n-th
+    automaton the sweep draws, the semantics yield the given values."""
+    real = mod.values
     seen = []
 
-    def evaluate(automaton, inp, semantics, prune=False):
+    def values(automaton, inputs):
         if not seen or seen[-1] is not automaton:
             seen.append(automaton)
-        if len(seen) == automaton_number and inp == target:
-            alg = automaton.algebra
-            return alg.parse(run_value if semantics is Semantics.RUN else init_value)
-        return real(automaton, inp, semantics, prune=prune)
+        for inp, run, init in real(automaton, inputs):
+            if len(seen) == automaton_number and inp == target:
+                alg = automaton.algebra
+                run, init = alg.parse(run_value), alg.parse(init_value)
+            yield inp, run, init
 
-    monkeypatch.setattr(mod, "evaluate", evaluate)
+    monkeypatch.setattr(mod, "values", values)
 
 
 def test_word_sweep_reports_unexpected_counterexample(monkeypatch, capsys):

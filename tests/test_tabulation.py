@@ -142,6 +142,10 @@ def _bundled():
 )
 def test_bundled_and_generated_algebras_match_literal_checker(alg):
     assert_same_as_literal(alg)
+    # classify derives the composite verdicts from their parts' verdicts
+    report = classify(alg)
+    assert list(report.verdicts.items()) == [(prop, check(alg, prop)) for prop in P]
+    assert list(report.halves.items()) == [(half, check_half(alg, half)) for half in H]
 
 
 # TruncFun(3)'s witnesses, computed once with the literal checker (about 20 s).

@@ -63,6 +63,22 @@ def test_tree_utilities():
         T.subtree_at(EXAMPLE, (3,))
 
 
+def test_deep_spine_hash_and_init():
+    # hashes are cached at construction, so neither hashing nor the memo of
+    # the bottom-up evaluation recurses over a 10^4-deep spine
+    alg = ba.boole()
+    alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+    automaton = T.TreeAutomaton(
+        alg, alphabet, ("p",), [((), "alpha", "p", 1), (("p",), "gamma", "p", 1)], (1,)
+    )
+    spine, other = T.Tree("alpha"), T.Tree("alpha")
+    for _ in range(10**4):
+        spine, other = T.Tree("gamma", (spine,)), T.Tree("gamma", (other,))
+    assert hash(spine) == hash(other) != hash(spine.children[0])
+    assert T.state_vector(automaton, spine) == (1,)
+    assert T.run_semantics(automaton, spine, prune=True) == 1
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         T.parse("sigma(alpha)", ALPHABET)  # arity mismatch
