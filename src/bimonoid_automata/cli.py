@@ -2,7 +2,9 @@
 
 Subcommands: eval, support, props, check, convert, profile, image. Exit codes:
 0 on success (including predicted counterexamples), 1 when a check finds a
-counterexample where consistency was expected, 2 on usage or input errors.
+counterexample where consistency was expected, 2 on usage or input errors,
+3 on an internal error (a fault in this program; the traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import trees as T
 from . import words as W
@@ -36,6 +39,7 @@ from .words import WordAutomaton
 
 USAGE_ERROR = 2
 UNEXPECTED_COUNTEREXAMPLE = 1
+INTERNAL_ERROR = 3
 
 
 def _parse_ranked_alphabet(text: str) -> RankedAlphabet:
@@ -263,6 +267,12 @@ def main(argv=None) -> int:
     except (FileFormatError, UnknownAlgebraError, InfiniteCarrierError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        # anything else is a fault in this program, not in its input: keep
+        # exit code 1 for unexpected counterexamples
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

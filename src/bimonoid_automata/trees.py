@@ -81,28 +81,68 @@ def classify_alphabet(alphabet: RankedAlphabet) -> AlphabetClass:
     return AlphabetClass(trivial, monadic, string_ranked, branching=not monadic)
 
 
+_SHALLOW = 100  # trees up to this deep compare recursively
+
+
 @dataclass(frozen=True, slots=True)
 class Tree:
     """A term: a symbol with exactly rank-many child trees.
 
-    The hash is computed once, at construction, from the children's cached
-    hashes, so hashing a tree (a memo lookup) costs O(1) at any depth.
+    The hash and the depth are computed once, at construction, from the
+    children's, so hashing a tree (a memo lookup) costs O(1) at any depth.
+    Equality recurses only on trees at most ``_SHALLOW`` deep and walks an
+    explicit stack on deeper ones; ``str`` always does, so depth is unbounded.
     """
 
     symbol: str
     children: Tuple["Tree", ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.symbol, self.children)))
+        object.__setattr__(self, "_depth", 1 + max([c._depth for c in self.children], default=0))
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        if self._depth <= _SHALLOW:
+            # comparing the children recurses at most _SHALLOW levels, and
+            # is faster than the explicit stack below on small trees
+            return self.symbol == other.symbol and self.children == other.children
+        a, b, pending = self, other, []
+        while True:
+            if a is not b:
+                if a._hash != b._hash or a.symbol != b.symbol or len(a.children) != len(b.children):
+                    return False
+                pending.extend(zip(a.children, b.children))
+            if not pending:
+                return True
+            a, b = pending.pop()
+
     def __str__(self):
-        if not self.children:
-            return self.symbol
-        return f"{self.symbol}({','.join(str(c) for c in self.children)})"
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif not item.children:
+                parts.append(item.symbol)
+            else:
+                parts.append(item.symbol + "(")
+                stack.append(")")
+                for i, child in enumerate(reversed(item.children)):
+                    if i:
+                        stack.append(",")
+                    stack.append(child)
+        return "".join(parts)
 
 
 def tree(symbol: str, *children: Tree) -> Tree:
@@ -143,18 +183,7 @@ def parse(text: str, alphabet: Optional[RankedAlphabet] = None) -> Tree:
         cursor += 1
         return tok
 
-    def node():
-        sym = take()
-        if sym in "(),":
-            raise ValueError(f"expected a symbol, found {sym!r} in {text!r}")
-        children = []
-        if peek() == "(":
-            take("(")
-            children.append(node())
-            while peek() == ",":
-                take(",")
-                children.append(node())
-            take(")")
+    def node(sym, children):
         if alphabet is not None:
             k = alphabet.rank(sym)
             if k != len(children):
@@ -163,10 +192,30 @@ def parse(text: str, alphabet: Optional[RankedAlphabet] = None) -> Tree:
                 )
         return Tree(sym, tuple(children))
 
-    result = node()
+    # (symbol, children parsed so far) of each node whose ")" is still to
+    # come, innermost last; an explicit stack, so depth is unbounded
+    open_nodes: list = []
+    while True:
+        sym = take()
+        if sym in "(),":
+            raise ValueError(f"expected a symbol, found {sym!r} in {text!r}")
+        if peek() == "(":
+            take("(")
+            open_nodes.append((sym, []))
+            continue
+        done = node(sym, [])
+        while open_nodes:
+            open_nodes[-1][1].append(done)
+            if peek() == ",":
+                take(",")
+                break  # a sibling follows
+            take(")")
+            done = node(*open_nodes.pop())
+        else:
+            break  # done is the root
     if cursor != len(tokens):
         raise ValueError(f"trailing input {tokens[cursor:]} in {text!r}")
-    return result
+    return done
 
 
 def positions(t: Tree) -> list:
@@ -204,7 +253,11 @@ def leaves(t: Tree) -> list:
 
 
 def size(t: Tree) -> int:
-    return 1 + sum(size(c) for c in t.children)
+    n, stack = 0, [t]
+    while stack:
+        n += 1
+        stack.extend(stack.pop().children)
+    return n
 
 
 def is_prefix(p: Position, q: Position) -> bool:
@@ -312,13 +365,15 @@ class TreeAutomaton(WeightedAutomaton):
                 yield sw, sym, q, row[q]
 
     def check_tree(self, t: Tree) -> Tree:
-        k = self.alphabet.rank(t.symbol)
-        if k != len(t.children):
-            raise ValueError(
-                f"symbol {t.symbol!r} has rank {k} but {len(t.children)} children"
-            )
-        for c in t.children:
-            self.check_tree(c)
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            k = self.alphabet.rank(node.symbol)
+            if k != len(node.children):
+                raise ValueError(
+                    f"symbol {node.symbol!r} has rank {k} but {len(node.children)} children"
+                )
+            stack.extend(reversed(node.children))
         return t
 
     def with_algebra(self, algebra: WeightAlgebra) -> "TreeAutomaton":
@@ -405,17 +460,16 @@ def _bottom_up(automaton: TreeAutomaton, t: Tree, memo: dict, step):
     u's symbol, [memo[c] for c in u.children])`` for every subtree u of t not
     yet in it, children first. Ranks are checked on the way; an explicit
     stack keeps the depth unbounded."""
-    stack = [t]
+    stack = [(t, False)]
     while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
+        node, children_done = stack.pop()
+        if not children_done:
+            # look a node up once on the way down: a lookup that meets an
+            # equal but distinct subtree compares the two in full
+            if node not in memo:
+                stack.append((node, True))
+                stack.extend([(c, False) for c in node.children if c not in memo])
             continue
-        pending = [c for c in node.children if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
         k = automaton.alphabet.rank(node.symbol)
         if k != len(node.children):
             raise ValueError(

@@ -38,11 +38,12 @@ class WordAutomaton(WeightedAutomaton):
         self.initial = self._vector(initial)
         self.final = self._vector(final)
         self.transitions = self._matrices(transitions)
-        # per symbol: the matrix's columns (init step) and each row's nonzero
-        # entries as (target, weight) pairs (counted run step)
+        # per symbol: the matrix, its columns (init step) and each row's
+        # nonzero entries as (target, weight) pairs (counted run step)
         is_zero = algebra.is_zero
         self._steps = {
             a: (
+                m,
                 tuple(zip(*m)),
                 tuple(tuple((q, w) for q, w in enumerate(row) if not is_zero(w)) for row in m),
             )
@@ -67,27 +68,22 @@ class WordAutomaton(WeightedAutomaton):
                 mats[sym][self.state_index(src)][self.state_index(dst)] = w
         return {a: tuple(tuple(row) for row in m) for a, m in mats.items()}
 
-    def _unknown(self, symbol) -> ValueError:
-        return ValueError(f"unknown symbol {symbol!r} (alphabet: {', '.join(self.alphabet)})")
-
     def matrix(self, symbol):
-        try:
-            return self.transitions[symbol]
-        except KeyError:
-            raise self._unknown(symbol) from None
+        return self._step(symbol)[0]
 
     def _step(self, symbol) -> tuple:
-        """(columns, nonzero successors per row) of ``symbol``'s matrix."""
+        """(matrix, columns, nonzero successors per row) of ``symbol``."""
         try:
             return self._steps[symbol]
         except KeyError:
-            raise self._unknown(symbol) from None
+            raise ValueError(
+                f"unknown symbol {symbol!r} (alphabet: {', '.join(self.alphabet)})"
+            ) from None
 
     def check_word(self, word: Word) -> tuple:
         word = tuple(word)
         for a in word:
-            if a not in self.transitions:
-                raise self._unknown(a)
+            self._step(a)
         return word
 
     def with_algebra(self, algebra: WeightAlgebra) -> "WordAutomaton":
@@ -110,19 +106,25 @@ def _normalize_run(automaton, run, length):
     return states
 
 
-def run_weight(automaton: WordAutomaton, word: Word, run, prune: bool = False):
+def run_weight(automaton: WordAutomaton, word: Word, run):
     """Weight of one run: initial, the traversed matrix entries, then final."""
-    alg = automaton.algebra
-    word = automaton.check_word(word)
-    states = _normalize_run(automaton, run, len(word))
-    acc = automaton.initial[states[0]]
-    for j, a in enumerate(word):
-        if prune and alg.is_zero(acc):
-            return alg.zero
-        acc = alg.mul(acc, automaton.matrix(a)[states[j]][states[j + 1]])
-    if prune and alg.is_zero(acc):
-        return alg.zero
-    return alg.mul(acc, automaton.final[states[-1]])
+    matrices = [automaton.matrix(a) for a in word]
+    states = _normalize_run(automaton, run, len(matrices))
+    return _run_weight(automaton, automaton.initial, matrices, states)
+
+
+def _run_weight(automaton: WordAutomaton, start: tuple, matrices: list, states) -> object:
+    """start[q0]·M1[q0][q1]·…·Mn[q(n-1)][qn]·final[qn], multiplied left to
+    right, for a normalised run over resolved matrices; ``start`` is the
+    initial vector for a plain run weight."""
+    mul = automaton.algebra.mul
+    it = iter(states)
+    p = next(it)
+    acc = start[p]
+    for m, q in zip(matrices, it):
+        acc = mul(acc, m[p][q])
+        p = q
+    return mul(acc, automaton.final[p])
 
 
 def enumerate_runs(automaton: WordAutomaton, word: Word) -> Iterator[tuple]:
@@ -135,21 +137,22 @@ def run_semantics(automaton: WordAutomaton, word: Word, prune: bool = False):
     """Sum of run weights over every run.
 
     By default every run is enumerated in lexicographic order and multiplied
-    out in full (this is the cost baseline). With ``prune`` the runs are
-    counted instead of listed: a left-to-right sweep keeps, per state, how
-    many runs reach it with each nonzero prefix weight, and the total folds
-    each final value times its count. The value is the same because zero
-    annihilates products and add is commutative and associative.
+    out in full (this is the cost baseline); the word is checked and its
+    matrices looked up once per call, not once per run. With ``prune`` the
+    runs are counted instead of listed: a left-to-right sweep keeps, per
+    state, how many runs reach it with each nonzero prefix weight, and the
+    total folds each final value times its count. The value is the same
+    because zero annihilates products and add is commutative and associative.
     """
     alg = automaton.algebra
     if not prune:
-        word = automaton.check_word(word)
-        return alg.sum(
-            run_weight(automaton, word, run) for run in enumerate_runs(automaton, word)
-        )
+        word = tuple(word)
+        runs = enumerate_runs(automaton, word)  # checks the word
+        matrices = [automaton.transitions[a] for a in word]
+        return alg.sum(_run_weight(automaton, automaton.initial, matrices, run) for run in runs)
     runs = _run_start(automaton)
     for a in word:
-        runs = _run_step(alg, runs, automaton._step(a)[1])
+        runs = _run_step(alg, runs, automaton._step(a)[2])
     return _run_total(alg, runs, automaton.final)
 
 
@@ -173,18 +176,17 @@ def _run_step(alg: WeightAlgebra, runs: list, successors: tuple) -> list:
     return out
 
 
-def _init_step(alg: WeightAlgebra, vec: tuple, columns: tuple) -> tuple:
+def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
     """The vector times one matrix: |Q|^2 muls and |Q|(|Q|-1) adds."""
-    add, mul = alg.add, alg.mul
-    return tuple(reduce(add, map(mul, vec, column)) for column in columns)
+    return tuple([reduce(add, map(mul, vec, column)) for column in columns])
 
 
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix."""
-    alg = automaton.algebra
+    add, mul = automaton.algebra.add, automaton.algebra.mul
     vec = automaton.initial
-    for a in word:
-        vec = _init_step(alg, vec, automaton._step(a)[0])
+    for columns in [automaton._step(a)[1] for a in word]:
+        vec = _init_step(add, mul, vec, columns)
     return vec
 
 
@@ -203,18 +205,18 @@ def values(automaton: WordAutomaton, words: Iterable[Word]) -> Iterator[tuple]:
     are prefix-closed and shortest first, as :func:`all_words` lists them.
     """
     alg = automaton.algebra
-    final = automaton.final
+    add, mul, final = alg.add, alg.mul, automaton.final
     root = (automaton.initial, _run_start(automaton), {})
     for word in words:
         node = root
         for a in word:
             child = node[2].get(a)
             if child is None:
-                columns, successors = automaton._step(a)
-                child = (_init_step(alg, node[0], columns), _run_step(alg, node[1], successors), {})
+                _, columns, successors = automaton._step(a)
+                child = (_init_step(add, mul, node[0], columns), _run_step(alg, node[1], successors), {})
                 node[2][a] = child
             node = child
-        yield word, _run_total(alg, node[1], final), alg.sum(map(alg.mul, node[0], final))
+        yield word, _run_total(alg, node[1], final), alg.sum(map(mul, node[0], final))
 
 
 def evaluate(automaton: WordAutomaton, word: Word, semantics: Semantics, prune: bool = False):
@@ -254,15 +256,12 @@ def mixed_prefix_product(automaton: WordAutomaton, word: Word, run, i: int):
 
     At i = 0 this is the plain run weight; at i = |w| it is h(w)_{q_n} * F_{q_n}.
     """
-    alg = automaton.algebra
     word = automaton.check_word(word)
     states = _normalize_run(automaton, run, len(word))
     if not 0 <= i <= len(word):
         raise ValueError(f"index {i} out of range [0,{len(word)}]")
-    acc = state_vector(automaton, word[:i])[states[i]]
-    for j in range(i, len(word)):
-        acc = alg.mul(acc, automaton.matrix(word[j])[states[j]][states[j + 1]])
-    return alg.mul(acc, automaton.final[states[-1]])
+    matrices = [automaton.transitions[a] for a in word[i:]]
+    return _run_weight(automaton, state_vector(automaton, word[:i]), matrices, states[i:])
 
 
 def probe_automaton(

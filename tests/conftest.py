@@ -303,3 +303,41 @@ def literal_validate_axioms(alg) -> ValidationReport:
         ),
     )
     return ValidationReport(alg.name, all(c.holds for c in checks), tuple(checks))
+
+
+# --------------------------------------------------------------------------
+# Literal word semantics, written out from the definitions with explicit
+# index loops. On tables that break the axioms the order of every add and
+# mul matters, so these fix it: runs in lexicographic order, each run
+# multiplied left to right, each column summed from the first state on.
+
+
+def literal_word_runs(automaton, word):
+    """Sum over runs in lexicographic order of initial[q0]·M1[q0][q1]·…·final[qn]."""
+    alg = automaton.algebra
+    total = None
+    for run in itertools.product(range(len(automaton.states)), repeat=len(word) + 1):
+        weight = automaton.initial[run[0]]
+        for j, a in enumerate(word):
+            weight = alg.mul(weight, automaton.transitions[a][run[j]][run[j + 1]])
+        weight = alg.mul(weight, automaton.final[run[-1]])
+        total = weight if total is None else alg.add(total, weight)
+    return total
+
+
+def _literal_dot(alg, vec, column):
+    acc = alg.mul(vec[0], column[0])
+    for p in range(1, len(vec)):
+        acc = alg.add(acc, alg.mul(vec[p], column[p]))
+    return acc
+
+
+def literal_word_init(automaton, word):
+    """The initial vector times each symbol's matrix, then the final fold."""
+    alg = automaton.algebra
+    nq = len(automaton.states)
+    vec = automaton.initial
+    for a in word:
+        m = automaton.transitions[a]
+        vec = [_literal_dot(alg, vec, [m[p][q] for p in range(nq)]) for q in range(nq)]
+    return _literal_dot(alg, vec, automaton.final)

@@ -433,3 +433,35 @@ def test_cli_check_survives_hypothesis_failing_without_a_half(tmp_path, capsys):
         ["check", "supports-words", "--algebra", str(path), "--allow-invalid"], capsys
     )
     assert code == 2 and "axioms" in err
+
+
+def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    # exit code 1 means an unexpected counterexample; a fault in the program
+    # exits 3 with the traceback on stderr
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_props", broken)
+    code, _, err = run_cli(["props", "--algebra", "B4"], capsys)
+    assert code == cli.INTERNAL_ERROR == 3
+    assert "internal error:" in err and "RuntimeError" in err and "Traceback" in err
+
+
+def test_cli_eval_on_a_deep_term(tmp_path, capsys):
+    # gamma^n(alpha) over Boole with a parity automaton: the value is 1
+    # exactly when n is even; 3,000 deep exceeded the recursion limit before
+    alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+    automaton = T.TreeAutomaton(
+        ba.boole(), alphabet, ("even", "odd"),
+        [((), "alpha", "even", 1), (("even",), "gamma", "odd", 1), (("odd",), "gamma", "even", 1)],
+        {"even": 1},
+    )
+    path = str(tmp_path / "parity.json")
+    fileio.save_automaton(automaton, path)
+    for depth, value in ((3000, "1"), (3001, "0")):
+        term = "gamma(" * depth + "alpha" + ")" * depth
+        for semantics in ("init", "run"):
+            code, out, _ = run_cli(
+                ["eval", "--automaton", path, "--input", term, "--semantics", semantics], capsys
+            )
+            assert code == 0 and out.strip() == value

@@ -79,6 +79,29 @@ def test_deep_spine_hash_and_init():
     assert T.run_semantics(automaton, spine, prune=True) == 1
 
 
+def test_deep_trees_compare_print_measure_and_parse():
+    # equality, str, size, parse and check_tree walk explicit stacks, so two
+    # separately built 10^4-deep spines compare (also as dict keys), print,
+    # measure and parse back; str also at 10^5
+    alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+
+    def spine(depth):
+        t = T.Tree("alpha")
+        for _ in range(depth):
+            t = T.Tree("gamma", (t,))
+        return t
+
+    a, b = spine(10**4), spine(10**4)
+    assert a is not b and a == b and {a: 1}[b] == 1
+    assert a != spine(10**4 - 1) and a != T.Tree("gamma", (a,))
+    assert T.size(a) == 10**4 + 1
+    text = "gamma(" * 10**4 + "alpha" + ")" * 10**4
+    assert str(a) == text
+    assert T.parse(text, alphabet) == a
+    assert T.TreeAutomaton(ba.boole(), alphabet, ("p",), [], (1,)).check_tree(a) is a
+    assert str(spine(10**5)) == "gamma(" * 10**5 + "alpha" + ")" * 10**5
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         T.parse("sigma(alpha)", ALPHABET)  # arity mismatch

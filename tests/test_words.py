@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Semantics
 
-from conftest import nfa_accepts, nfa_as_boole_automaton
+from conftest import literal_word_init, literal_word_runs, nfa_accepts, nfa_as_boole_automaton
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,42 @@ def test_pruned_run_semantics_equals_unpruned():
                     W.run_semantics(automaton, word),
                     W.run_semantics(automaton, word, prune=True),
                 )
+
+
+def _skew_table(draw, n):
+    """An n x n table that is neither commutative nor associative."""
+    entry = st.integers(0, n - 1)
+    t = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    cells = range(n)
+    assume(any(t[a][b] != t[b][a] for a in cells for b in cells))
+    assume(any(t[t[a][b]][c] != t[a][t[b][c]] for a in cells for b in cells for c in cells))
+    return t
+
+
+@st.composite
+def skew_automata(draw):
+    """A word automaton with |Q| <= 3 over a random 2-4 element table whose
+    add and mul are neither commutative nor associative, and a word of at
+    most 4 symbols."""
+    n = draw(st.integers(2, 4))
+    alg = ba.FiniteTableAlgebra(
+        "skew", [f"e{i}" for i in range(n)], _skew_table(draw, n), _skew_table(draw, n), 0, 1
+    )
+    nq = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(0, n - 1), min_size=nq, max_size=nq)
+    matrices = {a: draw(st.lists(vec, min_size=nq, max_size=nq)) for a in "ab"}
+    automaton = W.WordAutomaton(alg, "ab", [f"q{i}" for i in range(nq)], draw(vec), draw(vec), matrices)
+    return automaton, tuple(draw(st.lists(st.sampled_from("ab"), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_automata())
+def test_literal_order_on_tables_that_break_the_axioms(case):
+    # the enumerator sums runs in lexicographic order and multiplies each
+    # left to right; init sums each column from the first state on
+    automaton, word = case
+    assert W.run_semantics(automaton, word) == literal_word_runs(automaton, word)
+    assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
 
 
 def test_deterministic_evaluation(b4_probe):
