@@ -331,6 +331,29 @@ def _images(alg: WeightAlgebra, rows) -> dict:
     return images
 
 
+def _table_memo(alg: WeightAlgebra, step: Callable) -> Callable:
+    """An init step ``step(x, y)``, memoised on (x, y) for as long as the
+    returned function lives if ``alg`` is a :class:`FiniteTableAlgebra`.
+
+    The step depends on its vector(s) and symbol alone, so a hit returns what
+    it would, and over n elements there are at most n^|Q| vectors. Any other
+    algebra, the counting wrapper included, keeps the plain ``step``, so
+    counted profiles see every operation of the recursion.
+    """
+    if not isinstance(alg, FiniteTableAlgebra):
+        return step
+    memo: dict = {}
+
+    def memoised(x, y):
+        key = (x, y)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = step(x, y)
+        return value
+
+    return memoised
+
+
 # --------------------------------------------------------------------------
 # Tabulation: a finite algebra's operations as integer tables
 

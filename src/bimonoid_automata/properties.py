@@ -139,6 +139,11 @@ _COMPOSITES = {
 }
 
 
+# Properties another one implies: when it holds they hold without a scan,
+# since (a+b)*c = a*c + b*c makes both sides zero together.
+_IMPLIED_BY = {BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE: BimonoidProperty.RIGHT_DISTRIBUTIVE}
+
+
 def _composite(prop: BimonoidProperty, parts) -> PropertyVerdict:
     """A composite verdict from its parts' verdicts, taken lazily in order:
     it fails with the first failing part's witness."""
@@ -263,12 +268,20 @@ def classify(alg: WeightAlgebra) -> PropertyReport:
     raises instead of being reported as a result.
     """
     t = tabulate(alg)
-    verdicts: dict = {}
-    for prop in BimonoidProperty:  # a composite's parts come before it
-        if prop in _COMPOSITES:
-            verdicts[prop] = _composite(prop, (verdicts[part] for part in _COMPOSITES[prop]))
-        else:
-            verdicts[prop] = check(t, prop)
+    decided: dict = {}
+
+    def decide(prop):
+        if prop not in decided:
+            if prop in _COMPOSITES:
+                verdict = _composite(prop, (decide(part) for part in _COMPOSITES[prop]))
+            elif prop in _IMPLIED_BY and decide(_IMPLIED_BY[prop]).holds:
+                verdict = PropertyVerdict(prop, True)
+            else:  # scanned, so a failing verdict has the first witness
+                verdict = check(t, prop)
+            decided[prop] = verdict
+        return decided[prop]
+
+    verdicts = {prop: decide(prop) for prop in BimonoidProperty}
     halves = {half: check_half(t, half) for half in HalfCondition}
 
     def h(prop):

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total, _table_memo
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -91,7 +91,8 @@ class Tree:
     The hash and the depth are computed once, at construction, from the
     children's, so hashing a tree (a memo lookup) costs O(1) at any depth.
     Equality recurses only on trees at most ``_SHALLOW`` deep and walks an
-    explicit stack on deeper ones; ``str`` always does, so depth is unbounded.
+    explicit stack on deeper ones; ``str`` and ``repr`` always do, so depth
+    is unbounded.
     """
 
     symbol: str
@@ -127,22 +128,37 @@ class Tree:
                 return True
             a, b = pending.pop()
 
-    def __str__(self):
+    def _render(self, head, sep: str, tail) -> str:
+        """``head(u)``, u's children rendered and separated by ``sep``, then
+        ``tail(u)``, for every node u, on an explicit stack."""
         parts, stack = [], [self]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 parts.append(item)
-            elif not item.children:
-                parts.append(item.symbol)
-            else:
-                parts.append(item.symbol + "(")
-                stack.append(")")
-                for i, child in enumerate(reversed(item.children)):
-                    if i:
-                        stack.append(",")
-                    stack.append(child)
+                continue
+            parts.append(head(item))
+            stack.append(tail(item))
+            for i, child in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(sep)
+                stack.append(child)
         return "".join(parts)
+
+    def __str__(self):
+        return self._render(
+            lambda u: u.symbol + "(" if u.children else u.symbol,
+            ",",
+            lambda u: ")" if u.children else "",
+        )
+
+    def __repr__(self):
+        # the dataclass repr, written out: one child tuple has a trailing comma
+        return self._render(
+            lambda u: f"Tree(symbol={u.symbol!r}, children=(",
+            ", ",
+            lambda u: ",))" if len(u.children) == 1 else "))",
+        )
 
 
 def tree(symbol: str, *children: Tree) -> Tree:
@@ -218,20 +234,33 @@ def parse(text: str, alphabet: Optional[RankedAlphabet] = None) -> Tree:
     return done
 
 
+def _nodes(t: Tree) -> list:
+    """``(position, subtree)`` for every node, positions in lexicographic
+    order, so each node comes before its children; an explicit stack keeps
+    the depth unbounded."""
+    out, stack = [], [((), t)]
+    while stack:
+        pos, node = stack.pop()
+        out.append((pos, node))
+        for i in range(len(node.children), 0, -1):
+            stack.append((pos + (i,), node.children[i - 1]))
+    return out
+
+
 def positions(t: Tree) -> list:
     """All positions in lexicographic order (root first, then each subtree)."""
-    out = [()]
-    for i, child in enumerate(t.children, start=1):
-        out.extend((i,) + p for p in positions(child))
-    return out
+    return [pos for pos, _ in _nodes(t)]
 
 
 def postorder(t: Tree) -> list:
     """All positions in depth-first post-order (children blocks, then root)."""
-    out = []
-    for i, child in enumerate(t.children, start=1):
-        out.extend((i,) + p for p in postorder(child))
-    out.append(())
+    # the reverse of a pre-order walk that visits children right to left
+    out, stack = [], [((), t)]
+    while stack:
+        pos, node = stack.pop()
+        out.append(pos)
+        stack.extend([(pos + (i,), child) for i, child in enumerate(node.children, start=1)])
+    out.reverse()
     return out
 
 
@@ -249,7 +278,7 @@ def label_at(t: Tree, pos: Position) -> str:
 
 def leaves(t: Tree) -> list:
     """Leaf positions in left-to-right order."""
-    return [p for p in positions(t) if not subtree_at(t, p).children]
+    return [pos for pos, node in _nodes(t) if not node.children]
 
 
 def size(t: Tree) -> int:
@@ -390,8 +419,9 @@ class TreeAutomaton(WeightedAutomaton):
         )
 
 
-def _normalize_run(automaton: TreeAutomaton, t: Tree, run) -> dict:
-    pos = positions(t)
+def _normalize_run(automaton: TreeAutomaton, pos: list, run) -> dict:
+    """``run`` with state indices, checked to label exactly the positions
+    ``pos`` of its tree."""
     mapped = {p: automaton._run_state(q) for p, q in run.items()}
     if set(mapped) != set(pos):
         raise ValueError("run domain does not match the tree's position set")
@@ -409,17 +439,18 @@ def run_weight(automaton: TreeAutomaton, t: Tree, run) -> object:
     """Inductive weight of a run: child weights multiplied, then the local
     transition weight (empty products are one)."""
     alg = automaton.algebra
-    run = _normalize_run(automaton, automaton.check_tree(t), run)
-
-    def wt(node, pos):
-        factors = []
-        for i, child in enumerate(node.children, start=1):
-            factors.append(wt(child, pos + (i,)))
-        child_states = tuple(run[pos + (i,)] for i in range(1, len(node.children) + 1))
+    nodes = _nodes(automaton.check_tree(t))
+    run = _normalize_run(automaton, [pos for pos, _ in nodes], run)
+    # in reverse lexicographic order every subtree leaves its weight on the
+    # stack, so a node finds its children's weights on top, the first first
+    weights: list = []
+    for pos, node in reversed(nodes):
+        k = len(node.children)
+        factors = [weights.pop() for _ in range(k)]
+        child_states = tuple(run[pos + (i,)] for i in range(1, k + 1))
         factors.append(automaton.delta(child_states, node.symbol, run[pos]))
-        return alg.product(factors)
-
-    return wt(t, ())
+        weights.append(alg.product(factors))
+    return weights.pop()
 
 
 def run_weight_postorder(automaton: TreeAutomaton, t: Tree, run) -> object:
@@ -427,7 +458,7 @@ def run_weight_postorder(automaton: TreeAutomaton, t: Tree, run) -> object:
     weights in post-order; computed independently of run_weight."""
     alg = automaton.algebra
     checked = automaton.check_tree(t)
-    run = _normalize_run(automaton, checked, run)
+    run = _normalize_run(automaton, positions(checked), run)
     factors = []
     for u in postorder(checked):
         node = subtree_at(checked, u)
@@ -452,14 +483,15 @@ def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
             alg.mul(run_weight(automaton, t, run), automaton.root_weights[run[()]])
             for run in enumerate_runs(automaton, t)
         )
-    return _run_total(alg, _bottom_up(automaton, t, {}, _run_node), automaton.root_weights)
+    runs = _bottom_up(automaton, t, {}, lambda symbol, runs: _run_node(automaton, symbol, runs))
+    return _run_total(alg, runs, automaton.root_weights)
 
 
 def _bottom_up(automaton: TreeAutomaton, t: Tree, memo: dict, step):
-    """``memo[t]``, after filling ``memo[u] = step(automaton, transitions of
-    u's symbol, [memo[c] for c in u.children])`` for every subtree u of t not
-    yet in it, children first. Ranks are checked on the way; an explicit
-    stack keeps the depth unbounded."""
+    """``memo[t]``, after filling ``memo[u] = step(u's symbol, tuple of
+    memo[c] for c in u.children)`` for every subtree u of t not yet in it,
+    children first. Ranks are checked on the way; an explicit stack keeps
+    the depth unbounded."""
     stack = [(t, False)]
     while stack:
         node, children_done = stack.pop()
@@ -475,17 +507,17 @@ def _bottom_up(automaton: TreeAutomaton, t: Tree, memo: dict, step):
             raise ValueError(
                 f"symbol {node.symbol!r} has rank {k} but {len(node.children)} children"
             )
-        transitions = automaton._by_symbol.get(node.symbol, ())
-        memo[node] = step(automaton, transitions, [memo[c] for c in node.children])
+        memo[node] = step(node.symbol, tuple([memo[c] for c in node.children]))
     return memo[t]
 
 
-def _init_node(automaton: TreeAutomaton, transitions, child_vecs: list) -> tuple:
-    """A node's evolved vector: for each stored transition, the children's
-    entries multiplied, times the transition weight, summed per target."""
+def _init_node(automaton: TreeAutomaton, symbol: str, child_vecs: tuple) -> tuple:
+    """A node's evolved vector: for each stored transition of its symbol, the
+    children's entries multiplied, times the transition weight, summed per
+    target."""
     alg = automaton.algebra
     sums: list = [None] * len(automaton.states)
-    for sw, row in transitions:
+    for sw, row in automaton._by_symbol.get(symbol, ()):
         prod = None
         for vec, qi in zip(child_vecs, sw):
             v = vec[qi]
@@ -496,14 +528,15 @@ def _init_node(automaton: TreeAutomaton, transitions, child_vecs: list) -> tuple
     return tuple(alg.zero if s is None else s for s in sums)
 
 
-def _run_node(automaton: TreeAutomaton, transitions, child_runs: list) -> list:
-    """A node's counted runs: for each stored transition, every combination
-    of child run weights multiplied (their counts multiply), times the
-    transition weight; zero products are dropped as soon as they appear."""
+def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> list:
+    """A node's counted runs: for each stored transition of its symbol, every
+    combination of child run weights multiplied (their counts multiply),
+    times the transition weight; zero products are dropped as soon as they
+    appear."""
     alg = automaton.algebra
     mul, is_zero = alg.mul, alg.is_zero
     out: list = [{} for _ in automaton.states]
-    for sw, row in transitions:
+    for sw, row in automaton._by_symbol.get(symbol, ()):
         partial = {None: 1}  # product of the children's weights so far -> count
         for runs, qi in zip(child_runs, sw):
             grown: dict = {}
@@ -522,10 +555,11 @@ def _run_node(automaton: TreeAutomaton, transitions, child_runs: list) -> list:
     return out
 
 
-def _both_nodes(automaton: TreeAutomaton, transitions, children: list) -> tuple:
-    return (
-        _init_node(automaton, transitions, [c[0] for c in children]),
-        _run_node(automaton, transitions, [c[1] for c in children]),
+def _init_nodes(automaton: TreeAutomaton):
+    """``step(symbol, child vectors)``: :func:`_init_node`, memoised per
+    (symbol, child vectors) over a finite table (see ``algebra._table_memo``)."""
+    return _table_memo(
+        automaton.algebra, lambda symbol, vecs: _init_node(automaton, symbol, vecs)
     )
 
 
@@ -534,8 +568,12 @@ def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
 
     Only stored transitions are visited; absent entries would contribute a
     zero factor and change nothing. Repeated subtrees are evaluated once.
+    Over a :class:`~.algebra.FiniteTableAlgebra` each (symbol, child vectors)
+    step is also computed once per call, so distinct subtrees that reach the
+    same vectors share it; over any other algebra, the counting wrapper
+    included, every distinct subtree does its own step.
     """
-    return _bottom_up(automaton, t, {}, _init_node)
+    return _bottom_up(automaton, t, {}, _init_nodes(automaton))
 
 
 def initial_semantics(automaton: TreeAutomaton, t: Tree):
@@ -550,12 +588,21 @@ def values(automaton: TreeAutomaton, trees: Iterable[Tree]) -> Iterator[tuple]:
     counted runs of every subtree evaluated are kept while the stream lives,
     so a tree costs one node step per node not seen before: one in all when
     its children came earlier, as :func:`enumerate_trees` lists them.
+    The init steps share one memo per stream, as in :func:`state_vector`.
     """
     alg = automaton.algebra
     root = automaton.root_weights
+    init_step = _init_nodes(automaton)
+
+    def both(symbol, children):
+        return (
+            init_step(symbol, tuple([c[0] for c in children])),
+            _run_node(automaton, symbol, [c[1] for c in children]),
+        )
+
     memo: dict = {}
     for t in trees:
-        vec, runs = _bottom_up(automaton, t, memo, _both_nodes)
+        vec, runs = _bottom_up(automaton, t, memo, both)
         yield t, _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
 
 
@@ -616,19 +663,18 @@ def leaves_cut(t: Tree) -> Cut:
 
 def all_cuts(t: Tree) -> list:
     """Every cut through the tree (finite; includes the root cut and leaves cut)."""
-
-    def rec(node):
-        out = [((),)]
+    # each subtree's cuts, children first, as in run_weight
+    cuts: list = []
+    for pos, node in reversed(_nodes(t)):
+        out = [(pos,)]
         if node.children:
-            child_cuts = [rec(c) for c in node.children]
-            for combo in itertools.product(*child_cuts):
-                merged = tuple(
-                    (i,) + p for i, part in enumerate(combo, start=1) for p in part
-                )
-                out.append(merged)
-        return out
-
-    return rec(t)
+            child_cuts = [cuts.pop() for _ in node.children]
+            out.extend(
+                tuple(itertools.chain.from_iterable(combo))
+                for combo in itertools.product(*child_cuts)
+            )
+        cuts.append(out)
+    return cuts.pop()
 
 
 def expand(t: Tree, cut: Cut, i: int) -> Cut:
@@ -697,7 +743,7 @@ def cut_partial_product(automaton: TreeAutomaton, t: Tree, run, cut: Cut):
     """
     alg = automaton.algebra
     checked = automaton.check_tree(t)
-    run = _normalize_run(automaton, checked, run)
+    run = _normalize_run(automaton, positions(checked), run)
     cut = validate_cut(checked, cut)
     cutset = set(cut)
     included = [

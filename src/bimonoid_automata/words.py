@@ -13,7 +13,7 @@ import itertools
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total, _table_memo
 
 Word = Sequence[str]
 
@@ -181,12 +181,27 @@ def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
     return tuple([reduce(add, map(mul, vec, column)) for column in columns])
 
 
-def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
-    """The evolved weight vector: initial vector times each symbol's matrix."""
+def _init_steps(automaton: WordAutomaton):
+    """``step(vec, symbol)``: the vector times the symbol's matrix, memoised
+    per (vector, symbol) over a finite table (see ``algebra._table_memo``)."""
     add, mul = automaton.algebra.add, automaton.algebra.mul
+    return _table_memo(
+        automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[1])
+    )
+
+
+def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
+    """The evolved weight vector: initial vector times each symbol's matrix.
+
+    Over a :class:`~.algebra.FiniteTableAlgebra` each (vector, symbol) step
+    is computed once per call, so a long word costs about a lookup per
+    symbol; over any other algebra, the counting wrapper included, every
+    step does its |Q|^2 muls and |Q|(|Q|-1) adds.
+    """
+    step = _init_steps(automaton)
     vec = automaton.initial
-    for columns in [automaton._step(a)[1] for a in word]:
-        vec = _init_step(add, mul, vec, columns)
+    for a in word:
+        vec = step(vec, a)
     return vec
 
 
@@ -203,17 +218,18 @@ def values(automaton: WordAutomaton, words: Iterable[Word]) -> Iterator[tuple]:
     stream lives, so a word costs one init step and one counted step per
     symbol past its longest prefix seen before: one of each when the words
     are prefix-closed and shortest first, as :func:`all_words` lists them.
+    The init steps share one memo per stream, as in :func:`state_vector`.
     """
     alg = automaton.algebra
-    add, mul, final = alg.add, alg.mul, automaton.final
+    mul, final = alg.mul, automaton.final
+    init_step = _init_steps(automaton)
     root = (automaton.initial, _run_start(automaton), {})
     for word in words:
         node = root
         for a in word:
             child = node[2].get(a)
             if child is None:
-                _, columns, successors = automaton._step(a)
-                child = (_init_step(add, mul, node[0], columns), _run_step(alg, node[1], successors), {})
+                child = (init_step(node[0], a), _run_step(alg, node[1], automaton._step(a)[2]), {})
                 node[2][a] = child
             node = child
         yield word, _run_total(alg, node[1], final), alg.sum(map(mul, node[0], final))

@@ -23,6 +23,12 @@ def finite_algebras():
     return ba.bundled_finite_algebras()
 
 
+def table_algebras():
+    """Every bundled FiniteTableAlgebra, plus Diamond and NatPlusPlus[3]."""
+    tables = [alg for alg in ba.bundled_finite_algebras() if isinstance(alg, ba.FiniteTableAlgebra)]
+    return tables + [ba.diamond(), ba.nat_plus_plus_table(3)]
+
+
 @pytest.fixture(scope="session")
 def branching_alphabet():
     return T.RankedAlphabet({"alpha": 0, "sigma": 2})
@@ -332,12 +338,33 @@ def _literal_dot(alg, vec, column):
     return acc
 
 
-def literal_word_init(automaton, word):
-    """The initial vector times each symbol's matrix, then the final fold."""
+def literal_word_vectors(automaton, word):
+    """The initial vector, then the vector after each prefix: no memo, one
+    matrix product per symbol."""
     alg = automaton.algebra
     nq = len(automaton.states)
-    vec = automaton.initial
+    vecs = [tuple(automaton.initial)]
     for a in word:
         m = automaton.transitions[a]
-        vec = [_literal_dot(alg, vec, [m[p][q] for p in range(nq)]) for q in range(nq)]
-    return _literal_dot(alg, vec, automaton.final)
+        vecs.append(tuple(_literal_dot(alg, vecs[-1], [m[p][q] for p in range(nq)]) for q in range(nq)))
+    return vecs
+
+
+def literal_word_init(automaton, word):
+    """The initial vector times each symbol's matrix, then the final fold."""
+    return _literal_dot(automaton.algebra, literal_word_vectors(automaton, word)[-1], automaton.final)
+
+
+# --------------------------------------------------------------------------
+# The tree init recursion with one node step per position and no memo at all:
+# neither equal subtrees nor equal child vectors are shared.
+
+
+def plain_tree_vectors(automaton, t):
+    """Position -> (symbol, child vectors, evolved vector), post-order."""
+    out = {}
+    for pos in T.postorder(t):
+        node = T.subtree_at(t, pos)
+        children = tuple(out[pos + (i,)][2] for i in range(1, len(node.children) + 1))
+        out[pos] = (node.symbol, children, T._init_node(automaton, node.symbol, children))
+    return out

@@ -465,3 +465,24 @@ def test_cli_eval_on_a_deep_term(tmp_path, capsys):
                 ["eval", "--automaton", path, "--input", term, "--semantics", semantics], capsys
             )
             assert code == 0 and out.strip() == value
+
+
+def test_cli_profile_on_a_deep_spine(tmp_path, capsys):
+    # the literal run weight walks an explicit stack: before, 1,500 deep
+    # exited 3 with a RecursionError. With one state there is one run: a mul
+    # per gamma node, then the root weight; init does the same muls
+    alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+    automaton = T.TreeAutomaton(
+        ba.pentagon(), alphabet, ("p",), [((), "alpha", "p", 2), (("p",), "gamma", "p", 3)], (4,)
+    )
+    path = str(tmp_path / "spine.json")
+    fileio.save_automaton(automaton, path)
+    depth = 1500
+    term = "gamma(" * depth + "alpha" + ")" * depth
+    code, out, _ = run_cli(["profile", "--automaton", path, "--input", term, "--format", "json"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    closed_form = {"adds": 0, "muls": depth + 1}
+    assert d["size"] == depth + 1 and d["run"] == d["init"] == closed_form
+    assert d["predicted"]["runs_enumerated"] == 1
+    assert d["run_value"] == d["init_value"]

@@ -10,7 +10,7 @@ from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata.algebra import Semantics
 
-from conftest import dense_state_vector, random_run, random_tree
+from conftest import dense_state_vector, plain_tree_vectors, random_run, random_tree, table_algebras
 
 ALPHABET = T.RankedAlphabet({"sigma": 2, "delta": 2, "alpha": 0, "beta": 0})
 EXAMPLE = T.parse("sigma(delta(alpha,beta),alpha)", ALPHABET)
@@ -63,6 +63,35 @@ def test_tree_utilities():
         T.subtree_at(EXAMPLE, (3,))
 
 
+def spine(depth):
+    """gamma^depth(alpha), built bottom up."""
+    t = T.Tree("alpha")
+    for _ in range(depth):
+        t = T.Tree("gamma", (t,))
+    return t
+
+
+def test_repr_is_the_dataclass_repr():
+    for t in T.enumerate_trees(T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2, "tau": 3}), 5):
+        assert repr(t) == f"Tree(symbol={t.symbol!r}, children={t.children!r})"
+        assert eval(repr(t), {"Tree": T.Tree}) == t
+
+
+def test_deep_spines_repr_positions_and_postorder():
+    # these walk explicit stacks; the positions of a d-deep spine hold about
+    # d^2/2 integers, so those two are checked at 3,000 deep (past the
+    # recursion limit) rather than at 10^4 (about 400 MB)
+    leaf = "Tree(symbol='alpha', children=())"
+    assert repr(spine(10**4)) == "Tree(symbol='gamma', children=(" * 10**4 + leaf + ",))" * 10**4
+    depth = 3000
+    t = spine(depth)
+    assert T.positions(t) == [(1,) * k for k in range(depth + 1)]
+    assert T.postorder(t) == [(1,) * k for k in range(depth, -1, -1)]
+    assert T.leaves(t) == [(1,) * depth]
+    # all_cuts copies every deeper cut once per level
+    assert T.all_cuts(spine(1200)) == [((1,) * k,) for k in range(1201)]
+
+
 def test_deep_spine_hash_and_init():
     # hashes are cached at construction, so neither hashing nor the memo of
     # the bottom-up evaluation recurses over a 10^4-deep spine
@@ -84,13 +113,6 @@ def test_deep_trees_compare_print_measure_and_parse():
     # separately built 10^4-deep spines compare (also as dict keys), print,
     # measure and parse back; str also at 10^5
     alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
-
-    def spine(depth):
-        t = T.Tree("alpha")
-        for _ in range(depth):
-            t = T.Tree("gamma", (t,))
-        return t
-
     a, b = spine(10**4), spine(10**4)
     assert a is not b and a == b and {a: 1}[b] == 1
     assert a != spine(10**4 - 1) and a != T.Tree("gamma", (a,))
@@ -259,6 +281,46 @@ def test_state_vector_matches_dense_oracle():
             )
             for t in T.enumerate_trees(automaton.alphabet, 5):
                 assert T.state_vector(automaton, t) == dense_state_vector(automaton, t)
+
+
+def _random_tree(rng, leaves):
+    """A random tree over {alpha, beta, gamma:1, sigma:2} with ``leaves``
+    leaves: adjacent subtrees merge under sigma, some get a gamma on top."""
+    pool = [T.Tree(rng.choice(("alpha", "beta"))) for _ in range(leaves)]
+    while len(pool) > 1:
+        i = rng.randrange(len(pool) - 1)
+        if rng.random() < 0.3:
+            pool[i] = T.Tree("gamma", (pool[i],))
+        else:
+            pool[i : i + 2] = [T.Tree("sigma", (pool[i], pool[i + 1]))]
+    return pool[0]
+
+
+@pytest.mark.parametrize("alg", table_algebras(), ids=lambda alg: alg.name)
+def test_memoised_tree_init_matches_plain_fold(alg, monkeypatch):
+    # over a table each (symbol, child vectors) step runs once per call, so
+    # distinct subtrees that reach the same vectors share it; the twin
+    # subtrees below are equal but separately built
+    calls: list = []
+    plain = T._init_node
+    monkeypatch.setattr(T, "_init_node", lambda *args: calls.append(args) or plain(*args))
+    alphabet = T.RankedAlphabet({"alpha": 0, "beta": 0, "gamma": 1, "sigma": 2})
+    rng = random.Random(59)
+    for max_states in (1, 2, 3):
+        automaton = H.random_tree_automaton(rng, alg, alphabet, max_states)
+        seed = rng.random()
+        twins = [_random_tree(random.Random(seed), 60) for _ in range(2)]
+        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        for t in (_random_tree(rng, 200), T.Tree("sigma", tuple(twins)), spine(300)):
+            steps = plain_tree_vectors(automaton, t)
+            calls.clear()
+            assert T.state_vector(automaton, t) == steps[()][2]
+            assert len(calls) == len({(sym, children) for sym, children, _ in steps.values()})
+            assert len(calls) < T.size(t)
+        trees = list(T.enumerate_trees(alphabet, 5))
+        for t, _, init in T.values(automaton, trees):
+            vec = plain_tree_vectors(automaton, t)[()][2]
+            assert init == alg.sum(map(alg.mul, vec, automaton.root_weights))
 
 
 def test_pruned_run_semantics_equals_unpruned():

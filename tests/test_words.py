@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata import words as W
-from bimonoid_automata.algebra import Semantics
+from bimonoid_automata.algebra import CountingAlgebra, Semantics
 
-from conftest import literal_word_init, literal_word_runs, nfa_accepts, nfa_as_boole_automaton
+from conftest import (
+    literal_word_init,
+    literal_word_runs,
+    literal_word_vectors,
+    nfa_accepts,
+    nfa_as_boole_automaton,
+    table_algebras,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +184,9 @@ def _skew_table(draw, n):
 @st.composite
 def skew_automata(draw):
     """A word automaton with |Q| <= 3 over a random 2-4 element table whose
-    add and mul are neither commutative nor associative, and a word of at
-    most 4 symbols."""
+    add and mul are neither commutative nor associative, a word of at most 4
+    symbols, and one of 130-200 symbols: past 2 * 4^3 = 128 steps some
+    (vector, symbol) pair repeats, so the init memo hits."""
     n = draw(st.integers(2, 4))
     alg = ba.FiniteTableAlgebra(
         "skew", [f"e{i}" for i in range(n)], _skew_table(draw, n), _skew_table(draw, n), 0, 1
@@ -187,17 +195,74 @@ def skew_automata(draw):
     vec = st.lists(st.integers(0, n - 1), min_size=nq, max_size=nq)
     matrices = {a: draw(st.lists(vec, min_size=nq, max_size=nq)) for a in "ab"}
     automaton = W.WordAutomaton(alg, "ab", [f"q{i}" for i in range(nq)], draw(vec), draw(vec), matrices)
-    return automaton, tuple(draw(st.lists(st.sampled_from("ab"), max_size=4)))
+    word, long_word = (
+        tuple(draw(st.lists(st.sampled_from("ab"), min_size=lo, max_size=hi)))
+        for lo, hi in ((0, 4), (130, 200))
+    )
+    return automaton, word, long_word
 
 
 @settings(max_examples=300, deadline=None)
 @given(skew_automata())
 def test_literal_order_on_tables_that_break_the_axioms(case):
     # the enumerator sums runs in lexicographic order and multiplies each
-    # left to right; init sums each column from the first state on
-    automaton, word = case
+    # left to right; init sums each column from the first state on, also
+    # when its steps come from the memo
+    automaton, word, long_word = case
     assert W.run_semantics(automaton, word) == literal_word_runs(automaton, word)
     assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
+    assert W.initial_semantics(automaton, long_word) == literal_word_init(automaton, long_word)
+
+
+def _count_init_steps(monkeypatch) -> list:
+    """Record every call of the unmemoised word init step."""
+    calls: list = []
+    plain = W._init_step
+    monkeypatch.setattr(W, "_init_step", lambda *args: calls.append(args) or plain(*args))
+    return calls
+
+
+@pytest.mark.parametrize("alg", table_algebras(), ids=lambda alg: alg.name)
+def test_memoised_init_matches_literal_fold(alg, monkeypatch):
+    # over a table each (vector, symbol) step runs once per call: words of
+    # 10^3 symbols revisit vectors, so almost every step is a memo hit
+    calls = _count_init_steps(monkeypatch)
+    rng = random.Random(53)
+    for max_states in (1, 2, 3):
+        automaton = H.random_word_automaton(rng, alg, ("a", "b"), max_states)
+        for word in (
+            tuple(rng.choice("ab") for _ in range(1000)),
+            ("a",) * 700 + ("b",) * 300,
+            ("a", "b", "b") * 333,
+        ):
+            vecs = literal_word_vectors(automaton, word)
+            calls.clear()
+            assert W.state_vector(automaton, word) == vecs[-1]
+            assert len(calls) == len(set(zip(vecs, word))) < len(word)
+            assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
+        words = list(W.all_words(("a", "b"), 6))
+        for word, _, init in W.values(automaton, words):
+            assert init == literal_word_init(automaton, word)
+
+
+def test_counted_init_takes_the_plain_recursion(monkeypatch):
+    # the memo would hit on a^1000 over pentagon, but the counting wrapper is
+    # not a table, so criterion 11's closed forms still hold exactly
+    n = 1000
+    rng = random.Random(3)
+    automaton = H.random_word_automaton(rng, ba.pentagon(), ("a",), 3)
+    while len(automaton.states) != 3:
+        automaton = H.random_word_automaton(rng, ba.pentagon(), ("a",), 3)
+    counting = CountingAlgebra(ba.pentagon())
+    counted = automaton.with_algebra(counting)
+    word = ("a",) * n
+    calls = _count_init_steps(monkeypatch)
+    plain_value = W.initial_semantics(automaton, word)
+    assert len(calls) < n
+    calls.clear()
+    assert W.initial_semantics(counted, word) == plain_value
+    assert len(calls) == n
+    assert counting.read_counts() == (6 * n + 2, 9 * n + 3)
 
 
 def test_deterministic_evaluation(b4_probe):
