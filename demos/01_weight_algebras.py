@@ -12,7 +12,7 @@ print("== axiom validation (exhaustive over finite carriers) ==")
 for alg in ba.bundled_finite_algebras():
     report = ba.validate_axioms(alg)
     n = len(list(alg.elements()))
-    print(f"  {alg.name:<12} carrier size {n:>2}  ->  {'all axioms hold' if report.ok else report}")
+    print(f"  {alg.name:<14} carrier size {n:>2}  ->  {'all axioms hold' if report.ok else report}")
 
 print()
 print("== NatPlusPlus: both operations are +, with a fresh absorbing zero ==")
@@ -45,7 +45,7 @@ print(f"  (1 + x) (x) x = {pm.describe(pm.mul(one_plus_x, x))}   (x is a monome:
 
 print()
 print("== counting wrapper ==")
-counting = ba.wrap_counting(b4)
+counting = ba.CountingAlgebra(b4)
 counting.mul(counting.add(1, 2), 3)
 adds, muls = counting.read_counts()
 print(f"  (1 (+) 2) (x) 3 used {adds} addition(s) and {muls} multiplication(s)")

@@ -20,15 +20,15 @@ COLUMNS = [
     ("commut", P.COMMUTATIVE),
 ]
 
-algebras = ba.bundled_finite_algebras() + (ba.diamond(),)
-header = f"{'algebra':<12}" + "".join(f"{name:>11}" for name, _ in COLUMNS)
+algebras = ba.bundled_finite_algebras()
+header = f"{'algebra':<14}" + "".join(f"{name:>11}" for name, _ in COLUMNS)
 print(header)
 print("-" * len(header))
 reports = {}
 for alg in algebras:
     report = ba.classify(alg)
     reports[alg.name] = report
-    row = f"{alg.name:<12}"
+    row = f"{alg.name:<14}"
     for _, prop in COLUMNS:
         row += f"{'yes' if report.holds(prop) else 'no':>11}"
     print(row)

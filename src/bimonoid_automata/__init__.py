@@ -39,7 +39,6 @@ from .algebra import (
     tabulate,
     trunc_fun,
     validate_axioms,
-    wrap_counting,
 )
 from .bridge import string_alphabet, string_wta_to_wsa, tree_to_word, word_to_tree, wsa_to_wta
 from .properties import (
@@ -72,7 +71,6 @@ from .trees import (
     postorder,
     restrict_to_nullary,
     subtree_at,
-    tree,
 )
 from .words import WordAutomaton, all_words, mixed_prefix_product, probe_automaton
 from .harness import (

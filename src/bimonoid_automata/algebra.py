@@ -196,8 +196,6 @@ class FiniteTableAlgebra(WeightAlgebra):
         self.names = tuple(names)
         self.add_table = tuple(tuple(row) for row in add_table)
         self.mul_table = tuple(tuple(row) for row in mul_table)
-        self.zero_index = zero_index
-        self.one_index = one_index
         self.zero = zero_index
         self.one = one_index
 
@@ -225,9 +223,6 @@ class FiniteTableAlgebra(WeightAlgebra):
 
     def elements(self):
         return iter(range(len(self.names)))
-
-    def index_of(self, name: str) -> int:
-        return self.parse(name)
 
 
 class CountingAlgebra(WeightAlgebra):
@@ -277,10 +272,6 @@ class CountingAlgebra(WeightAlgebra):
         return self.inner.elements()
 
 
-def wrap_counting(alg: WeightAlgebra) -> CountingAlgebra:
-    return CountingAlgebra(alg)
-
-
 # --------------------------------------------------------------------------
 # Counted runs and value sets, shared by the word and tree evaluators
 #
@@ -320,15 +311,16 @@ def _run_total(alg: WeightAlgebra, runs: list, final) -> object:
     return alg.zero if total is None else total
 
 
-def _images(alg: WeightAlgebra, rows) -> dict:
+def _images(rows) -> dict:
     """The run and init value sets of ``(input, run value, init value)``
-    rows, each deduplicated by ``alg.equal`` in first-seen order."""
-    images: dict = {Semantics.RUN: [], Semantics.INIT: []}
+    rows, each in first-seen order. Values are deduplicated by hash, which
+    the counted runs that produce them already need (see
+    :class:`WeightAlgebra`)."""
+    run: dict = {}
+    init: dict = {}
     for _, run_value, init_value in rows:
-        for seen, v in ((images[Semantics.RUN], run_value), (images[Semantics.INIT], init_value)):
-            if not any(alg.equal(v, s) for s in seen):
-                seen.append(v)
-    return images
+        run[run_value] = init[init_value] = None
+    return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 
 
 def _table_memo(alg: WeightAlgebra, step: Callable) -> Callable:
@@ -424,6 +416,24 @@ def _first_difference(xs: list, ys: list) -> Optional[int]:
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
+def _first_pair(t: Tabulation, violated):
+    """First (a, b) whose ``violated(a, b)`` is true."""
+    n = len(t.elements)
+    return next(((a, b) for a in range(n) for b in range(n) if violated(a, b)), None)
+
+
+def _first_row_difference(t: Tabulation, lhs, rhs):
+    """First (a, b, c) at which row ``lhs(a, b)`` and row ``rhs(a, b)``
+    differ, both indexed by c."""
+    n = len(t.elements)
+    for a in range(n):
+        for b in range(n):
+            c = _first_difference(lhs(a, b), rhs(a, b))
+            if c is not None:
+                return a, b, c
+    return None
+
+
 # --------------------------------------------------------------------------
 # Axiom validation
 
@@ -474,20 +484,12 @@ def validate_axioms(alg: WeightAlgebra) -> ValidationReport:
 
     def associativity(op):
         # row of (a op b) op c against the row of a op (b op c), over c
-        for a in range(n):
-            row_a = op[a]
-            for b in range(n):
-                c = _first_difference(op[row_a[b]], [row_a[x] for x in op[b]])
-                if c is not None:
-                    return a, b, c
-        return None
+        return _first_row_difference(
+            t, lambda a, b: op[op[a][b]], lambda a, b: [op[a][x] for x in op[b]]
+        )
 
     def commutativity(op):
-        for a in range(n):
-            b = _first_difference(op[a], [row[a] for row in op])
-            if b is not None:
-                return a, b
-        return None
+        return _first_pair(t, lambda a, b: op[a][b] != op[b][a])
 
     def unit(op, e, expect):
         # first a with e op a or a op e other than expect(a)
@@ -996,5 +998,6 @@ def builtin(name: str) -> WeightAlgebra:
 
 
 def bundled_finite_algebras() -> tuple:
-    """The finite bundled algebras, in a fixed order (used by checks and demos)."""
-    return (boole(), pentagon(), hexagon(), b4(), b3prime(), trunc_fun(2))
+    """Every finite registry entry once, in registry order, a parametrised
+    one at its factory's default (used by checks and demos)."""
+    return tuple(alg for alg in (factory() for _, factory, _ in _REGISTRY) if alg.is_finite)

@@ -27,6 +27,7 @@ from .fileio import (
     save_automaton,
 )
 from .harness import (
+    DEFAULT_TREE_ALPHABET,
     TheoremCheckConfig,
     check_image_theorem,
     check_support_theorem_trees,
@@ -195,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=False, automaton=False, inp=False):
-        p.add_argument("--format", choices=("table", "json"), default="table")
+    def common(p, algebra=False, automaton=False, inp=False, emits=True):
+        if emits:
+            p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--allow-invalid", action="store_true",
                        help="load algebra tables even if the axioms fail")
         if algebra:
@@ -207,6 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
         if inp:
             p.add_argument("--input", required=True,
                            help="word (symbol names or single-char string) or tree term")
+
+    # check and image default to TheoremCheckConfig's field defaults, which
+    # its class attributes hold
+    def bounds(p):
+        p.add_argument("--max-len", type=int, default=TheoremCheckConfig.max_word_len)
+        p.add_argument("--max-size", type=int, default=TheoremCheckConfig.max_tree_size)
 
     p = sub.add_parser("eval", help="evaluate one semantics on one input")
     common(p, automaton=True, inp=True)
@@ -226,17 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=(
         "supports-words", "supports-trees", "images-words", "images-trees"))
     common(p, algebra=True)
-    p.add_argument("--word-alphabet", default="a,b")
-    p.add_argument("--tree-alphabet", default="alpha:0,sigma:2")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-size", type=int, default=7)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--states", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--word-alphabet", default=",".join(TheoremCheckConfig.word_alphabet))
+    p.add_argument("--tree-alphabet",
+                   default=",".join(f"{s}:{k}" for s, k in DEFAULT_TREE_ALPHABET.items()))
+    bounds(p)
+    p.add_argument("--trials", type=int, default=TheoremCheckConfig.num_automata)
+    p.add_argument("--states", type=int, default=TheoremCheckConfig.max_states)
+    p.add_argument("--seed", type=int, default=TheoremCheckConfig.seed)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("convert", help="convert between word and tree automata")
-    common(p, automaton=True)
+    common(p, automaton=True, emits=False)
     p.add_argument("--direction", choices=("word-to-tree", "tree-to-word"), required=True)
     p.add_argument("--end-marker", default="e")
     p.add_argument("--output", help="output JSON file (stdout when omitted)")
@@ -248,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="image sets of both semantics on bounded inputs")
     common(p, automaton=True)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-size", type=int, default=7)
+    bounds(p)
     p.set_defaults(fn=cmd_image)
     return parser
 

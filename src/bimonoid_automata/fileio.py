@@ -42,6 +42,17 @@ def _is_state(value) -> bool:
     return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
 
 
+def _read_json(path: str, kind: str):
+    """The JSON value in the ``kind`` file at ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FileFormatError(path, f"cannot read {kind} file: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(path, f"invalid JSON at line {exc.lineno}") from None
+
+
 def algebra_from_dict(obj: dict, source: str = "<algebra>", allow_invalid: bool = False) -> FiniteTableAlgebra:
     _expect(isinstance(obj, dict), source, "an algebra is a JSON object")
     names = _require(obj, "names", source)
@@ -93,8 +104,8 @@ def algebra_to_dict(alg: FiniteTableAlgebra) -> dict:
         "names": list(alg.names),
         "add": [[alg.names[v] for v in row] for row in alg.add_table],
         "mul": [[alg.names[v] for v in row] for row in alg.mul_table],
-        "zero": alg.names[alg.zero_index],
-        "one": alg.names[alg.one_index],
+        "zero": alg.names[alg.zero],
+        "one": alg.names[alg.one],
     }
 
 
@@ -110,14 +121,7 @@ def load_algebra(source: Union[str, dict], allow_invalid: bool = False) -> Weigh
             raise FileFormatError(
                 source, f"not a readable algebra file, and {builtin_error}"
             ) from None
-    try:
-        with open(source) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(source, f"cannot read algebra file: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(source, f"invalid JSON at line {exc.lineno}") from None
-    return algebra_from_dict(obj, source=source, allow_invalid=allow_invalid)
+    return algebra_from_dict(_read_json(source, "algebra"), source=source, allow_invalid=allow_invalid)
 
 
 def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: bool = False):
@@ -221,14 +225,7 @@ def automaton_to_dict(automaton) -> dict:
 
 
 def load_automaton(path: str, allow_invalid: bool = False):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(path, f"invalid JSON at line {exc.lineno}") from None
-    return automaton_from_dict(obj, source=path, allow_invalid=allow_invalid)
+    return automaton_from_dict(_read_json(path, "automaton"), source=path, allow_invalid=allow_invalid)
 
 
 def save_automaton(automaton, path: str):

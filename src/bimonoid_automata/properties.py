@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .algebra import Tabulation, WeightAlgebra, _first_difference, tabulate
+from .algebra import Tabulation, WeightAlgebra, _first_pair, _first_row_difference, tabulate
 
 
 class BimonoidProperty(Enum):
@@ -84,12 +84,6 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _first_pair(t: Tabulation, violated):
-    """First (a, b) whose ``violated(a, b)`` is true."""
-    n = len(t.elements)
-    return next(((a, b) for a in range(n) for b in range(n) if violated(a, b)), None)
-
-
 def _first_triple(t: Tabulation, violations):
     """First (a, b, c) with bit c set in ``violations(a, b)``."""
     n = len(t.elements)
@@ -114,18 +108,6 @@ def _first_quad(t: Tabulation, violations):
             if any(masks):
                 bp = next(i for i, mask in enumerate(masks) if mask)
                 return a, b, bp, _lowest(masks[bp])
-    return None
-
-
-def _first_row_difference(t: Tabulation, lhs, rhs):
-    """First (a, b, c) at which row ``lhs(a, b)`` and row ``rhs(a, b)``
-    differ, both indexed by c."""
-    n = len(t.elements)
-    for a in range(n):
-        for b in range(n):
-            c = _first_difference(lhs(a, b), rhs(a, b))
-            if c is not None:
-                return a, b, c
     return None
 
 

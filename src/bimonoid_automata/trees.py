@@ -161,10 +161,6 @@ class Tree:
         )
 
 
-def tree(symbol: str, *children: Tree) -> Tree:
-    return Tree(symbol, tuple(children))
-
-
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|[(),])")
 
 
@@ -346,9 +342,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
 class TreeAutomaton(WeightedAutomaton):
     """States, transition weights per (state word, symbol, state), root weights.
 
-    Transitions are stored sparsely: a missing entry means zero. Input may be
-    a mapping (state_word, symbol) -> {state: weight} or an iterable of
-    (state_word, symbol, state, weight) quadruples, with states given by name.
+    Transitions are stored sparsely: a missing entry means zero. They are
+    given as (state_word, symbol, state, weight) quadruples, with states
+    given by name.
     """
 
     def __init__(self, algebra: WeightAlgebra, alphabet: RankedAlphabet, states, transitions, root_weights):
@@ -358,15 +354,7 @@ class TreeAutomaton(WeightedAutomaton):
             raise ValueError("state names must be disjoint from the alphabet")
         self.root_weights = self._vector(root_weights)
         self._delta: Dict[tuple, dict] = {}
-        if isinstance(transitions, dict):
-            quads = [
-                (sw, sym, q, w)
-                for (sw, sym), row in transitions.items()
-                for q, w in row.items()
-            ]
-        else:
-            quads = list(transitions)
-        for sw, sym, q, w in quads:
+        for sw, sym, q, w in transitions:
             k = self.alphabet.rank(sym)
             word = tuple(self.state_index(p) for p in sw)
             if len(word) != k:
@@ -438,19 +426,40 @@ def enumerate_runs(automaton: TreeAutomaton, t: Tree) -> Iterator[dict]:
 def run_weight(automaton: TreeAutomaton, t: Tree, run) -> object:
     """Inductive weight of a run: child weights multiplied, then the local
     transition weight (empty products are one)."""
-    alg = automaton.algebra
-    nodes = _nodes(automaton.check_tree(t))
-    run = _normalize_run(automaton, [pos for pos, _ in nodes], run)
-    # in reverse lexicographic order every subtree leaves its weight on the
-    # stack, so a node finds its children's weights on top, the first first
-    weights: list = []
-    for pos, node in reversed(nodes):
-        k = len(node.children)
-        factors = [weights.pop() for _ in range(k)]
-        child_states = tuple(run[pos + (i,)] for i in range(1, k + 1))
-        factors.append(automaton.delta(child_states, node.symbol, run[pos]))
-        weights.append(alg.product(factors))
-    return weights.pop()
+    checked = automaton.check_tree(t)
+    pos = positions(checked)
+    run = _normalize_run(automaton, pos, run)
+    return _run_weight(automaton, _flatten(checked), [run[p] for p in pos])
+
+
+def _flatten(t: Tree) -> list:
+    """``(symbol, child indices)`` for every node, in pre-order (the order
+    of :func:`positions`), each index pointing into the list; an explicit
+    stack keeps the depth unbounded."""
+    nodes: list = []
+    stack = [(t, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            nodes[parent][1].append(len(nodes))
+        stack.extend([(c, len(nodes)) for c in reversed(node.children)])
+        nodes.append((node.symbol, []))
+    return nodes
+
+
+def _run_weight(automaton: TreeAutomaton, nodes: list, states) -> object:
+    """The weight of the run that labels ``nodes[i]`` (see :func:`_flatten`)
+    with state index ``states[i]``. In reverse pre-order every child comes
+    before its parent, whose weight is its children's, first to last, times
+    its transition weight."""
+    alg, delta = automaton.algebra, automaton.delta
+    weights: list = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        symbol, children = nodes[i]
+        factors = [weights[c] for c in children]
+        factors.append(delta(tuple([states[c] for c in children]), symbol, states[i]))
+        weights[i] = alg.product(factors)
+    return weights[0]
 
 
 def run_weight_postorder(automaton: TreeAutomaton, t: Tree, run) -> object:
@@ -470,7 +479,8 @@ def run_weight_postorder(automaton: TreeAutomaton, t: Tree, run) -> object:
 def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
     """Sum of run weight times root weight over all runs.
 
-    Default: full odometer enumeration (cost baseline). With ``prune`` the
+    Default: full odometer enumeration (cost baseline); the tree is checked
+    and flattened once per call, not once per run. With ``prune`` the
     runs are counted instead of listed: bottom up, each subtree keeps, per
     state, how many of its runs have each nonzero weight, and a node combines
     its children's counts (counts multiply). Same value, because zero
@@ -478,11 +488,10 @@ def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
     """
     alg = automaton.algebra
     if not prune:
-        t = automaton.check_tree(t)
-        return alg.sum(
-            alg.mul(run_weight(automaton, t, run), automaton.root_weights[run[()]])
-            for run in enumerate_runs(automaton, t)
-        )
+        nodes = _flatten(automaton.check_tree(t))
+        root = automaton.root_weights
+        runs = itertools.product(range(len(automaton.states)), repeat=len(nodes))
+        return alg.sum(alg.mul(_run_weight(automaton, nodes, run), root[run[0]]) for run in runs)
     runs = _bottom_up(automaton, t, {}, lambda symbol, runs: _run_node(automaton, symbol, runs))
     return _run_total(alg, runs, automaton.root_weights)
 
@@ -618,12 +627,11 @@ def in_support(automaton: TreeAutomaton, t: Tree, semantics: Semantics) -> bool:
 
 def images_up_to(automaton: TreeAutomaton, max_size: int) -> dict:
     """Exact value sets of both semantics over all trees with <= max_size
-    nodes (deterministic enumeration), keyed by :class:`Semantics`, each
-    deduplicated by algebra equality in first-seen order; one pass of
-    :func:`values`."""
+    nodes (deterministic enumeration), keyed by :class:`Semantics`, each in
+    first-seen order; one pass of :func:`values`."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    return _images(automaton.algebra, values(automaton, enumerate_trees(automaton.alphabet, max_size)))
+    return _images(values(automaton, enumerate_trees(automaton.alphabet, max_size)))
 
 
 def image_up_to(automaton: TreeAutomaton, max_size: int, semantics: Semantics) -> list:
@@ -663,7 +671,8 @@ def leaves_cut(t: Tree) -> Cut:
 
 def all_cuts(t: Tree) -> list:
     """Every cut through the tree (finite; includes the root cut and leaves cut)."""
-    # each subtree's cuts, children first, as in run_weight
+    # in reverse lexicographic order every subtree leaves its cuts on the
+    # stack, so a node finds its children's cuts on top, the first first
     cuts: list = []
     for pos, node in reversed(_nodes(t)):
         out = [(pos,)]
@@ -773,35 +782,26 @@ def cut_partial_product(automaton: TreeAutomaton, t: Tree, run, cut: Cut):
 # The branching probe automaton and nullary restriction
 
 
-def branching_probe_automaton(
-    algebra: WeightAlgebra,
-    a,
-    b,
-    bp,
-    c,
-    alphabet: RankedAlphabet,
-    sigma: Optional[str] = None,
-    alpha: Optional[str] = None,
-) -> TreeAutomaton:
+def _probe_symbols(alphabet: RankedAlphabet) -> tuple:
+    """The probe's (sigma, alpha): the first symbol of rank >= 2 and the
+    first nullary symbol."""
+    branching = [s for s in alphabet.symbols if alphabet.rank(s) >= 2]
+    if not branching:
+        raise ValueError("alphabet has no symbol of rank >= 2")
+    return branching[0], alphabet.of_rank(0)[0]
+
+
+def branching_probe_automaton(algebra: WeightAlgebra, a, b, bp, c, alphabet: RankedAlphabet) -> TreeAutomaton:
     """Six-state automaton separating the two semantics over a branching alphabet.
 
     On the doubled tree sigma(alpha,...,alpha,sigma(alpha,...,alpha)) its
     initial-algebra value is a*(b+b')*c while the run value is a*b*c + a*b'*c.
-    The two b-seeded states are distinct even when b equals b'.
+    The two b-seeded states are distinct even when b equals b'. Sigma and
+    alpha are as in :func:`doubled_probe_tree`.
     """
-    if sigma is None:
-        candidates = [s for s in alphabet.symbols if alphabet.rank(s) >= 2]
-        if not candidates:
-            raise ValueError("alphabet has no symbol of rank >= 2")
-        sigma = candidates[0]
-    if alpha is None:
-        alpha = alphabet.of_rank(0)[0]
+    sigma, alpha = _probe_symbols(alphabet)
     k = alphabet.rank(sigma)
-    if k < 2:
-        raise ValueError(f"symbol {sigma!r} has rank {k}, need >= 2")
-    if alphabet.rank(alpha) != 0:
-        raise ValueError(f"symbol {alpha!r} is not nullary")
-    one, zero = algebra.one, algebra.zero
+    one = algebra.one
     states = ("seed_a", "seed_b1", "seed_b2", "unit", "q1", "q2")
     quads = [
         ((), alpha, "seed_a", a),
@@ -816,12 +816,11 @@ def branching_probe_automaton(
     return TreeAutomaton(algebra, alphabet, states, quads, final)
 
 
-def doubled_probe_tree(alphabet: RankedAlphabet, sigma: Optional[str] = None, alpha: Optional[str] = None) -> Tree:
-    """sigma(alpha,...,alpha,sigma(alpha,...,alpha)): the input the probe singles out."""
-    if sigma is None:
-        sigma = [s for s in alphabet.symbols if alphabet.rank(s) >= 2][0]
-    if alpha is None:
-        alpha = alphabet.of_rank(0)[0]
+def doubled_probe_tree(alphabet: RankedAlphabet) -> Tree:
+    """sigma(alpha,...,alpha,sigma(alpha,...,alpha)): the input the probe
+    singles out, with sigma the alphabet's first symbol of rank >= 2 and
+    alpha its first nullary symbol."""
+    sigma, alpha = _probe_symbols(alphabet)
     k = alphabet.rank(sigma)
     inner = Tree(sigma, (Tree(alpha),) * k)
     return Tree(sigma, (Tree(alpha),) * (k - 1) + (inner,))

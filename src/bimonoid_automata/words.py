@@ -254,11 +254,11 @@ def all_words(alphabet, max_len: int) -> Iterator[tuple]:
 
 def images_up_to(automaton: WordAutomaton, max_len: int) -> dict:
     """Exact value sets of both semantics on all words of length <= max_len,
-    keyed by :class:`Semantics`, each deduplicated by algebra equality in
-    first-seen order; one pass of :func:`values`."""
+    keyed by :class:`Semantics`, each in first-seen order; one pass of
+    :func:`values`."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    return _images(automaton.algebra, values(automaton, all_words(automaton.alphabet, max_len)))
+    return _images(values(automaton, all_words(automaton.alphabet, max_len)))
 
 
 def image_up_to(automaton: WordAutomaton, max_len: int, semantics: Semantics) -> list:

@@ -24,9 +24,8 @@ def finite_algebras():
 
 
 def table_algebras():
-    """Every bundled FiniteTableAlgebra, plus Diamond and NatPlusPlus[3]."""
-    tables = [alg for alg in ba.bundled_finite_algebras() if isinstance(alg, ba.FiniteTableAlgebra)]
-    return tables + [ba.diamond(), ba.nat_plus_plus_table(3)]
+    """Every bundled FiniteTableAlgebra."""
+    return [alg for alg in ba.bundled_finite_algebras() if isinstance(alg, ba.FiniteTableAlgebra)]
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,22 @@ from bimonoid_automata.algebra import (
 
 
 def test_axioms_pass_on_all_bundled_finite_algebras(finite_algebras):
-    for alg in finite_algebras + (ba.diamond(), ba.nat_plus_plus_table(3)):
+    for alg in finite_algebras:
         report = ba.validate_axioms(alg)
         assert report.ok, f"{alg.name}: {report}"
+
+
+def test_bundled_finite_algebras_are_the_finite_registry_entries():
+    # every finite registry entry once, in registry order, NatPlusPlus[m] and
+    # TruncFun(m) at their defaults
+    names = [alg.name for alg in ba.bundled_finite_algebras()]
+    assert names == [
+        "Boole", "NatPlusPlus[3]", "PentagonN5", "Hexagon", "Diamond", "B4", "B3prime", "TruncFun(2)",
+    ]
+    plain = [name for name in ba.BUILTIN_NAMES if not name.endswith(("(m)", "[m]"))]
+    assert [name for name in plain if ba.builtin(name).is_finite] == [
+        name for name in names if name in plain
+    ]
 
 
 def test_nat_plus_plus_table_matches_unbounded_algebra_below_cap():
@@ -84,7 +97,6 @@ def test_registry_round_trips_every_bundled_algebra(finite_algebras):
     assert all(name in str(exc.value) for name in ba.BUILTIN_NAMES)
 
     instances = list(_registry_instances()) + list(finite_algebras)
-    instances += [ba.diamond(), ba.nat_plus_plus_table(3)]
     for alg in instances:
         again = ba.builtin(alg.name)
         assert type(again) is type(alg) and again.name == alg.name
@@ -215,7 +227,7 @@ def test_polynomial_parse_and_describe_round_trip():
 
 
 def test_counting_basic_increments():
-    alg = ba.wrap_counting(ba.b4())
+    alg = ba.CountingAlgebra(ba.b4())
     alg.add(1, 2)
     assert alg.read_counts() == (1, 0)
     alg.reset_counts()
@@ -228,7 +240,7 @@ def test_counting_basic_increments():
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_counting_transparency(i, j):
     inner = ba.b4()
-    counting = ba.wrap_counting(inner)
+    counting = ba.CountingAlgebra(inner)
     assert counting.add(i, j) == inner.add(i, j)
     assert counting.mul(i, j) == inner.mul(i, j)
     assert counting.describe(i) == inner.describe(i)
@@ -244,7 +256,7 @@ def test_counting_initial_semantics_cost_bound():
     automaton = H.random_word_automaton(rng, ba.pentagon(), ("a", "b"), 3)
     while len(automaton.states) != 3:
         automaton = H.random_word_automaton(rng, ba.pentagon(), ("a", "b"), 3)
-    counting = ba.wrap_counting(automaton.algebra)
+    counting = ba.CountingAlgebra(automaton.algebra)
     shadow = automaton.with_algebra(counting)
     W.initial_semantics(shadow, ("a", "b", "a", "b"))
     adds, muls = counting.read_counts()

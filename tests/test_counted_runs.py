@@ -12,7 +12,7 @@ from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import ADJOINED_ZERO, INFINITY, CountingAlgebra, Polynomial
 
-FINITE = (*ba.bundled_finite_algebras(), ba.diamond(), ba.nat_plus_plus_table(3))
+FINITE = ba.bundled_finite_algebras()
 WORDS = list(W.all_words(("a", "b"), 4))
 TREE_ALPHABET = T.RankedAlphabet({"alpha": 0, "beta": 0, "gamma": 1, "sigma": 2})
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import bimonoid_automata as ba
 from bimonoid_automata import bridge, cli, fileio
+from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Semantics
@@ -314,6 +316,34 @@ def test_cli_convert_round_trip(probe_file, tmp_path, capsys):
     original = fileio.load_automaton(probe_file)
     assert back.transitions == original.transitions
     assert back.initial == original.initial and back.final == original.final
+
+
+def test_cli_convert_has_no_format_option(probe_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convert", "--automaton", probe_file, "--direction", "word-to-tree",
+                  "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsys):
+    # cmd_check builds its TheoremCheckConfig from the parsed defaults alone
+    built = []
+    real = cli.check_support_theorem_words
+    monkeypatch.setattr(cli, "check_support_theorem_words", lambda config: built.append(config) or real(config))
+    code, _, _ = run_cli(["check", "supports-words", "--algebra", "B4"], capsys)
+    assert code == 0
+    [config] = built
+    assert dataclasses.replace(config, algebra=None) == H.TheoremCheckConfig(algebra=None)
+    args = cli.build_parser().parse_args(["image", "--automaton", "a.json"])
+    assert (args.max_len, args.max_size) == (config.max_word_len, config.max_tree_size)
+
+
+def test_cli_missing_automaton_file_exits_two(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    code, _, err = run_cli(["eval", "--automaton", path, "--input", "a"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path}: cannot read automaton file: ")
 
 
 def test_cli_convert_with_custom_end_marker(probe_file, tmp_path, capsys):

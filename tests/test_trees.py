@@ -108,6 +108,51 @@ def test_deep_spine_hash_and_init():
     assert T.run_semantics(automaton, spine, prune=True) == 1
 
 
+def test_literal_enumerator_checks_once_and_builds_no_positions(monkeypatch):
+    # the unpruned enumerator flattens the tree once per call: one
+    # check_tree and no position tuples
+    alg = ba.pentagon()
+    automaton = H.random_tree_automaton(random.Random(5), alg, ALPHABET, 3)
+    expected = {t: T.run_semantics(automaton, t, prune=True) for t in T.enumerate_trees(ALPHABET, 5)}
+    checked = []
+    check_tree = T.TreeAutomaton.check_tree
+    monkeypatch.setattr(T.TreeAutomaton, "check_tree", lambda self, t: checked.append(t) or check_tree(self, t))
+
+    def no_positions(t):
+        raise AssertionError("positions called")
+
+    monkeypatch.setattr(T, "positions", no_positions)
+    for t, value in expected.items():
+        checked.clear()
+        assert alg.equal(T.run_semantics(automaton, t), value)
+        assert checked == [t]
+
+
+def test_unpruned_run_and_cost_profile_on_a_deep_spine():
+    # with one state a 10^4-deep spine has one run; neither the enumerator
+    # nor the profile builds its positions, which hold d^2/2 integers
+    alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+    automaton = T.TreeAutomaton(
+        ba.boole(), alphabet, ("p",), [((), "alpha", "p", 1), (("p",), "gamma", "p", 1)], (1,)
+    )
+    t = spine(10**4)
+    assert T.run_semantics(automaton, t) == 1
+    profile = H.cost_profile(automaton, t)
+    ops = {"adds": 0, "muls": 10**4 + 1}
+    assert (profile.run_counts, profile.init_counts) == (ops, ops)
+    assert (profile.run_value, profile.init_value) == ("1", "1")
+    assert profile.input_size == 10**4 + 1
+    assert profile.predicted["runs_enumerated"] == 1
+
+
+def test_probes_need_a_symbol_of_rank_two():
+    alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+    with pytest.raises(ValueError, match="rank >= 2"):
+        T.doubled_probe_tree(alphabet)
+    with pytest.raises(ValueError, match="rank >= 2"):
+        T.branching_probe_automaton(ba.boole(), 1, 1, 1, 1, alphabet)
+
+
 def test_deep_trees_compare_print_measure_and_parse():
     # equality, str, size, parse and check_tree walk explicit stacks, so two
     # separately built 10^4-deep spines compare (also as dict keys), print,
