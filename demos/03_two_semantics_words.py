@@ -35,8 +35,9 @@ print(f"  gamma in init support: {W.in_support(probe3, word, Semantics.INIT)}")
 print()
 print("== images of the two semantics ==")
 for name, probe_automaton, alg in (("B4", probe, b4), ("B3prime", probe3, b3)):
-    im_run = [alg.describe(v) for v in W.image_up_to(probe_automaton, 1, Semantics.RUN)]
-    im_init = [alg.describe(v) for v in W.image_up_to(probe_automaton, 1, Semantics.INIT)]
+    images = W.images_up_to(probe_automaton, 1)
+    im_run = [alg.describe(v) for v in images[Semantics.RUN]]
+    im_init = [alg.describe(v) for v in images[Semantics.INIT]]
     print(f"  {name:<8} run image {{{', '.join(im_run)}}}   init image {{{', '.join(im_init)}}}")
 
 print()

@@ -783,9 +783,6 @@ class Polynomial:
         return "+".join(terms)
 
 
-POLY_X = Polynomial((0, 1))
-
-
 class PolyMonomeAlgebra(WeightAlgebra):
     """Polynomials over N: coefficientwise add; mul splits on the right factor.
 

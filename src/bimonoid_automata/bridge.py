@@ -5,6 +5,10 @@ single nullary symbol, the first letter sits just above it, and evaluation
 therefore ascends the spine in the same order the word automaton's state
 vector evolves. Both conversions preserve run and initial-algebra semantics
 composed with this encoding; the test suite exercises that contract directly.
+Each conversion maps the (from, symbol, to, weight) stream that the source
+automaton's ``stored_transitions`` hands out, with states by name, into the
+quadruples the target's constructor takes; neither reads a matrix or a
+single transition weight.
 """
 
 from __future__ import annotations
@@ -49,44 +53,34 @@ def tree_to_word(t: Tree, end_marker: Optional[str] = None) -> Tuple[str, ...]:
 def wsa_to_wta(automaton: WordAutomaton, end_marker: str = "e") -> TreeAutomaton:
     """Word automaton -> tree automaton over the string ranked alphabet.
 
-    The initial vector becomes the end marker's nullary weights, each matrix
-    entry becomes a unary transition, and final weights become root weights.
+    The initial vector becomes the end marker's nullary weights, each stored
+    transition becomes a unary one, and final weights become root weights.
     """
-    alphabet = string_alphabet(automaton.alphabet, end_marker)
     alg = automaton.algebra
-    states = automaton.states
-    quads = []
-    for q, w in zip(states, automaton.initial):
-        if not alg.is_zero(w):
-            quads.append(((), end_marker, q, w))
-    for a in automaton.alphabet:
-        mat = automaton.matrix(a)
-        for i, p in enumerate(states):
-            for j, q in enumerate(states):
-                if not alg.is_zero(mat[i][j]):
-                    quads.append(((p,), a, q, mat[i][j]))
-    return TreeAutomaton(alg, alphabet, states, quads, automaton.final)
+    quads = [
+        ((), end_marker, q, w)
+        for q, w in zip(automaton.states, automaton.initial)
+        if not alg.is_zero(w)
+    ]
+    quads += [((p,), a, q, w) for p, a, q, w in automaton.stored_transitions()]
+    alphabet = string_alphabet(automaton.alphabet, end_marker)
+    return TreeAutomaton(alg, alphabet, automaton.states, quads, automaton.final)
 
 
 def string_wta_to_wsa(automaton: TreeAutomaton) -> WordAutomaton:
     """Tree automaton over a string ranked alphabet -> word automaton.
 
     Nullary weights of the end marker become the initial vector, unary
-    transitions become matrices, root weights become final weights.
+    transitions become word transitions, root weights become final weights.
     """
     cls = classify_alphabet(automaton.alphabet)
     if not cls.string_ranked:
         raise ValueError("conversion needs a string ranked alphabet")
     end_marker = automaton.alphabet.of_rank(0)[0]
-    symbols = automaton.alphabet.of_rank(1)
-    alg = automaton.algebra
-    states = automaton.states
-    initial = tuple(
-        automaton.delta((), end_marker, q) for q in range(len(states))
+    transitions = list(automaton.stored_transitions())
+    initial = {q: w for _, sym, q, w in transitions if sym == end_marker}
+    quads = [(sw[0], sym, q, w) for sw, sym, q, w in transitions if sym != end_marker]
+    return WordAutomaton(
+        automaton.algebra, automaton.alphabet.of_rank(1), automaton.states,
+        initial, automaton.root_weights, quads,
     )
-    quads = []
-    for sw, sym, q, w in automaton.stored_transitions():
-        if sym == end_marker:
-            continue
-        quads.append((states[sw[0]], sym, states[q], w))
-    return WordAutomaton(alg, symbols, states, initial, automaton.root_weights, quads)

@@ -116,30 +116,34 @@ def cmd_props(args):
 
 def cmd_check(args):
     alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
-    if args.target in ("supports-words", "supports-trees"):
-        word_alphabet = tuple(args.word_alphabet.split(","))
-        if not all(word_alphabet):
-            raise ValueError(
-                f"--word-alphabet {args.word_alphabet!r} has an empty symbol;"
-                " give nonempty symbols separated by commas"
-            )
-        config = TheoremCheckConfig(
-            algebra=alg,
-            word_alphabet=word_alphabet,
-            tree_alphabet=_parse_ranked_alphabet(args.tree_alphabet),
-            max_word_len=args.max_len,
-            max_tree_size=args.max_size,
-            num_automata=args.trials,
-            max_states=args.states,
-            seed=args.seed,
+    word_alphabet = tuple(args.word_alphabet.split(","))
+    if not all(word_alphabet):
+        raise ValueError(
+            f"--word-alphabet {args.word_alphabet!r} has an empty symbol;"
+            " give nonempty symbols separated by commas"
         )
-        if args.target == "supports-words":
-            report = check_support_theorem_words(config)
-        else:
-            report = check_support_theorem_trees(config)
+    config = TheoremCheckConfig(
+        algebra=alg,
+        word_alphabet=word_alphabet,
+        tree_alphabet=_parse_ranked_alphabet(args.tree_alphabet),
+        max_word_len=args.max_len,
+        max_tree_size=args.max_size,
+        num_automata=args.trials,
+        max_states=args.states,
+        seed=args.seed,
+    )
+    if args.target == "supports-words":
+        report = check_support_theorem_words(config)
+    elif args.target == "supports-trees":
+        report = check_support_theorem_trees(config)
     else:
-        mode = "words" if args.target == "images-words" else "trees"
-        report = check_image_theorem(alg, mode)
+        # the image checks run one fixed probe family, not a sweep
+        if config != TheoremCheckConfig(algebra=alg):
+            raise ValueError(
+                f"{args.target} takes none of the sweep options --word-alphabet,"
+                " --tree-alphabet, --max-len, --max-size, --trials, --states, --seed"
+            )
+        report = check_image_theorem(alg, "words" if args.target == "images-words" else "trees")
     _emit(args, report.to_dict(), str(report))
     return 0 if report.as_predicted else UNEXPECTED_COUNTEREXAMPLE
 
@@ -176,8 +180,12 @@ def cmd_image(args):
     mod = _module(automaton)
     if mod is T:
         bound, label = args.max_size, f"trees of size <= {args.max_size}"
+        unused = args.max_len != TheoremCheckConfig.max_word_len and "--max-len"
     else:
         bound, label = args.max_len, f"words of length <= {args.max_len}"
+        unused = args.max_size != TheoremCheckConfig.max_tree_size and "--max-size"
+    if unused:
+        raise ValueError(f"{unused} does not apply to a {type(automaton).__name__}")
     images = {
         sem.value: [alg.describe(v) for v in vals]
         for sem, vals in mod.images_up_to(automaton, bound).items()

@@ -180,46 +180,28 @@ def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: b
 
 def automaton_to_dict(automaton) -> dict:
     alg = automaton.algebra
+    tree = isinstance(automaton, TreeAutomaton)
+
+    def weights(vector) -> dict:
+        return {
+            s: alg.describe(w) for s, w in zip(automaton.states, vector) if not alg.is_zero(w)
+        }
+
     obj: dict = {}
     obj["algebra"] = (
         algebra_to_dict(alg) if isinstance(alg, FiniteTableAlgebra) else alg.name
     )
     obj["states"] = list(automaton.states)
-    if isinstance(automaton, TreeAutomaton):
+    if tree:
         obj["alphabet"] = automaton.alphabet.to_dict()
-        obj["final"] = {
-            s: alg.describe(w)
-            for s, w in zip(automaton.states, automaton.root_weights)
-            if not alg.is_zero(w)
-        }
-        obj["transitions"] = [
-            {
-                "from": [automaton.states[p] for p in sw],
-                "symbol": sym,
-                "to": automaton.states[q],
-                "weight": alg.describe(w),
-            }
-            for sw, sym, q, w in automaton.stored_transitions()
-        ]
-        return obj
-    obj["alphabet"] = list(automaton.alphabet)
-    obj["initial"] = {
-        s: alg.describe(w)
-        for s, w in zip(automaton.states, automaton.initial)
-        if not alg.is_zero(w)
-    }
-    obj["final"] = {
-        s: alg.describe(w)
-        for s, w in zip(automaton.states, automaton.final)
-        if not alg.is_zero(w)
-    }
+        obj["final"] = weights(automaton.root_weights)
+    else:
+        obj["alphabet"] = list(automaton.alphabet)
+        obj["initial"] = weights(automaton.initial)
+        obj["final"] = weights(automaton.final)
     obj["transitions"] = [
-        {"from": src, "symbol": a, "to": dst, "weight": alg.describe(w)}
-        for a in automaton.alphabet
-        for src_i, src in enumerate(automaton.states)
-        for dst_i, dst in enumerate(automaton.states)
-        for w in [automaton.matrix(a)[src_i][dst_i]]
-        if not alg.is_zero(w)
+        {"from": list(src) if tree else src, "symbol": a, "to": dst, "weight": alg.describe(w)}
+        for src, a, dst, w in automaton.stored_transitions()
     ]
     return obj
 

@@ -18,6 +18,7 @@ from typing import Optional
 from . import trees as T
 from . import words as W
 from .algebra import CountingAlgebra, Semantics, WeightAlgebra, tabulate
+from .bridge import word_to_tree, wsa_to_wta
 from .properties import (
     BimonoidProperty,
     HalfCondition,
@@ -309,17 +310,9 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
         # word-style failure lifted through the unary spine
         half, verdict = _first_failing_half(tables, _WORD_HALVES)
         a, b, c = verdict.witness
-        gamma = alphabet.of_rank(1)[0]
-        alpha = alphabet.of_rank(0)[0]
-        states = ("p", "q", "r")
-        quads = [
-            ((), alpha, "p", a),
-            ((), alpha, "q", b),
-            (("p",), gamma, "r", alg.one),
-            (("q",), gamma, "r", alg.one),
-        ]
-        automaton = TreeAutomaton(alg, alphabet, states, quads, {"r": c})
-        t = Tree(gamma, (Tree(alpha),))
+        unary, alpha = alphabet.of_rank(1), alphabet.of_rank(0)[0]
+        automaton = wsa_to_wta(W.probe_automaton(alg, a, b, c, unary[0], unary), alpha)
+        t = word_to_tree((unary[0],), alpha)
     else:
         half, verdict = _first_failing_half(tables, _TREE_HALVES)
         a, b, bp, c = verdict.witness

@@ -344,7 +344,8 @@ class TreeAutomaton(WeightedAutomaton):
 
     Transitions are stored sparsely: a missing entry means zero. They are
     given as (state_word, symbol, state, weight) quadruples, with states
-    given by name.
+    given by name, and :meth:`stored_transitions` hands the stored ones back
+    in that form, so a rebuild or a conversion filters or maps that stream.
     """
 
     def __init__(self, algebra: WeightAlgebra, alphabet: RankedAlphabet, states, transitions, root_weights):
@@ -376,10 +377,15 @@ class TreeAutomaton(WeightedAutomaton):
         return row.get(state, self.algebra.zero)
 
     def stored_transitions(self) -> Iterator[tuple]:
-        for (sw, sym) in sorted(self._delta, key=lambda key: (key[1], key[0])):
-            row = self._delta[(sw, sym)]
-            for q in sorted(row):
-                yield sw, sym, q, row[q]
+        """(state_word, symbol, state, weight) for every stored transition,
+        states by name: by symbol name, then state word, then target, each
+        in state order."""
+        states = self.states
+        for sym in sorted(self._by_symbol):
+            for sw, row in self._by_symbol[sym]:
+                sw = tuple([states[p] for p in sw])
+                for q, w in row:
+                    yield sw, sym, states[q], w
 
     def check_tree(self, t: Tree) -> Tree:
         stack = [t]
@@ -394,11 +400,9 @@ class TreeAutomaton(WeightedAutomaton):
         return t
 
     def with_algebra(self, algebra: WeightAlgebra) -> "TreeAutomaton":
-        quads = [
-            (tuple(self.states[p] for p in sw), sym, self.states[q], w)
-            for sw, sym, q, w in self.stored_transitions()
-        ]
-        return TreeAutomaton(algebra, self.alphabet, self.states, quads, self.root_weights)
+        return TreeAutomaton(
+            algebra, self.alphabet, self.states, self.stored_transitions(), self.root_weights
+        )
 
     def __repr__(self):
         return (
@@ -634,11 +638,6 @@ def images_up_to(automaton: TreeAutomaton, max_size: int) -> dict:
     return _images(values(automaton, enumerate_trees(automaton.alphabet, max_size)))
 
 
-def image_up_to(automaton: TreeAutomaton, max_size: int, semantics: Semantics) -> list:
-    """One semantics' value set from :func:`images_up_to`."""
-    return images_up_to(automaton, max_size)[semantics]
-
-
 # --------------------------------------------------------------------------
 # Cuts: maximal antichains and the two rewrite directions
 
@@ -840,11 +839,7 @@ def restrict_to_nullary(automaton: TreeAutomaton, alpha: str) -> TreeAutomaton:
     ranks = {alpha: 0}
     ranks.update({s: 1 for s in automaton.alphabet.of_rank(1)})
     restricted = RankedAlphabet(ranks)
-    quads = [
-        (tuple(automaton.states[p] for p in sw), sym, automaton.states[q], w)
-        for sw, sym, q, w in automaton.stored_transitions()
-        if sym in restricted
-    ]
+    quads = [tr for tr in automaton.stored_transitions() if tr[1] in restricted]
     return TreeAutomaton(
         automaton.algebra, restricted, automaton.states, quads, automaton.root_weights
     )

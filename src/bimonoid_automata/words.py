@@ -25,7 +25,9 @@ class WordAutomaton(WeightedAutomaton):
     as mappings from state name to weight (missing entries are zero).
     ``transitions`` may be a mapping symbol -> |Q| x |Q| matrix or an iterable
     of (from_state, symbol, to_state, weight) quadruples; omitted entries are
-    zero. Instances are immutable after construction.
+    zero. :meth:`stored_transitions` hands back the nonzero entries as such
+    quadruples, so a rebuild or a conversion filters or maps that stream.
+    Instances are immutable after construction.
     """
 
     def __init__(self, algebra: WeightAlgebra, alphabet, states, initial, final, transitions):
@@ -70,6 +72,16 @@ class WordAutomaton(WeightedAutomaton):
 
     def matrix(self, symbol):
         return self._step(symbol)[0]
+
+    def stored_transitions(self) -> Iterator[tuple]:
+        """(from_state, symbol, to_state, weight) for every nonzero matrix
+        entry, states by name: by symbol in alphabet order, then source,
+        then target, in state order."""
+        states = self.states
+        for a in self.alphabet:
+            for p, row in zip(states, self._steps[a][2]):
+                for q, w in row:
+                    yield p, a, states[q], w
 
     def _step(self, symbol) -> tuple:
         """(matrix, columns, nonzero successors per row) of ``symbol``."""
@@ -259,11 +271,6 @@ def images_up_to(automaton: WordAutomaton, max_len: int) -> dict:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     return _images(values(automaton, all_words(automaton.alphabet, max_len)))
-
-
-def image_up_to(automaton: WordAutomaton, max_len: int, semantics: Semantics) -> list:
-    """One semantics' value set from :func:`images_up_to`."""
-    return images_up_to(automaton, max_len)[semantics]
 
 
 def mixed_prefix_product(automaton: WordAutomaton, word: Word, run, i: int):

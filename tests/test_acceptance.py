@@ -103,9 +103,10 @@ def test_criterion_04_word_probe_identities():
                 failures += 1
             expect_run = [alg.zero] if alg.is_zero(run_direct) else [alg.zero, run_direct]
             expect_init = [alg.zero] if alg.is_zero(init_direct) else [alg.zero, init_direct]
-            if W.image_up_to(automaton, 1, Semantics.RUN) != expect_run:
+            images = W.images_up_to(automaton, 1)
+            if images[Semantics.RUN] != expect_run:
                 failures += 1
-            if W.image_up_to(automaton, 1, Semantics.INIT) != expect_init:
+            if images[Semantics.INIT] != expect_init:
                 failures += 1
     _report(4, "word probe: 50 random triples per algebra, values and images match the direct expressions",
             failures == 0, f"{failures} failures")
@@ -130,9 +131,10 @@ def test_criterion_05_tree_probe_identities():
                     failures += 1
                 expect_run = [alg.zero] if alg.is_zero(run_direct) else [alg.zero, run_direct]
                 expect_init = [alg.zero] if alg.is_zero(init_direct) else [alg.zero, init_direct]
-                if T.image_up_to(automaton, T.size(xi), Semantics.RUN) != expect_run:
+                images = T.images_up_to(automaton, T.size(xi))
+                if images[Semantics.RUN] != expect_run:
                     failures += 1
-                if T.image_up_to(automaton, T.size(xi), Semantics.INIT) != expect_init:
+                if images[Semantics.INIT] != expect_init:
                     failures += 1
     _report(5, "tree probe: 50 random quadruples per algebra, k in {2,3}, values and images match",
             failures == 0, f"{failures} failures")

@@ -123,8 +123,31 @@ def test_integer_state_names_are_names_not_indices(tmp_path):
     assert tree_aut.delta((0,), "a", 1) == 2
     assert tree_aut.delta((), "e", 1) == 2 and tree_aut.root_weights == (0, 1)
 
+    # stored transitions carry state names, in symbol, source, target order
+    word_transitions = [(1, "a", 1, 1), (1, "a", 0, 2), (0, "a", 1, 2), (0, "b", 0, 3)]
+    assert list(word_aut.stored_transitions()) == word_transitions
+    assert list(tree_aut.stored_transitions()) == [
+        ((p,), a, q, w) for p, a, q, w in word_transitions
+    ] + [((), "e", 1, 1), ((), "e", 0, 2)]
+    rebuilt = W.WordAutomaton(
+        word_aut.algebra, word_aut.alphabet, word_aut.states, word_aut.initial,
+        word_aut.final, word_aut.stored_transitions(),
+    )
+    assert rebuilt.transitions == word_aut.transitions
+    # saved files list exactly these transitions, in this order
+    word_dicts = [{"from": p, "symbol": a, "to": q, "weight": str(w)} for p, a, q, w in word_transitions]
+    assert fileio.automaton_to_dict(word_aut)["transitions"] == word_dicts
+    assert fileio.automaton_to_dict(tree_aut)["transitions"] == [
+        dict(tr, **{"from": [tr["from"]]}) for tr in word_dicts
+    ] + [{"from": [], "symbol": "e", "to": 1, "weight": "1"},
+         {"from": [], "symbol": "e", "to": 0, "weight": "2"}]
+
     converted = bridge.wsa_to_wta(word_aut)
     assert list(converted.stored_transitions()) == list(tree_aut.stored_transitions())
+    back = bridge.string_wta_to_wsa(tree_aut)
+    assert back.states == (1, 0)
+    assert (back.initial, back.final) == (word_aut.initial, word_aut.final)
+    assert list(back.stored_transitions()) == word_transitions
     for word in W.all_words(word_aut.alphabet, 3):
         t = bridge.word_to_tree(word)
         for semantics in (Semantics.RUN, Semantics.INIT):
@@ -337,6 +360,25 @@ def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsy
     assert dataclasses.replace(config, algebra=None) == H.TheoremCheckConfig(algebra=None)
     args = cli.build_parser().parse_args(["image", "--automaton", "a.json"])
     assert (args.max_len, args.max_size) == (config.max_word_len, config.max_tree_size)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "images-trees", "--algebra", "pentagon", "--tree-alphabet", "alpha:0,gamma:1",
+     "--seed", "7", "--trials", "1"],
+    ["check", "images-words", "--algebra", "B4", "--max-len", "2"],
+    ["check", "images-words", "--algebra", "B4", "--word-alphabet", "x"],
+    ["check", "images-trees", "--algebra", "B4", "--states", "2"],
+    ["image", "--automaton", "WORD", "--max-size", "3"],
+    ["image", "--automaton", "TREE", "--max-len", "2"],
+], ids=["images-trees-sweep", "images-words-max-len", "images-words-alphabet",
+        "images-trees-states", "image-word-max-size", "image-tree-max-len"])
+def test_cli_rejects_options_it_would_ignore(argv, probe_file, tree_probe_file, capsys):
+    files = {"WORD": probe_file, "TREE": tree_probe_file}
+    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    # an option given at its default value is accepted
+    code, _, _ = run_cli(["check", "images-words", "--algebra", "B4", "--seed", "42"], capsys)
+    assert code == 0
 
 
 def test_cli_missing_automaton_file_exits_two(tmp_path, capsys):

@@ -265,8 +265,8 @@ def test_probe_images(b4_probe):
     xi = T.doubled_probe_tree(alph)
     run_val = T.run_semantics(automaton, xi, prune=True)
     init_val = T.initial_semantics(automaton, xi)
-    im_run = T.image_up_to(automaton, T.size(xi), Semantics.RUN)
-    im_init = T.image_up_to(automaton, T.size(xi), Semantics.INIT)
+    images = T.images_up_to(automaton, T.size(xi))
+    im_run, im_init = images[Semantics.RUN], images[Semantics.INIT]
     expect = lambda v: [alg.zero] if alg.is_zero(v) else [alg.zero, v]
     assert im_run == expect(run_val)
     assert im_init == expect(init_val)
@@ -274,7 +274,7 @@ def test_probe_images(b4_probe):
 
 def test_image_size_one_collects_nullary_values(b4_probe):
     alg, _, automaton = b4_probe
-    vals = T.image_up_to(automaton, 1, Semantics.INIT)
+    vals = T.images_up_to(automaton, 1)[Semantics.INIT]
     assert vals == [T.initial_semantics(automaton, T.Tree("alpha"))]
 
 
@@ -297,9 +297,8 @@ def test_trivial_alphabet_images_coincide_at_every_bound():
     for alg in (ba.b4(), ba.trunc_fun(2)):
         automaton = H.random_tree_automaton(rng, alg, alph, 3)
         for bound in (1, 2, 3):
-            assert T.image_up_to(automaton, bound, Semantics.RUN) == T.image_up_to(
-                automaton, bound, Semantics.INIT
-            )
+            images = T.images_up_to(automaton, bound)
+            assert images[Semantics.RUN] == images[Semantics.INIT]
 
 
 def test_run_weight_equals_postorder_product():

@@ -88,13 +88,14 @@ def test_zero_transition_annihilates(b4_probe):
 
 def test_image_examples(b4_probe):
     alg, automaton = b4_probe
-    assert W.image_up_to(automaton, 1, Semantics.RUN) == [alg.zero]  # a*c + b*c = 0 here
-    assert W.image_up_to(automaton, 1, Semantics.INIT) == [alg.zero, 2]
+    images = W.images_up_to(automaton, 1)
+    assert images[Semantics.RUN] == [alg.zero]  # a*c + b*c = 0 here
+    assert images[Semantics.INIT] == [alg.zero, 2]
     # length 0: the single value sum_q I_q * F_q
     eps = W.initial_semantics(automaton, ())
-    assert W.image_up_to(automaton, 0, Semantics.INIT) == [eps]
+    assert W.images_up_to(automaton, 0)[Semantics.INIT] == [eps]
     with pytest.raises(ValueError):
-        W.image_up_to(automaton, -1, Semantics.RUN)
+        W.images_up_to(automaton, -1)
 
 
 ENDS_IN_X = dict(
