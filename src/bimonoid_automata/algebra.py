@@ -32,6 +32,10 @@ class MalformedTableError(ValueError):
     """
 
 
+class HierarchyInconsistencyError(AssertionError):
+    """Computed verdicts contradict a proven implication: an implementation bug."""
+
+
 class Semantics(Enum):
     """Which of the two automaton semantics to evaluate."""
 
@@ -45,7 +49,14 @@ class WeightedAutomaton:
 
     States are always looked up by name, whatever their type; only the run
     normalisers of ``words`` and ``trees`` also take integer indices.
+    ``kind`` ("word" or "tree") names the module that evaluates the
+    automaton. Callers dispatch on it instead of ``isinstance``, so they
+    import neither module, and an automaton built by a second import of the
+    package (one dropped from ``sys.modules`` and imported again) still
+    dispatches right.
     """
+
+    kind: str
 
     def __init__(self, algebra: WeightAlgebra, states):
         if not states:
@@ -323,16 +334,17 @@ def _images(rows) -> dict:
     return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 
 
-def _table_memo(alg: WeightAlgebra, step: Callable) -> Callable:
+def _finite_memo(alg: WeightAlgebra, step: Callable) -> Callable:
     """An init step ``step(x, y)``, memoised on (x, y) for as long as the
-    returned function lives if ``alg`` is a :class:`FiniteTableAlgebra`.
+    returned function lives if ``alg`` has a finite carrier.
 
     The step depends on its vector(s) and symbol alone, so a hit returns what
-    it would, and over n elements there are at most n^|Q| vectors. Any other
-    algebra, the counting wrapper included, keeps the plain ``step``, so
-    counted profiles see every operation of the recursion.
+    it would, and over n elements there are at most n^|Q| vectors; finite
+    carriers have hashable elements (see ``WeightAlgebra.elements``). An
+    infinite carrier, and the counting wrapper over any carrier, keep the
+    plain ``step``, so counted profiles see every operation of the recursion.
     """
-    if not isinstance(alg, FiniteTableAlgebra):
+    if not alg.is_finite or isinstance(alg, CountingAlgebra):
         return step
     memo: dict = {}
 

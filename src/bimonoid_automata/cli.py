@@ -14,10 +14,10 @@ import json
 import sys
 import traceback
 
-from . import trees as T
-from . import words as W
-from .algebra import InfiniteCarrierError, Semantics, UnknownAlgebraError
-from .bridge import string_wta_to_wsa, wsa_to_wta
+# Loaded for every command: main catches fileio's error and build_parser
+# reads the check defaults from config. Each command imports the other
+# layers it runs, so it loads no module it does not use.
+from .algebra import HierarchyInconsistencyError, InfiniteCarrierError, Semantics, UnknownAlgebraError
 from .fileio import (
     FileFormatError,
     automaton_to_dict,
@@ -26,24 +26,34 @@ from .fileio import (
     parse_word_input,
     save_automaton,
 )
-from .harness import (
-    DEFAULT_TREE_ALPHABET,
-    TheoremCheckConfig,
-    check_image_theorem,
-    check_support_theorem_trees,
-    check_support_theorem_words,
-    cost_profile,
-)
-from .properties import HierarchyInconsistencyError, classify
-from .trees import RankedAlphabet, TreeAutomaton, parse as parse_tree
-from .words import WordAutomaton
+from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
 
 USAGE_ERROR = 2
 UNEXPECTED_COUNTEREXAMPLE = 1
 INTERNAL_ERROR = 3
 
+# The TheoremCheckConfig field each sweep option of ``check`` sets.
+_SWEEP_FIELDS = {
+    "--word-alphabet": "word_alphabet",
+    "--tree-alphabet": "tree_alphabet",
+    "--max-len": "max_word_len",
+    "--max-size": "max_tree_size",
+    "--trials": "num_automata",
+    "--states": "max_states",
+    "--seed": "seed",
+}
+# The sweep options each check would ignore: a support check reads one input
+# kind, and an image check runs one fixed probe family.
+_IGNORED = {
+    "supports-words": ("--tree-alphabet", "--max-size"),
+    "supports-trees": ("--word-alphabet", "--max-len"),
+    "images-words": tuple(_SWEEP_FIELDS),
+    "images-trees": tuple(_SWEEP_FIELDS),
+}
 
-def _parse_ranked_alphabet(text: str) -> RankedAlphabet:
+
+def _parse_ranked_alphabet(text: str):
+    from .trees import RankedAlphabet
     ranks = {}
     for part in text.split(","):
         part = part.strip()
@@ -57,14 +67,20 @@ def _parse_ranked_alphabet(text: str) -> RankedAlphabet:
 
 
 def _load_input(automaton, text: str):
-    if isinstance(automaton, TreeAutomaton):
-        return parse_tree(text, automaton.alphabet)
+    if automaton.kind == "tree":
+        from .trees import parse
+        return parse(text, automaton.alphabet)
     return parse_word_input(automaton, text)
 
 
 def _module(automaton):
-    """The semantics module that evaluates this automaton."""
-    return T if isinstance(automaton, TreeAutomaton) else W
+    """The semantics module that evaluates this automaton; the other one is
+    not loaded."""
+    if automaton.kind == "tree":
+        from . import trees
+        return trees
+    from . import words
+    return words
 
 
 def _evaluate(automaton, inp, semantics: Semantics):
@@ -104,6 +120,7 @@ def cmd_support(args):
 
 
 def cmd_props(args):
+    from .properties import classify
     alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
     if not alg.is_finite:
         raise InfiniteCarrierError(
@@ -115,6 +132,7 @@ def cmd_props(args):
 
 
 def cmd_check(args):
+    from .harness import check_image_theorem, check_support_theorem_trees, check_support_theorem_words
     alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
     word_alphabet = tuple(args.word_alphabet.split(","))
     if not all(word_alphabet):
@@ -132,30 +150,32 @@ def cmd_check(args):
         max_states=args.states,
         seed=args.seed,
     )
+    default = TheoremCheckConfig(algebra=alg)
+    ignored = [
+        opt for opt in _IGNORED[args.target]
+        if getattr(config, _SWEEP_FIELDS[opt]) != getattr(default, _SWEEP_FIELDS[opt])
+    ]
+    if ignored:
+        raise ValueError(f"{args.target} does not take {', '.join(ignored)}")
     if args.target == "supports-words":
         report = check_support_theorem_words(config)
     elif args.target == "supports-trees":
         report = check_support_theorem_trees(config)
     else:
-        # the image checks run one fixed probe family, not a sweep
-        if config != TheoremCheckConfig(algebra=alg):
-            raise ValueError(
-                f"{args.target} takes none of the sweep options --word-alphabet,"
-                " --tree-alphabet, --max-len, --max-size, --trials, --states, --seed"
-            )
         report = check_image_theorem(alg, "words" if args.target == "images-words" else "trees")
     _emit(args, report.to_dict(), str(report))
     return 0 if report.as_predicted else UNEXPECTED_COUNTEREXAMPLE
 
 
 def cmd_convert(args):
+    from .bridge import string_wta_to_wsa, wsa_to_wta
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
     if args.direction == "word-to-tree":
-        if not isinstance(automaton, WordAutomaton):
+        if automaton.kind != "word":
             raise ValueError(f"{args.automaton} does not contain a word automaton")
         converted = wsa_to_wta(automaton, args.end_marker)
     else:
-        if not isinstance(automaton, TreeAutomaton):
+        if automaton.kind != "tree":
             raise ValueError(f"{args.automaton} does not contain a tree automaton")
         converted = string_wta_to_wsa(automaton)
     if args.output:
@@ -167,6 +187,7 @@ def cmd_convert(args):
 
 
 def cmd_profile(args):
+    from .harness import cost_profile
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
     inp = _load_input(automaton, args.input)
     profile = cost_profile(automaton, inp)
@@ -178,7 +199,7 @@ def cmd_image(args):
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
     alg = automaton.algebra
     mod = _module(automaton)
-    if mod is T:
+    if automaton.kind == "tree":
         bound, label = args.max_size, f"trees of size <= {args.max_size}"
         unused = args.max_len != TheoremCheckConfig.max_word_len and "--max-len"
     else:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .algebra import FiniteTableAlgebra, WeightAlgebra, builtin, validate_axioms
-from .trees import RankedAlphabet, TreeAutomaton
-from .words import WordAutomaton
+
+if TYPE_CHECKING:
+    from .words import WordAutomaton
 
 
 class FileFormatError(ValueError):
@@ -170,9 +171,12 @@ def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: b
                       weight(_require(tr, "weight", where), where)))
     final = state_weights("final")
     initial = {} if tree else state_weights("initial")
+    # only the module of the automaton's kind is loaded
     try:
         if tree:
+            from .trees import RankedAlphabet, TreeAutomaton
             return TreeAutomaton(alg, RankedAlphabet(alphabet), states, quads, final)
+        from .words import WordAutomaton
         return WordAutomaton(alg, alphabet, states, initial, final, quads)
     except ValueError as exc:
         raise FileFormatError(source, str(exc)) from None
@@ -180,7 +184,7 @@ def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: b
 
 def automaton_to_dict(automaton) -> dict:
     alg = automaton.algebra
-    tree = isinstance(automaton, TreeAutomaton)
+    tree = automaton.kind == "tree"
 
     def weights(vector) -> dict:
         return {

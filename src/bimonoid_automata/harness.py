@@ -17,40 +17,12 @@ from typing import Optional
 
 from . import trees as T
 from . import words as W
-from .algebra import CountingAlgebra, Semantics, WeightAlgebra, tabulate
+from .algebra import CountingAlgebra, HierarchyInconsistencyError, Semantics, WeightAlgebra, tabulate
 from .bridge import word_to_tree, wsa_to_wta
-from .properties import (
-    BimonoidProperty,
-    HalfCondition,
-    HierarchyInconsistencyError,
-    check,
-    check_half,
-)
+from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
+from .properties import BimonoidProperty, HalfCondition, check, check_half
 from .trees import RankedAlphabet, Tree, TreeAutomaton, classify_alphabet
 from .words import WordAutomaton
-
-DEFAULT_WORD_ALPHABET = ("a", "b")
-DEFAULT_TREE_ALPHABET = {"alpha": 0, "sigma": 2}
-
-
-@dataclass
-class TheoremCheckConfig:
-    """Bounds, trial counts and seeding for one theorem check."""
-
-    algebra: WeightAlgebra
-    word_alphabet: tuple = DEFAULT_WORD_ALPHABET
-    tree_alphabet: Optional[RankedAlphabet] = None
-    max_word_len: int = 4
-    max_tree_size: int = 7
-    num_automata: int = 100
-    max_states: int = 3
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.tree_alphabet is None:
-            self.tree_alphabet = RankedAlphabet(dict(DEFAULT_TREE_ALPHABET))
-        if min(self.max_word_len, self.max_tree_size, self.num_automata, self.max_states) < 1:
-            raise ValueError("bounds and trial counts must be >= 1")
 
 
 @dataclass
@@ -439,7 +411,7 @@ def cost_profile(automaton, inp) -> CostProfile:
     counting = CountingAlgebra(automaton.algebra)
     shadow = automaton.with_algebra(counting)
     n_states = len(automaton.states)
-    if isinstance(automaton, WordAutomaton):
+    if automaton.kind == "word":
         mod, inp = W, shadow.check_word(inp)
     else:
         mod, inp = T, shadow.check_tree(inp)

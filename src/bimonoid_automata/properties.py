@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .algebra import Tabulation, WeightAlgebra, _first_pair, _first_row_difference, tabulate
+from .algebra import (
+    HierarchyInconsistencyError,
+    Tabulation,
+    WeightAlgebra,
+    _first_pair,
+    _first_row_difference,
+    tabulate,
+)
 
 
 class BimonoidProperty(Enum):
@@ -45,10 +52,6 @@ class HalfCondition(Enum):
     INIT_TO_RUN = "init-to-run"            # (a+b)*c != 0  =>  a*c != 0 or b*c != 0
     TREE_RUN_TO_INIT = "tree-run-to-init"  # a*b*c != 0  =>  a*(b+b')*c != 0
     TREE_INIT_TO_RUN = "tree-init-to-run"  # a*(b+b')*c != 0  =>  a*b*c != 0 or a*b'*c != 0
-
-
-class HierarchyInconsistencyError(AssertionError):
-    """Computed verdicts contradict a proven implication: an implementation bug."""
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total, _table_memo
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _finite_memo, _images, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -348,6 +348,8 @@ class TreeAutomaton(WeightedAutomaton):
     in that form, so a rebuild or a conversion filters or maps that stream.
     """
 
+    kind = "tree"
+
     def __init__(self, algebra: WeightAlgebra, alphabet: RankedAlphabet, states, transitions, root_weights):
         super().__init__(algebra, states)
         self.alphabet = alphabet
@@ -570,8 +572,8 @@ def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> li
 
 def _init_nodes(automaton: TreeAutomaton):
     """``step(symbol, child vectors)``: :func:`_init_node`, memoised per
-    (symbol, child vectors) over a finite table (see ``algebra._table_memo``)."""
-    return _table_memo(
+    (symbol, child vectors) over a finite carrier (see ``algebra._finite_memo``)."""
+    return _finite_memo(
         automaton.algebra, lambda symbol, vecs: _init_node(automaton, symbol, vecs)
     )
 
@@ -581,10 +583,10 @@ def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
 
     Only stored transitions are visited; absent entries would contribute a
     zero factor and change nothing. Repeated subtrees are evaluated once.
-    Over a :class:`~.algebra.FiniteTableAlgebra` each (symbol, child vectors)
-    step is also computed once per call, so distinct subtrees that reach the
-    same vectors share it; over any other algebra, the counting wrapper
-    included, every distinct subtree does its own step.
+    Over a finite carrier each (symbol, child vectors) step is also computed
+    once per call, so distinct subtrees that reach the same vectors share it;
+    over an infinite carrier, and under the counting wrapper, every distinct
+    subtree does its own step.
     """
     return _bottom_up(automaton, t, {}, _init_nodes(automaton))
 

@@ -13,7 +13,7 @@ import itertools
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _images, _run_total, _table_memo
+from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _finite_memo, _images, _run_total
 
 Word = Sequence[str]
 
@@ -29,6 +29,8 @@ class WordAutomaton(WeightedAutomaton):
     quadruples, so a rebuild or a conversion filters or maps that stream.
     Instances are immutable after construction.
     """
+
+    kind = "word"
 
     def __init__(self, algebra: WeightAlgebra, alphabet, states, initial, final, transitions):
         super().__init__(algebra, states)
@@ -195,9 +197,9 @@ def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
 
 def _init_steps(automaton: WordAutomaton):
     """``step(vec, symbol)``: the vector times the symbol's matrix, memoised
-    per (vector, symbol) over a finite table (see ``algebra._table_memo``)."""
+    per (vector, symbol) over a finite carrier (see ``algebra._finite_memo``)."""
     add, mul = automaton.algebra.add, automaton.algebra.mul
-    return _table_memo(
+    return _finite_memo(
         automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[1])
     )
 
@@ -205,10 +207,10 @@ def _init_steps(automaton: WordAutomaton):
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix.
 
-    Over a :class:`~.algebra.FiniteTableAlgebra` each (vector, symbol) step
-    is computed once per call, so a long word costs about a lookup per
-    symbol; over any other algebra, the counting wrapper included, every
-    step does its |Q|^2 muls and |Q|(|Q|-1) adds.
+    Over a finite carrier each (vector, symbol) step is computed once per
+    call, so a long word costs about a lookup per symbol; over an infinite
+    carrier, and under the counting wrapper, every step does its |Q|^2 muls
+    and |Q|(|Q|-1) adds.
     """
     step = _init_steps(automaton)
     vec = automaton.initial

@@ -23,11 +23,6 @@ def finite_algebras():
     return ba.bundled_finite_algebras()
 
 
-def table_algebras():
-    """Every bundled FiniteTableAlgebra."""
-    return [alg for alg in ba.bundled_finite_algebras() if isinstance(alg, ba.FiniteTableAlgebra)]
-
-
 @pytest.fixture(scope="session")
 def branching_alphabet():
     return T.RankedAlphabet({"alpha": 0, "sigma": 2})

@@ -352,8 +352,8 @@ def test_cli_convert_has_no_format_option(probe_file, capsys):
 def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsys):
     # cmd_check builds its TheoremCheckConfig from the parsed defaults alone
     built = []
-    real = cli.check_support_theorem_words
-    monkeypatch.setattr(cli, "check_support_theorem_words", lambda config: built.append(config) or real(config))
+    real = H.check_support_theorem_words
+    monkeypatch.setattr(H, "check_support_theorem_words", lambda config: built.append(config) or real(config))
     code, _, _ = run_cli(["check", "supports-words", "--algebra", "B4"], capsys)
     assert code == 0
     [config] = built
@@ -370,8 +370,14 @@ def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsy
     ["check", "images-trees", "--algebra", "B4", "--states", "2"],
     ["image", "--automaton", "WORD", "--max-size", "3"],
     ["image", "--automaton", "TREE", "--max-len", "2"],
+    ["check", "supports-words", "--algebra", "B4", "--tree-alphabet", "x:0", "--trials", "2"],
+    ["check", "supports-words", "--algebra", "B4", "--max-size", "3", "--trials", "2"],
+    ["check", "supports-trees", "--algebra", "B4", "--word-alphabet", "zz", "--trials", "2"],
+    ["check", "supports-trees", "--algebra", "B4", "--max-len", "9", "--trials", "2"],
 ], ids=["images-trees-sweep", "images-words-max-len", "images-words-alphabet",
-        "images-trees-states", "image-word-max-size", "image-tree-max-len"])
+        "images-trees-states", "image-word-max-size", "image-tree-max-len",
+        "supports-words-tree-alphabet", "supports-words-max-size",
+        "supports-trees-word-alphabet", "supports-trees-max-len"])
 def test_cli_rejects_options_it_would_ignore(argv, probe_file, tree_probe_file, capsys):
     files = {"WORD": probe_file, "TREE": tree_probe_file}
     code, out, err = run_cli([files.get(a, a) for a in argv], capsys)

@@ -10,7 +10,7 @@ from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata.algebra import Semantics
 
-from conftest import dense_state_vector, plain_tree_vectors, random_run, random_tree, table_algebras
+from conftest import dense_state_vector, plain_tree_vectors, random_run, random_tree
 
 ALPHABET = T.RankedAlphabet({"sigma": 2, "delta": 2, "alpha": 0, "beta": 0})
 EXAMPLE = T.parse("sigma(delta(alpha,beta),alpha)", ALPHABET)
@@ -340,9 +340,9 @@ def _random_tree(rng, leaves):
     return pool[0]
 
 
-@pytest.mark.parametrize("alg", table_algebras(), ids=lambda alg: alg.name)
+@pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
 def test_memoised_tree_init_matches_plain_fold(alg, monkeypatch):
-    # over a table each (symbol, child vectors) step runs once per call, so
+    # over a finite carrier each (symbol, child vectors) step runs once per call, so
     # distinct subtrees that reach the same vectors share it; the twin
     # subtrees below are equal but separately built
     calls: list = []

@@ -16,7 +16,6 @@ from conftest import (
     literal_word_vectors,
     nfa_accepts,
     nfa_as_boole_automaton,
-    table_algebras,
 )
 
 
@@ -223,9 +222,9 @@ def _count_init_steps(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("alg", table_algebras(), ids=lambda alg: alg.name)
+@pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
 def test_memoised_init_matches_literal_fold(alg, monkeypatch):
-    # over a table each (vector, symbol) step runs once per call: words of
+    # over a finite carrier each (vector, symbol) step runs once per call: words of
     # 10^3 symbols revisit vectors, so almost every step is a memo hit
     calls = _count_init_steps(monkeypatch)
     rng = random.Random(53)
@@ -247,8 +246,8 @@ def test_memoised_init_matches_literal_fold(alg, monkeypatch):
 
 
 def test_counted_init_takes_the_plain_recursion(monkeypatch):
-    # the memo would hit on a^1000 over pentagon, but the counting wrapper is
-    # not a table, so criterion 11's closed forms still hold exactly
+    # the memo would hit on a^1000 over pentagon, but the counting wrapper
+    # always takes the plain step, so criterion 11's closed forms still hold exactly
     n = 1000
     rng = random.Random(3)
     automaton = H.random_word_automaton(rng, ba.pentagon(), ("a",), 3)
