@@ -11,8 +11,9 @@ polynomials, ...).
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -103,7 +104,7 @@ class WeightAlgebra:
     :class:`CountingAlgebra`.
 
     Pruned run semantics (``run_semantics(..., prune=True)`` and the
-    ``values`` streams) counts runs by (state, weight) instead of listing
+    ``explore`` walks) counts runs by (state, weight) instead of listing
     them: it relies on ``add`` being commutative and associative, on zero
     annihilating, and on values being hashable with ``equal`` agreeing with
     ``==``. Every bundled algebra meets this. On tables that break the axioms
@@ -283,6 +284,53 @@ class CountingAlgebra(WeightAlgebra):
         return self.inner.elements()
 
 
+@dataclass
+class CostProfile:
+    kind: str  # "word" | "tree"
+    input_label: str
+    n_states: int
+    input_size: int
+    run_counts: dict
+    init_counts: dict
+    run_value: str
+    init_value: str
+    predicted: dict
+
+    def to_dict(self):
+        # the fields in order, under their JSON names
+        keys = ("kind", "input", "states", "size", "run", "init", "run_value", "init_value", "predicted")
+        return dict(zip(keys, astuple(self)))
+
+    def __str__(self):
+        lines = [
+            f"cost profile ({self.kind}, |Q|={self.n_states}, input {self.input_label})",
+            f"  run : {self.run_counts['adds']} adds, {self.run_counts['muls']} muls -> {self.run_value}",
+            f"  init: {self.init_counts['adds']} adds, {self.init_counts['muls']} muls -> {self.init_value}",
+        ]
+        for k, v in self.predicted.items():
+            lines.append(f"  predicted {k}: {v}")
+        return "\n".join(lines)
+
+
+def _cost_profile(automaton, inp, evaluate, label: str, size: int, predicted: dict) -> CostProfile:
+    """Both semantics of a checked input, evaluated by ``evaluate`` under a
+    counting wrapper, with the totals and the given predictions."""
+    counting = CountingAlgebra(automaton.algebra)
+    shadow = automaton.with_algebra(counting)
+
+    def measured(semantics):
+        counting.reset_counts()
+        value = evaluate(shadow, inp, semantics)
+        return dict(zip(("adds", "muls"), counting.read_counts())), automaton.algebra.describe(value)
+
+    run_counts, run_value = measured(Semantics.RUN)
+    init_counts, init_value = measured(Semantics.INIT)
+    return CostProfile(
+        automaton.kind, label, len(automaton.states), size,
+        run_counts, init_counts, run_value, init_value, predicted,
+    )
+
+
 # --------------------------------------------------------------------------
 # Counted runs and value sets, shared by the word and tree evaluators
 #
@@ -322,14 +370,46 @@ def _run_total(alg: WeightAlgebra, runs: list, final) -> object:
     return alg.zero if total is None else total
 
 
+def _count_cycle(tables: Tabulation) -> tuple:
+    """The least index t and period p with (t + p)·x = t·x for every element
+    x, read off the add table: x, 2x, 3x, ... run into a cycle for each x."""
+    t = p = 1
+    for x in range(len(tables.elements)):
+        first: dict = {}  # multiple -> least n with n·x equal to it
+        m = x
+        while m not in first:
+            first[m] = len(first) + 1
+            m = tables.add[m][x]
+        t, p = max(t, first[m]), math.lcm(p, len(first) + 1 - first[m])
+    return t, p
+
+
+def _configuration(vec: tuple, runs: list, cycle: Optional[tuple]) -> tuple:
+    """The hashable configuration of an evolved vector and counted runs: both
+    semantics of an input and of all its extensions depend on it alone.
+
+    With ``cycle`` = (t, p) from :func:`_count_cycle`, each count c >= t + p
+    is first set to t + (c - t) mod p, in place. That map respects the sums
+    and products counts go through, and c·x depends only on its result, so
+    values stay exact and a finite carrier has finitely many configurations.
+    """
+    if cycle is not None:
+        t, p = cycle
+        for weights in runs:
+            for w, c in weights.items():
+                if c >= t + p:
+                    weights[w] = t + (c - t) % p
+    return vec, tuple([frozenset(weights.items()) for weights in runs])
+
+
 def _images(rows) -> dict:
-    """The run and init value sets of ``(input, run value, init value)``
-    rows, each in first-seen order. Values are deduplicated by hash, which
-    the counted runs that produce them already need (see
+    """The run and init value sets of ``(rank, input, run value, init
+    value)`` rows, each in first-seen order. Values are deduplicated by hash,
+    which the counted runs that produce them already need (see
     :class:`WeightAlgebra`)."""
     run: dict = {}
     init: dict = {}
-    for _, run_value, init_value in rows:
+    for *_, run_value, init_value in rows:
         run[run_value] = init[init_value] = None
     return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 

@@ -187,10 +187,9 @@ def cmd_convert(args):
 
 
 def cmd_profile(args):
-    from .harness import cost_profile
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
     inp = _load_input(automaton, args.input)
-    profile = cost_profile(automaton, inp)
+    profile = _module(automaton).cost_profile(automaton, inp)
     _emit(args, profile.to_dict(), str(profile))
     return 0
 

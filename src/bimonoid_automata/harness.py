@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import trees as T
 from . import words as W
-from .algebra import CountingAlgebra, HierarchyInconsistencyError, Semantics, WeightAlgebra, tabulate
+from .algebra import CostProfile, HierarchyInconsistencyError, Semantics, WeightAlgebra, _count_cycle, tabulate
 from .bridge import word_to_tree, wsa_to_wta
 from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
 from .properties import BimonoidProperty, HalfCondition, check, check_half
@@ -157,31 +157,33 @@ def _values_differ(alg, run_val, init_val) -> Optional[str]:
     return None if alg.equal(run_val, init_val) else "values-differ"
 
 
-def _sweep(theorem, config, hypothesis, mod, random_automaton, inputs, compare) -> CheckReport:
-    """Evaluate both semantics of ``config.num_automata`` random automata on
-    every input of ``inputs()`` (one ``mod.values`` stream per automaton), and
-    report the first input on which ``compare(alg, run_value, init_value)``
-    names a direction."""
+def _sweep(theorem, config, hypothesis, random_automaton, explore, n_inputs, compare) -> CheckReport:
+    """Decide both semantics of ``config.num_automata`` random automata on
+    ``n_inputs`` inputs each, and report the first input on which
+    ``compare(alg, run_value, init_value)`` names a direction. Inputs of one
+    configuration share their values, and ``explore(automaton)`` yields
+    ``(rank, input, run value, init value)`` by rank for the first input of
+    each, so its first hit is the first failing input."""
     alg = config.algebra
     rng = random.Random(config.seed)
-    checked = 0
+    configurations = 0
     for trial in range(config.num_automata):
         automaton = random_automaton(rng)
-        for inp, run_val, init_val in mod.values(automaton, inputs()):
-            checked += 1
+        for rank, inp, run_val, init_val in explore(automaton):
+            configurations += 1
             direction = compare(alg, run_val, init_val)
             if direction is not None:
                 witness = CheckWitness(
                     automaton, inp, alg.describe(run_val), alg.describe(init_val), direction
                 )
+                stats = {"automata_checked": trial + 1, "inputs_checked": trial * n_inputs + rank + 1,
+                         "configurations": configurations}
                 return CheckReport(
-                    theorem, alg.name, "counterexample", False, hypothesis, witness,
-                    {"automata_checked": trial + 1, "inputs_checked": checked}, config.seed,
+                    theorem, alg.name, "counterexample", False, hypothesis, witness, stats, config.seed
                 )
-    return CheckReport(
-        theorem, alg.name, "consistent", True, hypothesis, None,
-        {"automata_checked": config.num_automata, "inputs_checked": checked}, config.seed,
-    )
+    stats = {"automata_checked": config.num_automata, "inputs_checked": config.num_automata * n_inputs,
+             "configurations": configurations}
+    return CheckReport(theorem, alg.name, "consistent", True, hypothesis, None, stats, config.seed)
 
 
 # The halves of each support hypothesis, run-to-init first.
@@ -205,7 +207,8 @@ def _probe(theorem, config, hypothesis, half, verdict, mod, automaton, inp) -> C
     """Evaluate the probe built from a failing half's witness and confirm the
     one-sided support difference that half predicts."""
     alg = config.algebra
-    [(_, run_val, init_val)] = mod.values(automaton, [inp])
+    run_val = mod.evaluate(automaton, inp, Semantics.RUN, prune=True)
+    init_val = mod.evaluate(automaton, inp, Semantics.INIT)
     run_to_init = half in (HalfCondition.RUN_TO_INIT, HalfCondition.TREE_RUN_TO_INIT)
     expected = "run-only" if run_to_init else "init-only"
     witness = CheckWitness(
@@ -230,10 +233,12 @@ def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
     hypothesis = {"strongly-zero-sum-free": strongly.holds}
 
     if strongly.holds:
+        max_len, cycle = config.max_word_len, _count_cycle(tables)
         return _sweep(
-            "supports-words", config, hypothesis, W,
+            "supports-words", config, hypothesis,
             lambda rng: random_word_automaton(rng, alg, alphabet, config.max_states),
-            lambda: W.all_words(alphabet, config.max_word_len),
+            lambda automaton: W.explore(automaton, max_len, cycle),
+            sum(len(alphabet) ** n for n in range(max_len + 1)),
             _supports_differ,
         )
 
@@ -252,17 +257,19 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     alphabet = config.tree_alphabet
     cls = classify_alphabet(alphabet)
 
-    def sweep(hypothesis, max_size, compare):
+    def sweep(hypothesis, max_size, compare, cycle=None):
         test_trees = list(T.enumerate_trees(alphabet, max_size))
         return _sweep(
-            "supports-trees", config, hypothesis, T,
+            "supports-trees", config, hypothesis,
             lambda rng: random_tree_automaton(rng, alg, alphabet, config.max_states),
-            lambda: test_trees,
+            lambda automaton: T.explore(automaton, test_trees, cycle),
+            len(test_trees),
             compare,
         )
 
     if cls.trivial:
-        # every tree is a single leaf, on which the two semantics coincide
+        # every tree is a single leaf, on which the two semantics coincide;
+        # no tables are built, so counts stay exact
         return sweep({"alphabet-class": "trivial"}, 1, _values_differ)
 
     if cls.monadic:
@@ -276,7 +283,7 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     hypothesis = {"alphabet-class": label, hypothesis_prop.value: hyp.holds}
 
     if hyp.holds:
-        return sweep(hypothesis, config.max_tree_size, _supports_differ)
+        return sweep(hypothesis, config.max_tree_size, _supports_differ, _count_cycle(tables))
 
     if cls.monadic:
         # word-style failure lifted through the unary spine
@@ -350,92 +357,7 @@ def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
 # Cost profiling
 
 
-def word_run_cost(n_states: int, length: int) -> dict:
-    """Closed-form operation counts for the unpruned run enumeration."""
-    runs = n_states ** (length + 1)
-    return {"muls": runs * (length + 1), "adds": runs - 1}
-
-
-def word_init_cost(n_states: int, length: int) -> dict:
-    """Exact counts for the vector-matrix evolution plus the final fold."""
-    return {
-        "muls": length * n_states * n_states + n_states,
-        "adds": length * n_states * (n_states - 1) + (n_states - 1),
-    }
-
-
-def tree_init_cost_bound(n_states: int, max_rank: int, tree_size: int) -> int:
-    """Linear upper bound on total operations of the bottom-up recursion."""
-    return (max_rank + 5) * n_states ** (max_rank + 1) * tree_size
-
-
-@dataclass
-class CostProfile:
-    kind: str  # "word" | "tree"
-    input_label: str
-    n_states: int
-    input_size: int
-    run_counts: dict
-    init_counts: dict
-    run_value: str
-    init_value: str
-    predicted: dict
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "input": self.input_label,
-            "states": self.n_states,
-            "size": self.input_size,
-            "run": self.run_counts,
-            "init": self.init_counts,
-            "run_value": self.run_value,
-            "init_value": self.init_value,
-            "predicted": self.predicted,
-        }
-
-    def __str__(self):
-        lines = [
-            f"cost profile ({self.kind}, |Q|={self.n_states}, input {self.input_label})",
-            f"  run : {self.run_counts['adds']} adds, {self.run_counts['muls']} muls -> {self.run_value}",
-            f"  init: {self.init_counts['adds']} adds, {self.init_counts['muls']} muls -> {self.init_value}",
-        ]
-        for k, v in self.predicted.items():
-            lines.append(f"  predicted {k}: {v}")
-        return "\n".join(lines)
-
-
 def cost_profile(automaton, inp) -> CostProfile:
-    """Evaluate both semantics under a counting wrapper and report totals next
-    to the closed-form predictions (words) or the linear bound (trees)."""
-    counting = CountingAlgebra(automaton.algebra)
-    shadow = automaton.with_algebra(counting)
-    n_states = len(automaton.states)
-    if automaton.kind == "word":
-        mod, inp = W, shadow.check_word(inp)
-    else:
-        mod, inp = T, shadow.check_tree(inp)
-
-    def measured(semantics):
-        counting.reset_counts()
-        value = mod.evaluate(shadow, inp, semantics)
-        return dict(zip(("adds", "muls"), counting.read_counts())), automaton.algebra.describe(value)
-
-    run_counts, run_value = measured(Semantics.RUN)
-    init_counts, init_value = measured(Semantics.INIT)
-
-    if mod is W:
-        kind, label, size = "word", " ".join(inp) or "<empty>", len(inp)
-        predicted = {
-            "run": word_run_cost(n_states, size),
-            "init": word_init_cost(n_states, size),
-        }
-    else:
-        kind, label, size = "tree", str(inp), T.size(inp)
-        predicted = {
-            "runs_enumerated": n_states ** size,
-            "init_ops_bound": tree_init_cost_bound(n_states, automaton.alphabet.max_rank, size),
-        }
-    return CostProfile(
-        kind, label, n_states, size, run_counts, init_counts, run_value, init_value, predicted
-    )
+    """The cost profile of ``inp`` from the automaton's own module: closed
+    forms for words, the linear bound for trees."""
+    return (W if automaton.kind == "word" else T).cost_profile(automaton, inp)

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _finite_memo, _images, _run_total
+from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
+from .algebra import _configuration, _cost_profile, _finite_memo, _images, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -596,29 +597,39 @@ def initial_semantics(automaton: TreeAutomaton, t: Tree):
     return alg.sum(map(alg.mul, state_vector(automaton, t), automaton.root_weights))
 
 
-def values(automaton: TreeAutomaton, trees: Iterable[Tree]) -> Iterator[tuple]:
-    """``(tree, run value, init value)`` for each tree, in order.
-
-    Run values are the pruned (counted) ones. The evolved vector and the
-    counted runs of every subtree evaluated are kept while the stream lives,
-    so a tree costs one node step per node not seen before: one in all when
-    its children came earlier, as :func:`enumerate_trees` lists them.
-    The init steps share one memo per stream, as in :func:`state_vector`.
+def explore(automaton: TreeAutomaton, trees: Iterable[Tree], cycle: Optional[tuple] = None) -> Iterator[tuple]:
+    """``(index, tree, run value, init value)`` for the first of ``trees``
+    to reach each configuration (``algebra._configuration`` under
+    ``cycle``). Children first, each subtree's configuration is interned
+    under its symbol and its children's configuration ids, so a node step
+    (init memoised as in :func:`state_vector`) runs once per distinct
+    (symbol, child ids), and each configuration's values are folded once.
+    Run values are the pruned ones.
     """
-    alg = automaton.algebra
-    root = automaton.root_weights
+    alg, root = automaton.algebra, automaton.root_weights
     init_step = _init_nodes(automaton)
+    ids: dict = {}  # configuration -> id
+    reached: list = []  # id -> (vector, counted runs)
+    interned: dict = {}  # (symbol, child ids) -> id
 
-    def both(symbol, children):
-        return (
-            init_step(symbol, tuple([c[0] for c in children])),
-            _run_node(automaton, symbol, [c[1] for c in children]),
-        )
+    def step(symbol, children):
+        key = (symbol, children)
+        if key not in interned:
+            vec = init_step(symbol, tuple([reached[c][0] for c in children]))
+            runs = _run_node(automaton, symbol, [reached[c][1] for c in children])
+            interned[key] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
+            if interned[key] == len(reached):
+                reached.append((vec, runs))
+        return interned[key]
 
     memo: dict = {}
-    for t in trees:
-        vec, runs = _bottom_up(automaton, t, memo, both)
-        yield t, _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
+    yielded: set = set()
+    for index, t in enumerate(trees):
+        c = _bottom_up(automaton, t, memo, step)
+        if c not in yielded:
+            yielded.add(c)
+            vec, runs = reached[c]
+            yield index, t, _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
 
 
 def evaluate(automaton: TreeAutomaton, t: Tree, semantics: Semantics, prune: bool = False):
@@ -634,10 +645,10 @@ def in_support(automaton: TreeAutomaton, t: Tree, semantics: Semantics) -> bool:
 def images_up_to(automaton: TreeAutomaton, max_size: int) -> dict:
     """Exact value sets of both semantics over all trees with <= max_size
     nodes (deterministic enumeration), keyed by :class:`Semantics`, each in
-    first-seen order; one pass of :func:`values`."""
+    first-seen order; one :func:`explore` walk with exact counts."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    return _images(values(automaton, enumerate_trees(automaton.alphabet, max_size)))
+    return _images(explore(automaton, enumerate_trees(automaton.alphabet, max_size)))
 
 
 # --------------------------------------------------------------------------
@@ -845,3 +856,18 @@ def restrict_to_nullary(automaton: TreeAutomaton, alpha: str) -> TreeAutomaton:
     return TreeAutomaton(
         automaton.algebra, restricted, automaton.states, quads, automaton.root_weights
     )
+
+
+def tree_init_cost_bound(n_states: int, max_rank: int, tree_size: int) -> int:
+    """Linear upper bound on total operations of the bottom-up recursion."""
+    return (max_rank + 5) * n_states ** (max_rank + 1) * tree_size
+
+
+def cost_profile(automaton: TreeAutomaton, t: Tree) -> CostProfile:
+    """Evaluate both semantics under a counting wrapper and report totals next
+    to the number of runs enumerated and the init recursion's linear bound."""
+    t = automaton.check_tree(t)
+    n_states, n = len(automaton.states), size(t)
+    bound = tree_init_cost_bound(n_states, automaton.alphabet.max_rank, n)
+    predicted = {"runs_enumerated": n_states ** n, "init_ops_bound": bound}
+    return _cost_profile(automaton, t, evaluate, str(t), n, predicted)

@@ -10,10 +10,12 @@ this package.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import reduce
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .algebra import Semantics, WeightAlgebra, WeightedAutomaton, _finite_memo, _images, _run_total
+from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
+from .algebra import _configuration, _cost_profile, _finite_memo, _images, _run_total
 
 Word = Sequence[str]
 
@@ -224,29 +226,33 @@ def initial_semantics(automaton: WordAutomaton, word: Word):
     return alg.sum(map(alg.mul, state_vector(automaton, word), automaton.final))
 
 
-def values(automaton: WordAutomaton, words: Iterable[Word]) -> Iterator[tuple]:
-    """``(word, run value, init value)`` for each word, in order.
-
-    Run values are the pruned (counted) ones. The evolved vector and the
-    counted runs of every prefix evaluated are kept in a trie while the
-    stream lives, so a word costs one init step and one counted step per
-    symbol past its longest prefix seen before: one of each when the words
-    are prefix-closed and shortest first, as :func:`all_words` lists them.
-    The init steps share one memo per stream, as in :func:`state_vector`.
+def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = None) -> Iterator[tuple]:
+    """``(rank, word, run value, init value)`` for the least word, in
+    :func:`all_words` order, of each configuration (``algebra._configuration``
+    under ``cycle``) that words of length <= max_len reach;
+    ``rank`` is that word's index there. The walk is breadth first, so rows
+    come by rank: each configuration takes one init step (memoised as in
+    :func:`state_vector`) and one counted step per symbol, and folds its
+    values once. Run values are the pruned ones.
     """
-    alg = automaton.algebra
-    mul, final = alg.mul, automaton.final
+    alg, final, alphabet = automaton.algebra, automaton.final, automaton.alphabet
     init_step = _init_steps(automaton)
-    root = (automaton.initial, _run_start(automaton), {})
-    for word in words:
-        node = root
-        for a in word:
-            child = node[2].get(a)
-            if child is None:
-                child = (init_step(node[0], a), _run_step(alg, node[1], automaton._step(a)[2]), {})
-                node[2][a] = child
-            node = child
-        yield word, _run_total(alg, node[1], final), alg.sum(map(mul, node[0], final))
+    start = (0, (), automaton.initial, _run_start(automaton))
+    seen = {_configuration(start[2], start[3], cycle)}
+    queue = deque([start])
+    while queue:
+        rank, word, vec, runs = queue.popleft()
+        yield rank, word, _run_total(alg, runs, final), alg.sum(map(alg.mul, vec, final))
+        if len(word) >= max_len:
+            continue
+        for i, a in enumerate(alphabet):
+            # word + (a_i,) has rank k·rank + 1 + i in all_words order, k = |alphabet|
+            step = (len(alphabet) * rank + 1 + i, word + (a,), init_step(vec, a),
+                    _run_step(alg, runs, automaton._step(a)[2]))
+            key = _configuration(step[2], step[3], cycle)
+            if key not in seen:
+                seen.add(key)
+                queue.append(step)
 
 
 def evaluate(automaton: WordAutomaton, word: Word, semantics: Semantics, prune: bool = False):
@@ -268,11 +274,11 @@ def all_words(alphabet, max_len: int) -> Iterator[tuple]:
 
 def images_up_to(automaton: WordAutomaton, max_len: int) -> dict:
     """Exact value sets of both semantics on all words of length <= max_len,
-    keyed by :class:`Semantics`, each in first-seen order; one pass of
-    :func:`values`."""
+    keyed by :class:`Semantics`, each in first-seen order; one
+    :func:`explore` walk with exact counts."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    return _images(values(automaton, all_words(automaton.alphabet, max_len)))
+    return _images(explore(automaton, max_len))
 
 
 def mixed_prefix_product(automaton: WordAutomaton, word: Word, run, i: int):
@@ -314,3 +320,26 @@ def probe_automaton(
         final=(algebra.zero, algebra.zero, c),
         transitions=[("p", symbol, "r", one), ("q", symbol, "r", one)],
     )
+
+
+def word_run_cost(n_states: int, length: int) -> dict:
+    """Closed-form operation counts for the unpruned run enumeration."""
+    runs = n_states ** (length + 1)
+    return {"muls": runs * (length + 1), "adds": runs - 1}
+
+
+def word_init_cost(n_states: int, length: int) -> dict:
+    """Exact counts for the vector-matrix evolution plus the final fold."""
+    return {
+        "muls": length * n_states * n_states + n_states,
+        "adds": length * n_states * (n_states - 1) + (n_states - 1),
+    }
+
+
+def cost_profile(automaton: WordAutomaton, word: Word) -> CostProfile:
+    """Evaluate both semantics under a counting wrapper and report totals next
+    to the closed-form predictions."""
+    word = automaton.check_word(word)
+    n_states, size = len(automaton.states), len(word)
+    predicted = {"run": word_run_cost(n_states, size), "init": word_init_cost(n_states, size)}
+    return _cost_profile(automaton, word, evaluate, " ".join(word) or "<empty>", size, predicted)

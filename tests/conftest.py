@@ -362,3 +362,42 @@ def plain_tree_vectors(automaton, t):
         children = tuple(out[pos + (i,)][2] for i in range(1, len(node.children) + 1))
         out[pos] = (node.symbol, children, T._init_node(automaton, node.symbol, children))
     return out
+
+
+# --------------------------------------------------------------------------
+# The support sweep decided input by input: no configurations, no walk.
+
+
+def per_input_sweep(theorem, config, random_automaton, mod, inputs, compare) -> dict:
+    """The report of a support sweep as a dict, from ``run_semantics`` and
+    ``initial_semantics`` of every input of every automaton in order, up to
+    the first input on which ``compare`` names a direction."""
+    from bimonoid_automata.harness import CheckReport, CheckWitness
+
+    alg = config.algebra
+    rng = random.Random(config.seed)
+    checked = 0
+    for trial in range(config.num_automata):
+        automaton = random_automaton(rng)
+        for inp in inputs:
+            checked += 1
+            run = mod.run_semantics(automaton, inp, prune=True)
+            init = mod.initial_semantics(automaton, inp)
+            direction = compare(alg, run, init)
+            if direction is not None:
+                witness = CheckWitness(automaton, inp, alg.describe(run), alg.describe(init), direction)
+                stats = {"automata_checked": trial + 1, "inputs_checked": checked}
+                return CheckReport(theorem, alg.name, "counterexample", False, {}, witness, stats, config.seed).to_dict()
+    stats = {"automata_checked": config.num_automata, "inputs_checked": checked}
+    return CheckReport(theorem, alg.name, "consistent", True, {}, None, stats, config.seed).to_dict()
+
+
+def per_input_images(mod, automaton, inputs) -> dict:
+    """Both semantics' value sets in first-seen order, from ``run_semantics``
+    and ``initial_semantics`` of each input."""
+    run: dict = {}
+    init: dict = {}
+    for inp in inputs:
+        run[mod.run_semantics(automaton, inp, prune=True)] = None
+        init[mod.initial_semantics(automaton, inp)] = None
+    return {ba.Semantics.RUN: list(run), ba.Semantics.INIT: list(init)}

@@ -1,7 +1,8 @@
-"""Counted run semantics and the ``values`` streams against the literal run
+"""Counted run semantics and the ``explore`` walks against the literal run
 enumerator (``prune=False``) and ``initial_semantics``, and the operation
 counts of the default-config support sweeps that use them."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,8 @@ import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
-from bimonoid_automata.algebra import ADJOINED_ZERO, INFINITY, CountingAlgebra, Polynomial
+from bimonoid_automata.algebra import ADJOINED_ZERO, INFINITY, CountingAlgebra, Polynomial, _count_cycle
+from conftest import per_input_images
 
 FINITE = ba.bundled_finite_algebras()
 WORDS = list(W.all_words(("a", "b"), 4))
@@ -21,41 +23,53 @@ def _names(alg):
     return alg.name
 
 
-def assert_word_rows(automaton, words):
-    """``values`` yields every word in order, with the literal run value and
-    the exact init value, and pruned ``run_semantics`` agrees."""
+def assert_word_rows(automaton, max_len, cycle=None):
+    """``explore`` yields, by rank, the first word of each configuration with
+    the literal run value and the exact init value, pruned ``run_semantics``
+    agrees, and each word's values are those of a row at or before it."""
     alg = automaton.algebra
-    rows = list(W.values(automaton, words))
-    assert [row[0] for row in rows] == list(words)
-    for word, run, init in rows:
+    words = list(W.all_words(automaton.alphabet, max_len))
+    rows = list(W.explore(automaton, max_len, cycle))
+    assert [row[0] for row in rows] == sorted({row[0] for row in rows}) and rows[0][0] == 0
+    for rank, word, run, init in rows:
+        assert word == words[rank]
         literal = W.run_semantics(automaton, word)
         assert alg.equal(run, literal), (alg.name, word)
         assert alg.equal(W.run_semantics(automaton, word, prune=True), literal), (alg.name, word)
         assert init == W.initial_semantics(automaton, word), (alg.name, word)
+    for rank, word in enumerate(words):
+        pair = (W.run_semantics(automaton, word, prune=True), W.initial_semantics(automaton, word))
+        assert pair in {(run, init) for r, _, run, init in rows if r <= rank}, (alg.name, word)
     return rows
 
 
-def assert_tree_rows(automaton, trees):
+def assert_tree_rows(automaton, trees, cycle=None):
     alg = automaton.algebra
-    rows = list(T.values(automaton, trees))
-    assert [row[0] for row in rows] == list(trees)
-    for t, run, init in rows:
+    rows = list(T.explore(automaton, trees, cycle))
+    assert [row[0] for row in rows] == sorted({row[0] for row in rows}) and rows[0][0] == 0
+    for index, t, run, init in rows:
+        assert t is trees[index]
         literal = T.run_semantics(automaton, t)
         assert alg.equal(run, literal), (alg.name, str(t))
         assert alg.equal(T.run_semantics(automaton, t, prune=True), literal), (alg.name, str(t))
         assert init == T.initial_semantics(automaton, t), (alg.name, str(t))
+    for index, t in enumerate(trees):
+        pair = (T.run_semantics(automaton, t, prune=True), T.initial_semantics(automaton, t))
+        assert pair in {(run, init) for i, _, run, init in rows if i <= index}, (alg.name, str(t))
+    return rows
 
 
 @pytest.mark.parametrize("alg", FINITE, ids=_names)
 def test_word_values_match_enumerator(alg):
     rng = random.Random(11)
+    cycle = _count_cycle(ba.tabulate(alg))
     for _ in range(4):
         automaton = H.random_word_automaton(rng, alg, ("a", "b"), 3)
-        rows = assert_word_rows(automaton, WORDS)
-        # not prefix-closed, longest first, with repeats: each word resumes
-        # from its longest prefix seen so far, or from the empty word
-        shuffled = WORDS[::-1] + WORDS[5:9]
-        assert list(W.values(automaton, shuffled)) == rows[::-1] + rows[5:9]
+        rows = assert_word_rows(automaton, 4)
+        # reduced counts merge configurations, so their first words are a
+        # subset; a shorter walk is the same walk cut at its length
+        assert set(assert_word_rows(automaton, 4, cycle)) <= set(rows)
+        assert list(W.explore(automaton, 2)) == [row for row in rows if len(row[1]) <= 2]
 
 
 def _word_automaton(rng, alg, pool, n_states, alphabet=("a", "b")):
@@ -81,9 +95,8 @@ def _word_automaton(rng, alg, pool, n_states, alphabet=("a", "b")):
 )
 def test_word_values_match_enumerator_on_infinite_carriers(alg, pool, max_len):
     rng = random.Random(13)
-    words = list(W.all_words(("a", "b"), max_len))
     for _ in range(4):
-        assert_word_rows(_word_automaton(rng, alg, pool, 3), words)
+        assert_word_rows(_word_automaton(rng, alg, pool, 3), max_len)
 
 
 def _tree_inputs():
@@ -101,21 +114,76 @@ def _tree_inputs():
 def test_tree_values_match_enumerator(alg):
     rng = random.Random(17)
     trees = _tree_inputs()
+    cycle = _count_cycle(ba.tabulate(alg))
     for _ in range(3):
         automaton = H.random_tree_automaton(rng, alg, TREE_ALPHABET, 3)
-        assert_tree_rows(automaton, trees)
+        rows = assert_tree_rows(automaton, trees)
+        assert set(assert_tree_rows(automaton, trees, cycle)) <= set(rows)
+
+
+def _tree_automaton(rng, alg, pool, n_states):
+    states = tuple(f"q{i}" for i in range(n_states))
+    quads = [
+        (sw, sym, q, rng.choice(pool))
+        for sym in TREE_ALPHABET.symbols
+        for sw in itertools.product(states, repeat=TREE_ALPHABET.rank(sym))
+        for q in states
+        if rng.random() < 0.6
+    ]
+    return T.TreeAutomaton(alg, TREE_ALPHABET, states, quads, [rng.choice(pool) for _ in states])
+
+
+@pytest.mark.parametrize("alg", [*FINITE, ba.nat_plus_min()], ids=_names)
+def test_images_match_the_per_input_path(alg):
+    rng = random.Random(29)
+    pool = list(alg.elements()) if alg.is_finite else [0, 1, 2, 5, INFINITY]
+    words = list(W.all_words(("a", "b"), 4))
+    trees = list(T.enumerate_trees(TREE_ALPHABET, 5))
+    for _ in range(5):
+        automaton = _word_automaton(rng, alg, pool, rng.randint(1, 3))
+        assert W.images_up_to(automaton, 4) == per_input_images(W, automaton, words)
+        automaton = _tree_automaton(rng, alg, pool, rng.randint(1, 3))
+        assert T.images_up_to(automaton, 5) == per_input_images(T, automaton, trees)
+
+
+def _cyclic(name, n, reduce):
+    """The table algebra on 0..n-1 whose add and mul are those of the
+    naturals (or integers) taken through ``reduce``."""
+    table = lambda op: [[reduce(op(i, j)) for j in range(n)] for i in range(n)]
+    return ba.FiniteTableAlgebra(name, tuple(map(str, range(n))), table(int.__add__), table(int.__mul__), 0, 1)
+
+
+@pytest.mark.parametrize("alg, cycle", [
+    (_cyclic("Z3", 3, lambda x: x % 3), (1, 3)),
+    (_cyclic("N/(2=4)", 4, lambda x: x if x < 4 else 2 + (x - 2) % 2), (2, 2)),
+    (_cyclic("N/(1=4)", 4, lambda x: x if x < 4 else 1 + (x - 1) % 3), (1, 3)),
+], ids=lambda x: x.name if isinstance(x, ba.WeightAlgebra) else "")
+def test_counts_reduce_by_index_and_period(alg, cycle):
+    # no bundled algebra has a period above 1; here counts matter modulo
+    # p past the index t, and walks keyed on reduced counts stay exact
+    assert ba.validate_axioms(alg).ok
+    assert _count_cycle(ba.tabulate(alg)) == cycle
+    rng = random.Random(31)
+    pool = list(alg.elements())[1:]
+    trees = _tree_inputs()
+    for _ in range(4):
+        automaton = _word_automaton(rng, alg, pool, 3)
+        assert set(assert_word_rows(automaton, 4, cycle)) <= set(assert_word_rows(automaton, 4))
+        automaton = _tree_automaton(rng, alg, pool, 3)
+        assert set(assert_tree_rows(automaton, trees, cycle)) <= set(assert_tree_rows(automaton, trees))
 
 
 def test_values_check_their_inputs():
     alg = ba.b4()
     rng = random.Random(19)
-    words = W.values(H.random_word_automaton(rng, alg, ("a", "b"), 2), [("a",), ("a", "c")])
-    assert next(words)[0] == ("a",)
+    automaton = H.random_word_automaton(rng, alg, ("a", "b"), 2)
     with pytest.raises(ValueError, match="unknown symbol 'c'"):
-        next(words)
+        W.run_semantics(automaton, ("a", "c"), prune=True)
     automaton = H.random_tree_automaton(rng, alg, TREE_ALPHABET, 2)
+    rows = T.explore(automaton, [T.parse("alpha"), T.parse("sigma(alpha)")])
+    assert next(rows)[:2] == (0, T.parse("alpha"))
     with pytest.raises(ValueError, match="rank 2 but 1 children"):
-        list(T.values(automaton, [T.parse("sigma(alpha)")]))
+        next(rows)
     with pytest.raises(ValueError, match="unknown symbol 'delta'"):
         T.run_semantics(automaton, T.parse("gamma(delta)"), prune=True)
 
@@ -145,15 +213,18 @@ def test_count_fold_uses_double_and_add():
 
 
 # Operation counts of the default-config sweeps (100 automata, words up to
-# length 4, trees up to 7 nodes, seed 42), tabulation included. Evaluating
-# each input from scratch with depth-first pruned runs cost, in adds/muls:
-# PentagonN5 words 32,550/72,381 and trees 7,060/27,847; Hexagon words
-# 27,942/65,180 and trees 8,297/28,766.
+# length 4, trees up to 7 nodes, seed 42), tabulation included; each
+# distinct configuration is stepped and folded once. Evaluating each input
+# from scratch with depth-first pruned runs cost, in adds/muls: PentagonN5
+# words 32,550/72,381 and trees 7,060/27,847; Hexagon words 27,942/65,180
+# and trees 8,297/28,766. Evaluating every input once, each prefix or
+# subtree memoised, cost PentagonN5 words 12,437/23,570 and trees
+# 3,526/10,621; Hexagon words 10,661/21,427 and trees 4,088/11,396.
 SWEEP_COUNTS = {
-    ("PentagonN5", "words"): (12437, 23570),
-    ("PentagonN5", "trees"): (3526, 10621),
-    ("Hexagon", "words"): (10661, 21427),
-    ("Hexagon", "trees"): (4088, 11396),
+    ("PentagonN5", "words"): (2536, 4845),
+    ("PentagonN5", "trees"): (1638, 5497),
+    ("Hexagon", "words"): (2095, 4235),
+    ("Hexagon", "trees"): (2138, 6520),
 }
 
 

@@ -6,6 +6,8 @@ import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
+from bimonoid_automata.algebra import _count_cycle
+from conftest import per_input_sweep
 
 
 def config(alg, **kw):
@@ -192,48 +194,86 @@ def test_unexpected_counterexample_is_flagged():
 
 
 def _disagree_once(monkeypatch, mod, target, automaton_number, run_value, init_value):
-    """Patch ``mod.values`` so that on ``target``, evaluated on the n-th
-    automaton the sweep draws, the semantics yield the given values."""
-    real = mod.values
+    """Patch ``mod.explore`` so that on the n-th automaton the sweep explores,
+    the row of ``target`` (there the first input of its configuration)
+    carries the given values."""
+    real = mod.explore
     seen = []
 
-    def values(automaton, inputs):
-        if not seen or seen[-1] is not automaton:
-            seen.append(automaton)
-        for inp, run, init in real(automaton, inputs):
+    def explore(automaton, *args):
+        seen.append(automaton)
+        for rank, inp, run, init in real(automaton, *args):
             if len(seen) == automaton_number and inp == target:
                 alg = automaton.algebra
                 run, init = alg.parse(run_value), alg.parse(init_value)
-            yield inp, run, init
+            yield rank, inp, run, init
 
-    monkeypatch.setattr(mod, "values", values)
+    monkeypatch.setattr(mod, "explore", explore)
 
 
 def test_word_sweep_reports_unexpected_counterexample(monkeypatch, capsys):
-    # words up to length 2 over (a, b): (), a, b, aa, ab, ... so "ab" is the
-    # 5th input of each automaton and the 12th input overall on the second
-    _disagree_once(monkeypatch, W, ("a", "b"), 2, "1", "0")
+    # words up to length 2 over (a, b): (), a, b, aa, ab, ba, bb, so "ba" is
+    # the 6th input of each automaton and the 27th input overall on the
+    # fourth; the automata before it reach 1, 3 and 1 configurations, and
+    # the fourth reaches (), b, ba first
+    _disagree_once(monkeypatch, W, ("b", "a"), 4, "1", "0")
     report = H.check_support_theorem_words(config(ba.boole(), max_word_len=2))
     assert report.verdict == "counterexample" and report.as_predicted is False
     assert report.witness.direction == "run-only"
-    assert report.witness.input == ("a", "b")
+    assert report.witness.input == ("b", "a")
     assert (report.witness.run_value, report.witness.init_value) == ("1", "0")
-    assert report.stats == {"automata_checked": 2, "inputs_checked": 12}
+    assert report.stats == {"automata_checked": 4, "inputs_checked": 27, "configurations": 8}
 
     from bimonoid_automata import cli
 
     monkeypatch.undo()
-    _disagree_once(monkeypatch, W, ("a", "b"), 2, "1", "0")
+    _disagree_once(monkeypatch, W, ("b", "a"), 4, "1", "0")
     code = cli.main(["check", "supports-words", "--algebra", "Boole", "--max-len", "2"])
     assert code == 1 and "NOT AS PREDICTED" in capsys.readouterr().out
 
 
 def test_tree_sweep_reports_unexpected_counterexample(monkeypatch):
-    # trees up to 3 nodes over {alpha:0, sigma:2}: alpha, sigma(alpha,alpha)
+    # trees up to 3 nodes over {alpha:0, sigma:2}: alpha, sigma(alpha,alpha);
+    # the third automaton sends both to one configuration, the fourth does not
     target = T.parse("sigma(alpha,alpha)")
-    _disagree_once(monkeypatch, T, target, 3, "0", "1")
+    _disagree_once(monkeypatch, T, target, 4, "0", "1")
     report = H.check_support_theorem_trees(config(ba.pentagon(), max_tree_size=3))
     assert report.verdict == "counterexample" and report.as_predicted is False
     assert report.witness.direction == "init-only"
     assert report.witness.input == target
-    assert report.stats == {"automata_checked": 3, "inputs_checked": 6}
+    assert report.stats == {"automata_checked": 4, "inputs_checked": 8, "configurations": 7}
+
+
+SWEEP_TREE_ALPHABET = T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
+
+
+@pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
+def test_sweep_reports_match_the_per_input_oracle(alg):
+    # one walk per automaton over distinct configurations, counts reduced
+    # by the add table's cycle, reports what deciding every input reports
+    cycle = _count_cycle(ba.tabulate(alg))
+    words = list(W.all_words(("a", "b"), 4))
+    trees = list(T.enumerate_trees(SWEEP_TREE_ALPHABET, 5))
+    counterexamples = []
+    for seed in range(20):
+        cfg = config(alg, num_automata=10, seed=seed)
+        for compare in (H._supports_differ, H._values_differ):
+            for theorem, mod, inputs, draw, explore in (
+                ("supports-words", W, words,
+                 lambda rng: H.random_word_automaton(rng, alg, ("a", "b"), 3),
+                 lambda automaton: W.explore(automaton, 4, cycle)),
+                ("supports-trees", T, trees,
+                 lambda rng: H.random_tree_automaton(rng, alg, SWEEP_TREE_ALPHABET, 3),
+                 lambda automaton: T.explore(automaton, trees, cycle)),
+            ):
+                report = H._sweep(theorem, cfg, {}, draw, explore, len(inputs), compare).to_dict()
+                assert 1 <= report["stats"].pop("configurations") <= report["stats"]["inputs_checked"]
+                assert report == per_input_sweep(theorem, cfg, draw, mod, inputs, compare), (seed, theorem)
+                if report["verdict"] == "counterexample":
+                    counterexamples.append((theorem, compare.__name__))
+    # B4 and B3' fail strong zero-sum-freeness, TruncFun(2) only its
+    # branching-tree form: random automata find support differences there
+    if alg.name in ("B4", "B3prime", "TruncFun(2)"):
+        assert ("supports-trees", "_supports_differ") in counterexamples
+    if alg.name in ("B4", "B3prime"):
+        assert ("supports-words", "_supports_differ") in counterexamples

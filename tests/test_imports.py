@@ -91,11 +91,12 @@ def test_props_loads_no_semantics_layer():
     ["eval", "--input", "gamma"],
     ["support", "--input", "gamma", "--semantics", "run"],
     ["image", "--max-len", "2"],
-], ids=["eval", "support", "image"])
+    ["profile", "--input", "gamma"],
+], ids=["eval", "support", "image", "profile"])
 def test_word_commands_do_not_load_trees(argv, word_file):
     loaded = command_modules(*argv, "--automaton", word_file, "--format", "json")
     assert "words" in loaded
-    assert not loaded & {"trees", "bridge"}
+    assert not loaded & {"trees", "bridge", "harness", "properties"}
 
 
 def test_modules_held_across_a_reimport_keep_working(tmp_path):
@@ -120,7 +121,7 @@ for alg in (A.b4(), A.pentagon(), A.trunc_fun(2)):
     F.save_automaton(W.probe_automaton(alg, alg.one, alg.one, alg.one), {str(tmp_path / "p.json")!r})
     loaded = F.load_automaton({str(tmp_path / "p.json")!r})
     assert W.initial_semantics(loaded, ("gamma",)) == W.run_semantics(loaded, ("gamma",), prune=True)
-    assert H.cost_profile(loaded, ("gamma",)).init_counts == H.word_init_cost(3, 1)
+    assert H.cost_profile(loaded, ("gamma",)).init_counts == W.word_init_cost(3, 1)
 """
     loaded_modules(code)
 

@@ -362,7 +362,7 @@ def test_memoised_tree_init_matches_plain_fold(alg, monkeypatch):
             assert len(calls) == len({(sym, children) for sym, children, _ in steps.values()})
             assert len(calls) < T.size(t)
         trees = list(T.enumerate_trees(alphabet, 5))
-        for t, _, init in T.values(automaton, trees):
+        for _, t, _, init in T.explore(automaton, trees):
             vec = plain_tree_vectors(automaton, t)[()][2]
             assert init == alg.sum(map(alg.mul, vec, automaton.root_weights))
 

@@ -240,8 +240,7 @@ def test_memoised_init_matches_literal_fold(alg, monkeypatch):
             assert W.state_vector(automaton, word) == vecs[-1]
             assert len(calls) == len(set(zip(vecs, word))) < len(word)
             assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
-        words = list(W.all_words(("a", "b"), 6))
-        for word, _, init in W.values(automaton, words):
+        for _, word, _, init in W.explore(automaton, 6):
             assert init == literal_word_init(automaton, word)
 
 
