@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -35,6 +34,18 @@ class MalformedTableError(ValueError):
 
 class HierarchyInconsistencyError(AssertionError):
     """Computed verdicts contradict a proven implication: an implementation bug."""
+
+
+class _Frozen:
+    """Immutable record: ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Semantics(Enum):
@@ -284,8 +295,7 @@ class CountingAlgebra(WeightAlgebra):
         return self.inner.elements()
 
 
-@dataclass
-class CostProfile:
+class CostProfile(NamedTuple):
     kind: str  # "word" | "tree"
     input_label: str
     n_states: int
@@ -299,7 +309,7 @@ class CostProfile:
     def to_dict(self):
         # the fields in order, under their JSON names
         keys = ("kind", "input", "states", "size", "run", "init", "run_value", "init_value", "predicted")
-        return dict(zip(keys, astuple(self)))
+        return dict(zip(keys, self))
 
     def __str__(self):
         lines = [
@@ -530,16 +540,14 @@ def _first_row_difference(t: Tabulation, lhs, rhs):
 # Axiom validation
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     holds: bool
     witness: Optional[tuple] = None
     witness_labels: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     algebra: str
     ok: bool
     checks: tuple
@@ -812,11 +820,27 @@ class TruncFunAlgebra(WeightAlgebra):
 # Polynomials over the naturals with the monome-split product
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Frozen):
     """Coefficient sequence, index = degree, normalized (no trailing zeros)."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"Polynomial(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
 
     @staticmethod
     def of(coeffs: Sequence[int]) -> "Polynomial":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 # Loaded for every command: main catches fileio's error and build_parser
 # reads the check defaults from config. Each command imports the other
@@ -305,6 +304,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         # anything else is a fault in this program, not in its input: keep
         # exit code 1 for unexpected counterexamples
+        import traceback
+
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return INTERNAL_ERROR

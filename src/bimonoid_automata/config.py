@@ -7,7 +7,6 @@ the semantics layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -18,23 +17,41 @@ DEFAULT_WORD_ALPHABET = ("a", "b")
 DEFAULT_TREE_ALPHABET = {"alpha": 0, "sigma": 2}
 
 
-@dataclass
 class TheoremCheckConfig:
-    """Bounds, trial counts and seeding for one theorem check."""
+    """Bounds, trial counts and seeding for one theorem check. The class
+    attributes hold the defaults, which the CLI reads without an instance."""
 
-    algebra: WeightAlgebra
-    word_alphabet: tuple = DEFAULT_WORD_ALPHABET
-    tree_alphabet: Optional[RankedAlphabet] = None
-    max_word_len: int = 4
-    max_tree_size: int = 7
-    num_automata: int = 100
-    max_states: int = 3
-    seed: int = 42
+    word_alphabet = DEFAULT_WORD_ALPHABET
+    max_word_len = 4
+    max_tree_size = 7
+    num_automata = 100
+    max_states = 3
+    seed = 42
 
-    def __post_init__(self):
-        if self.tree_alphabet is None:
+    def __init__(self, algebra: WeightAlgebra, word_alphabet: tuple = word_alphabet,
+                 tree_alphabet: Optional[RankedAlphabet] = None, max_word_len: int = max_word_len,
+                 max_tree_size: int = max_tree_size, num_automata: int = num_automata,
+                 max_states: int = max_states, seed: int = seed):
+        if tree_alphabet is None:
             from .trees import RankedAlphabet
 
-            self.tree_alphabet = RankedAlphabet(dict(DEFAULT_TREE_ALPHABET))
-        if min(self.max_word_len, self.max_tree_size, self.num_automata, self.max_states) < 1:
+            tree_alphabet = RankedAlphabet(dict(DEFAULT_TREE_ALPHABET))
+        if min(max_word_len, max_tree_size, num_automata, max_states) < 1:
             raise ValueError("bounds and trial counts must be >= 1")
+        # the fields in parameter order, which __eq__ and __repr__ read
+        self.algebra = algebra
+        self.word_alphabet = word_alphabet
+        self.tree_alphabet = tree_alphabet
+        self.max_word_len = max_word_len
+        self.max_tree_size = max_tree_size
+        self.num_automata = num_automata
+        self.max_states = max_states
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"TheoremCheckConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import trees as T
 from . import words as W
@@ -25,8 +24,7 @@ from .trees import RankedAlphabet, Tree, TreeAutomaton, classify_alphabet
 from .words import WordAutomaton
 
 
-@dataclass
-class CheckWitness:
+class CheckWitness(NamedTuple):
     automaton: object
     input: object
     run_value: str
@@ -47,16 +45,24 @@ class CheckWitness:
         return d
 
 
-@dataclass
-class CheckReport:
+class _CheckReportFields(NamedTuple):
     theorem: str
     algebra: str
     verdict: str  # "consistent" | "counterexample"
     as_predicted: bool
     hypothesis: dict
     witness: Optional[CheckWitness] = None
-    stats: dict = field(default_factory=dict)
+    stats: Optional[dict] = None
     seed: Optional[int] = None
+
+
+class CheckReport(_CheckReportFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # a report built without stats gets an empty dict of its own
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.stats is not None else report._replace(stats={})
 
     def to_dict(self):
         d = {

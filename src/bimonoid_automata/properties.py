@@ -17,9 +17,8 @@ laws scan table rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     HierarchyInconsistencyError,
@@ -54,8 +53,7 @@ class HalfCondition(Enum):
     TREE_INIT_TO_RUN = "tree-init-to-run"  # a*(b+b')*c != 0  =>  a*b*c != 0 or a*b'*c != 0
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(NamedTuple):
     property: object  # BimonoidProperty or HalfCondition
     holds: bool
     witness: Optional[tuple] = None
@@ -208,8 +206,7 @@ def check_half(alg: WeightAlgebra | Tabulation, half: HalfCondition) -> Property
     return _verdict(t, half, witness)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     algebra: str
     verdicts: dict
     halves: dict

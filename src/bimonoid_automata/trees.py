@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _finite_memo, _images, _run_total
+from .algebra import _configuration, _cost_profile, _finite_memo, _Frozen, _images, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -27,6 +26,8 @@ class RankedAlphabet:
         if not ranks:
             raise ValueError("alphabet must be nonempty")
         for sym, k in ranks.items():
+            if not isinstance(sym, str) or not sym:
+                raise ValueError(f"symbol {sym!r} must be a nonempty string")
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"rank of {sym!r} must be a natural number, got {k!r}")
         if all(k != 0 for k in ranks.values()):
@@ -66,8 +67,7 @@ class RankedAlphabet:
         return f"RankedAlphabet({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class AlphabetClass:
+class AlphabetClass(NamedTuple):
     trivial: bool
     monadic: bool
     string_ranked: bool
@@ -85,8 +85,7 @@ def classify_alphabet(alphabet: RankedAlphabet) -> AlphabetClass:
 _SHALLOW = 100  # trees up to this deep compare recursively
 
 
-@dataclass(frozen=True, slots=True)
-class Tree:
+class Tree(_Frozen):
     """A term: a symbol with exactly rank-many child trees.
 
     The hash and the depth are computed once, at construction, from the
@@ -96,14 +95,16 @@ class Tree:
     is unbounded.
     """
 
-    symbol: str
-    children: Tuple["Tree", ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _depth: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("symbol", "children", "_hash", "_depth")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.symbol, self.children)))
-        object.__setattr__(self, "_depth", 1 + max([c._depth for c in self.children], default=0))
+    def __init__(self, symbol: str, children: Tuple["Tree", ...] = ()):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_hash", hash((symbol, children)))
+        object.__setattr__(self, "_depth", 1 + max([c._depth for c in children], default=0))
+
+    def __reduce__(self):
+        return Tree, (self.symbol, self.children)
 
     def __hash__(self):
         return self._hash

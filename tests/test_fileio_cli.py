@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -357,7 +356,7 @@ def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsy
     code, _, _ = run_cli(["check", "supports-words", "--algebra", "B4"], capsys)
     assert code == 0
     [config] = built
-    assert dataclasses.replace(config, algebra=None) == H.TheoremCheckConfig(algebra=None)
+    assert {**vars(config), "algebra": None} == vars(H.TheoremCheckConfig(algebra=None))
     args = cli.build_parser().parse_args(["image", "--automaton", "a.json"])
     assert (args.max_len, args.max_size) == (config.max_word_len, config.max_tree_size)
 
@@ -403,6 +402,17 @@ def test_cli_convert_with_custom_end_marker(probe_file, tmp_path, capsys):
     assert code == 0
     converted = fileio.load_automaton(out_path)
     assert converted.alphabet.rank("bottom") == 0
+
+
+def test_cli_convert_refuses_an_empty_end_marker(probe_file, tmp_path, capsys):
+    # a file with an empty symbol would be written, then refused by every load
+    out_path = tmp_path / "marked.json"
+    code, _, err = run_cli(
+        ["convert", "--automaton", probe_file, "--direction", "word-to-tree",
+         "--end-marker", "", "--output", str(out_path)], capsys
+    )
+    assert code == 2 and err.startswith("error: ") and "nonempty" in err
+    assert not out_path.exists()
 
 
 def test_cli_profile_and_image(probe_file, capsys):

@@ -19,11 +19,11 @@ from bimonoid_automata import words as W
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Runs the code in argv[1] and prints the package's loaded submodules.
+# Runs the code in argv[1] and prints every loaded module.
 PROBE = """
 import json, sys
 exec(sys.argv[1])
-print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("bimonoid_automata."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 # Runs ``python -m bimonoid_automata`` with the arguments in argv[2].
@@ -59,11 +59,17 @@ PUBLIC_NAMES = (
 )
 
 
-def loaded_modules(code: str, *argv) -> set:
+def all_modules(code: str, *argv) -> set:
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run([sys.executable, "-c", PROBE, code, *argv], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout))
+
+
+def loaded_modules(code: str, *argv) -> set:
+    """The package's submodules that running ``code`` loads."""
+    prefix = "bimonoid_automata."
+    return {m[len(prefix):] for m in all_modules(code, *argv) if m.startswith(prefix)}
 
 
 def command_modules(*argv) -> set:
@@ -97,6 +103,20 @@ def test_word_commands_do_not_load_trees(argv, word_file):
     loaded = command_modules(*argv, "--automaton", word_file, "--format", "json")
     assert "words" in loaded
     assert not loaded & {"trees", "bridge", "harness", "properties"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["props", "--algebra", "B4"],
+    ["eval", "--automaton", "WORD", "--input", "gamma"],
+    ["check", "supports-words", "--algebra", "B4"],
+], ids=["props", "eval", "check"])
+def test_commands_load_no_code_generator_or_traceback(argv, word_file):
+    # dataclasses imports inspect (with dis and ast) and execs generated
+    # source per class; traceback serves only the internal-error exit. A
+    # bare interpreter's modules are subtracted, in case its site loads them.
+    argv = [word_file if arg == "WORD" else arg for arg in argv]
+    loaded = all_modules(COMMAND, json.dumps(argv)) - all_modules("")
+    assert not loaded & {"dataclasses", "inspect", "traceback"}
 
 
 def test_modules_held_across_a_reimport_keep_working(tmp_path):

@@ -49,6 +49,12 @@ def test_alphabet_requires_nullary_symbol():
         T.RankedAlphabet({"gamma": 1})
 
 
+@pytest.mark.parametrize("symbol", ["", 0, None, ("a",)])
+def test_alphabet_symbols_are_nonempty_strings(symbol):
+    with pytest.raises(ValueError, match="nonempty string"):
+        T.RankedAlphabet({"alpha": 0, symbol: 1})
+
+
 def test_position_orders_match_worked_example():
     assert T.positions(EXAMPLE) == [(), (1,), (1, 1), (1, 2), (2,)]
     assert T.postorder(EXAMPLE) == [(1, 1), (1, 2), (1,), (2,), ()]
