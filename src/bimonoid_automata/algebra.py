@@ -182,9 +182,13 @@ class WeightAlgebra:
         return f"<{type(self).__name__} {self.name}>"
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but a JSON true is not a number
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_index(v, n) -> bool:
-    # bool is an int subclass, but a JSON true is not an index
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+    return _is_int(v) and 0 <= v < n
 
 
 class FiniteTableAlgebra(WeightAlgebra):
@@ -232,9 +236,8 @@ class FiniteTableAlgebra(WeightAlgebra):
         return self.names[a]
 
     def parse(self, value):
-        if isinstance(value, int) and not isinstance(value, bool):
-            if 0 <= value < len(self.names):
-                return value
+        if _is_index(value, len(self.names)):
+            return value
         text = str(value)
         if text in self.names:
             return self.names.index(text)
@@ -251,8 +254,8 @@ class FiniteTableAlgebra(WeightAlgebra):
 class CountingAlgebra(WeightAlgebra):
     """Transparent wrapper that counts add/mul invocations on another algebra.
 
-    Single-owner: the counters are mutable state, so do not share one wrapper
-    across threads; merge per-thread counts instead.
+    The counters are the one mutable state among the algebras; read them with
+    ``read_counts`` and zero them with ``reset_counts``.
     """
 
     def __init__(self, inner: WeightAlgebra):
@@ -626,31 +629,21 @@ def lattice_algebra(name, names, leq_pairs) -> FiniteTableAlgebra:
                 if leq[i][k] and leq[k][j]:
                     leq[i][j] = True
 
-    def extremum(candidates, below):
-        # below=True: greatest element of candidates; else least.
-        for c in candidates:
-            if all((leq[d][c] if below else leq[c][d]) for d in candidates):
-                return c
-        return None
+    geq = [list(column) for column in zip(*leq)]
 
-    def join(i, j):
-        ub = [c for c in range(n) if leq[i][c] and leq[j][c]]
-        m = extremum(ub, below=False)
-        if m is None:
-            raise ValueError(f"{name}: no unique join for {names[i]}, {names[j]}")
-        return m
+    def least(order, candidates):
+        return next((c for c in candidates if all(order[c][d] for d in candidates)), None)
 
-    def meet(i, j):
-        lb = [c for c in range(n) if leq[c][i] and leq[c][j]]
-        m = extremum(lb, below=True)
-        if m is None:
-            raise ValueError(f"{name}: no unique meet for {names[i]}, {names[j]}")
-        return m
+    def bound(order, word, i, j):
+        # the least c with i, j order c: the join under leq, the meet under geq
+        found = least(order, [c for c in range(n) if order[i][c] and order[j][c]])
+        if found is None:
+            raise ValueError(f"{name}: no unique {word} for {names[i]}, {names[j]}")
+        return found
 
-    add = [[join(i, j) for j in range(n)] for i in range(n)]
-    mul = [[meet(i, j) for j in range(n)] for i in range(n)]
-    bottom = extremum(list(range(n)), below=False)  # least element
-    top = extremum(list(range(n)), below=True)  # greatest element
+    add = [[bound(leq, "join", i, j) for j in range(n)] for i in range(n)]
+    mul = [[bound(geq, "meet", i, j) for j in range(n)] for i in range(n)]
+    bottom, top = least(leq, range(n)), least(geq, range(n))
     if bottom is None or top is None:
         raise ValueError(f"{name}: order is not bounded")
     return FiniteTableAlgebra(name, names, add, mul, bottom, top)
@@ -660,29 +653,56 @@ def lattice_algebra(name, names, leq_pairs) -> FiniteTableAlgebra:
 # Infinite carriers: naturals with adjoined infinity / adjoined zero
 
 
-class _Infinity:
-    _instance = None
+class _Adjoined:
+    """An element adjoined to the naturals, unique like ``None``: its repr is
+    its label, and ``copy``, ``deepcopy`` and ``pickle`` hand back the
+    instance itself, through the module global ``__reduce__`` names."""
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ("label", "global_name")
+
+    def __init__(self, label: str, global_name: str):
+        self.label = label
+        self.global_name = global_name
 
     def __repr__(self):
-        return "inf"
+        return self.label
+
+    def __reduce__(self):
+        return self.global_name
 
 
-INFINITY = _Infinity()
+INFINITY = _Adjoined("inf", "INFINITY")
+ADJOINED_ZERO = _Adjoined("zero", "ADJOINED_ZERO")
 
 
-class NatPlusMinAlgebra(WeightAlgebra):
+class _NaturalsWith(WeightAlgebra):
+    """The naturals with the element ``adjoined``. ``describe`` is the base
+    ``str``, the adjoined element's label; ``parse`` reads that label, the
+    other ``labels``, or a natural number."""
+
+    adjoined: _Adjoined
+    labels: tuple
+
+    def parse(self, value):
+        if value is self.adjoined or value in self.labels:
+            return self.adjoined
+        # a numeral, an int or an integral float; int() would also read
+        # true as 1 and 1.5 as 1
+        whole = isinstance(value, str) or _is_int(value) or isinstance(value, float) and value.is_integer()
+        n = int(value) if whole else -1
+        if n < 0:
+            raise ValueError(f"{self.name} elements are naturals or {self.labels[0]!r}, got {value!r}")
+        return n
+
+
+class NatPlusMinAlgebra(_NaturalsWith):
     """(N u {inf}, +, min, 0, inf); exact integers, inf is a tagged sentinel."""
 
     name = "NatPlusMin"
-
-    def __init__(self):
-        self.zero = 0
-        self.one = INFINITY
+    adjoined = INFINITY
+    labels = ("inf", "infinity")
+    zero = 0
+    one = INFINITY
 
     def add(self, a, b):
         if a is INFINITY or b is INFINITY:
@@ -696,34 +716,8 @@ class NatPlusMinAlgebra(WeightAlgebra):
             return a
         return a if a <= b else b
 
-    def describe(self, a):
-        return "inf" if a is INFINITY else str(a)
 
-    def parse(self, value):
-        if value is INFINITY or value in ("inf", "infinity"):
-            return INFINITY
-        n = int(value)
-        if n < 0:
-            raise ValueError(f"{self.name} elements are naturals or 'inf', got {value!r}")
-        return n
-
-
-class _AdjoinedZero:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "zero"
-
-
-ADJOINED_ZERO = _AdjoinedZero()
-
-
-class NatPlusPlusAlgebra(WeightAlgebra):
+class NatPlusPlusAlgebra(_NaturalsWith):
     """Naturals with a fresh absorbing zero; both operations act as + on N.
 
     add is + on N with the fresh element neutral; mul is + on N with the
@@ -731,10 +725,10 @@ class NatPlusPlusAlgebra(WeightAlgebra):
     """
 
     name = "NatPlusPlus"
-
-    def __init__(self):
-        self.zero = ADJOINED_ZERO
-        self.one = 0
+    adjoined = ADJOINED_ZERO
+    labels = ("zero",)
+    zero = ADJOINED_ZERO
+    one = 0
 
     def add(self, a, b):
         if a is ADJOINED_ZERO:
@@ -747,17 +741,6 @@ class NatPlusPlusAlgebra(WeightAlgebra):
         if a is ADJOINED_ZERO or b is ADJOINED_ZERO:
             return ADJOINED_ZERO
         return a + b
-
-    def describe(self, a):
-        return "zero" if a is ADJOINED_ZERO else str(a)
-
-    def parse(self, value):
-        if value is ADJOINED_ZERO or value == "zero":
-            return ADJOINED_ZERO
-        n = int(value)
-        if n < 0:
-            raise ValueError(f"{self.name} elements are naturals or 'zero', got {value!r}")
-        return n
 
 
 # --------------------------------------------------------------------------
@@ -780,16 +763,6 @@ class TruncFunAlgebra(WeightAlgebra):
         self.zero = (0,) * (m + 1)
         self.one = tuple(range(m + 1))
 
-    def _check(self, f):
-        if (
-            not isinstance(f, tuple)
-            or len(f) != self.m + 1
-            or f[0] != 0
-            or any(not (0 <= v <= self.m) for v in f)
-        ):
-            raise ValueError(f"{f!r} is not a valid {self.name} element")
-        return f
-
     def add(self, a, b):
         m = self.m
         return tuple(min(m, x + y) for x, y in zip(a, b))
@@ -804,7 +777,10 @@ class TruncFunAlgebra(WeightAlgebra):
     def parse(self, value):
         if isinstance(value, str):
             value = [int(t) for t in re.findall(r"-?\d+", value)]
-        return self._check(tuple(value))
+        f = tuple(value)
+        if len(f) != self.m + 1 or f[0] != 0 or not all(_is_index(v, self.m + 1) for v in f):
+            raise ValueError(f"{f!r} is not a valid {self.name} element")
+        return f
 
     @property
     def is_finite(self):
@@ -855,11 +831,6 @@ class Polynomial(_Frozen):
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def is_monome(self):
-        """At most one nonzero coefficient (the zero polynomial counts)."""
-        return sum(1 for c in self.coeffs if c != 0) <= 1
-
     def at_zero(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -869,16 +840,6 @@ class Polynomial(_Frozen):
         return Polynomial.of(
             [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
         )
-
-    def times(self, other: "Polynomial") -> "Polynomial":
-        """Ordinary polynomial product."""
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.of(out)
 
     def scale(self, k: int) -> "Polynomial":
         return Polynomial.of([k * c for c in self.coeffs])
@@ -908,27 +869,29 @@ class PolyMonomeAlgebra(WeightAlgebra):
 
     name = "PolyMonome"
 
-    def __init__(self):
-        self.zero = Polynomial(())
-        self.one = Polynomial((1,))
+    zero = Polynomial(())
+    one = Polynomial((1,))
 
     def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
         return a.plus(b)
 
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        if b.is_monome:
-            return a.times(b)
-        return b.scale(a.at_zero())
-
-    def describe(self, a):
-        return str(a)
+        c = b.coeffs  # normalised: a monome's one nonzero coefficient is the last
+        if any(c[:-1]):
+            return b.scale(a.at_zero())
+        if not c or a.is_zero:
+            return self.zero
+        # the product with the monome k·x^d: a shifted by d, scaled by k
+        return Polynomial((0,) * (len(c) - 1) + tuple([c[-1] * x for x in a.coeffs]))
 
     def parse(self, value):
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, int):
+        if _is_int(value):
             return Polynomial.of([value])
         if isinstance(value, (list, tuple)):
+            if not all(_is_int(c) for c in value):
+                raise ValueError(f"coefficients must be integers, got {value!r}")
             return Polynomial.of(value)
         text = str(value).replace(" ", "")
         if not re.fullmatch(r"[0-9x^+]+", text):
@@ -1045,21 +1008,12 @@ def nat_plus_plus_table(cap: int = 3) -> FiniteTableAlgebra:
         raise ValueError("cap must be >= 1")
     names = ("zero",) + tuple(str(i) for i in range(cap + 1))
 
-    def add_idx(i, j):
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        return min(cap, (i - 1) + (j - 1)) + 1
-
-    def mul_idx(i, j):
-        if i == 0 or j == 0:
-            return 0
-        return min(cap, (i - 1) + (j - 1)) + 1
-
+    # index 0 is the fresh zero, neutral for add and absorbing for mul;
+    # index i >= 1 is the natural i - 1, and both operations add saturating
     n = cap + 2
-    add = [[add_idx(i, j) for j in range(n)] for i in range(n)]
-    mul = [[mul_idx(i, j) for j in range(n)] for i in range(n)]
+    sums = [[min(cap, i + j - 2) + 1 for j in range(1, n)] for i in range(1, n)]
+    add = [list(range(n))] + [[i] + row for i, row in enumerate(sums, start=1)]
+    mul = [[0] * n] + [[0] + row for row in sums]
     return FiniteTableAlgebra(f"NatPlusPlus[{cap}]", names, add, mul, 0, 1)
 
 

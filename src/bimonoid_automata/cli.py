@@ -4,13 +4,15 @@ Subcommands: eval, support, props, check, convert, profile, image. Exit codes:
 0 on success (including predicted counterexamples), 1 when a check finds a
 counterexample where consistency was expected, 2 on usage or input errors,
 3 on an internal error (a fault in this program; the traceback goes to
-stderr).
+stderr), 141 when the reader closes stdout early (128 + SIGPIPE, as a shell
+reports a tool ended by a closed pipe; nothing goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # Loaded for every command: main catches fileio's error and build_parser
@@ -30,6 +32,7 @@ from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
 USAGE_ERROR = 2
 UNEXPECTED_COUNTEREXAMPLE = 1
 INTERNAL_ERROR = 3
+BROKEN_PIPE = 141
 
 # The TheoremCheckConfig field each sweep option of ``check`` sets.
 _SWEEP_FIELDS = {
@@ -292,7 +295,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, which is no fault; output still
+        # buffered goes to devnull, so the flush at shutdown cannot fail
+        try:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError):
+            pass  # a stdout without a descriptor holds no output for shutdown
+        return BROKEN_PIPE
     except HierarchyInconsistencyError as exc:
         # reachable only for tables loaded with --allow-invalid: the hierarchy
         # implications presuppose the strong-bimonoid axioms

@@ -16,7 +16,7 @@ import json
 import os
 from typing import TYPE_CHECKING, Union
 
-from .algebra import FiniteTableAlgebra, WeightAlgebra, builtin, validate_axioms
+from .algebra import FiniteTableAlgebra, WeightAlgebra, _is_int, builtin, validate_axioms
 
 if TYPE_CHECKING:
     from .words import WordAutomaton
@@ -40,7 +40,7 @@ def _require(obj, key, source):
 
 
 def _is_state(value) -> bool:
-    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, str) or _is_int(value)
 
 
 def _read_json(path: str, kind: str):

@@ -13,7 +13,7 @@ import re
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _finite_memo, _Frozen, _images, _run_total
+from .algebra import _configuration, _cost_profile, _finite_memo, _Frozen, _images, _is_int, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -28,7 +28,7 @@ class RankedAlphabet:
         for sym, k in ranks.items():
             if not isinstance(sym, str) or not sym:
                 raise ValueError(f"symbol {sym!r} must be a nonempty string")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            if not _is_int(k) or k < 0:
                 raise ValueError(f"rank of {sym!r} must be a natural number, got {k!r}")
         if all(k != 0 for k in ranks.values()):
             raise ValueError("alphabet needs at least one rank-0 symbol")
@@ -327,14 +327,12 @@ def enumerate_trees(alphabet: RankedAlphabet, max_size: int) -> Iterator[Tree]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    """Ordered compositions of total into `parts` positive summands."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered compositions of total >= 1 into `parts` positive summands, in
+    lexicographic order: the gaps between 0, parts - 1 cut points picked
+    from 1..total-1 in order, and total."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple([b - a for a, b in zip(bounds, bounds[1:])])
 
 
 # --------------------------------------------------------------------------
@@ -392,15 +390,8 @@ class TreeAutomaton(WeightedAutomaton):
                     yield sw, sym, states[q], w
 
     def check_tree(self, t: Tree) -> Tree:
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            k = self.alphabet.rank(node.symbol)
-            if k != len(node.children):
-                raise ValueError(
-                    f"symbol {node.symbol!r} has rank {k} but {len(node.children)} children"
-                )
-            stack.extend(reversed(node.children))
+        """``t``, once every distinct subtree is checked against the ranks."""
+        _bottom_up(self, t, {}, lambda symbol, children: None)
         return t
 
     def with_algebra(self, algebra: WeightAlgebra) -> "TreeAutomaton":

@@ -14,13 +14,28 @@ import pytest
 import bimonoid_automata as ba
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
-from bimonoid_automata.algebra import AxiomCheck, ValidationReport
+from bimonoid_automata.algebra import ADJOINED_ZERO, INFINITY, AxiomCheck, Polynomial, ValidationReport
 from bimonoid_automata.properties import BimonoidProperty, HalfCondition, PropertyVerdict
 
 
 @pytest.fixture(scope="session")
 def finite_algebras():
     return ba.bundled_finite_algebras()
+
+
+def bundled_carriers():
+    """``(algebra, sample elements)`` for every bundled algebra, each
+    parametrised one at its default: a finite carrier's samples are all its
+    elements, an infinite one's a fixed few including zero, one and the
+    adjoined element."""
+    infinite = (
+        (ba.nat_plus_min(), [0, 1, 2, 5, 12, INFINITY]),
+        (ba.nat_plus_plus(), [ADJOINED_ZERO, 0, 1, 3, 12]),
+        (ba.poly_monome(), [Polynomial(()), Polynomial((1,)), Polynomial((3,)), Polynomial((0, 1)),
+                            Polynomial((1, 1)), Polynomial((0, 2, 5)), Polynomial((0, 0, 12))]),
+    )
+    finite = tuple((alg, list(alg.elements())) for alg in ba.bundled_finite_algebras())
+    return finite + infinite
 
 
 @pytest.fixture(scope="session")

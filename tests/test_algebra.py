@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from bimonoid_automata.algebra import (
     Polynomial,
     UnknownAlgebraError,
 )
+from conftest import bundled_carriers
 
 
 def test_axioms_pass_on_all_bundled_finite_algebras(finite_algebras):
@@ -276,3 +279,89 @@ def test_validation_report_covers_all_six_axioms():
             "zero-annihilation",
         ]
     )
+
+
+@pytest.mark.parametrize("sentinel, label", [(INFINITY, "inf"), (ADJOINED_ZERO, "zero")])
+def test_sentinels_stay_themselves_through_copy_and_pickle(sentinel, label):
+    assert repr(sentinel) == str(sentinel) == label
+    assert copy.copy(sentinel) is sentinel and copy.deepcopy(sentinel) is sentinel
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sentinel, protocol)) is sentinel
+    held = copy.deepcopy({sentinel: [sentinel]})
+    assert list(held) == [sentinel] and held[sentinel][0] is sentinel
+    assert INFINITY is not ADJOINED_ZERO and INFINITY != ADJOINED_ZERO
+
+
+NATURALS = [
+    # algebra, its adjoined element, the labels it reads, the other's label
+    (ba.nat_plus_min(), INFINITY, ("inf", "infinity"), "zero"),
+    (ba.nat_plus_plus(), ADJOINED_ZERO, ("zero",), "inf"),
+]
+
+
+@pytest.mark.parametrize("alg, adjoined, labels, foreign", NATURALS, ids=["NatPlusMin", "NatPlusPlus"])
+@pytest.mark.parametrize("value", [1.5, -0.5, True, False, -1, "-1", float("inf"), float("nan"), None, [1]])
+def test_naturals_refuse_what_is_not_a_natural(alg, adjoined, labels, foreign, value):
+    # int() would read 1.5 as 1, -0.5 as 0 and true as 1
+    with pytest.raises(ValueError, match=f"^{alg.name} elements are naturals or '{labels[0]}', got "):
+        alg.parse(value)
+
+
+@pytest.mark.parametrize("alg, adjoined, labels, foreign", NATURALS, ids=["NatPlusMin", "NatPlusPlus"])
+def test_naturals_read_numerals_integers_and_their_labels(alg, adjoined, labels, foreign):
+    assert [alg.parse(v) for v in ("3", 3, 2.0, 0)] == [3, 3, 2, 0]
+    assert type(alg.parse(2.0)) is int
+    assert all(alg.parse(label) is adjoined for label in labels) and alg.parse(adjoined) is adjoined
+    with pytest.raises(ValueError, match="invalid literal"):
+        alg.parse(foreign)
+
+
+def test_trunc_fun_and_poly_monome_refuse_bools_and_fractions():
+    tf = ba.trunc_fun(2)
+    for value in ([0, True, 2], [0, 1.5, 2], [0, 1.0, 2], [False, 1, 2], [0, 1, 3], [0, 1], "[0,1,3]"):
+        with pytest.raises(ValueError, match="is not a valid TruncFun\\(2\\) element"):
+            tf.parse(value)
+    assert tf.parse("[0,1,2]") == tf.parse([0, 1, 2]) == (0, 1, 2)
+    pm = ba.poly_monome()
+    for value in (True, 1.5, [1.5], [True], [0, False, 1], [2.0]):
+        with pytest.raises(ValueError):
+            pm.parse(value)
+    assert pm.parse(3) == pm.parse([3]) == pm.parse("3") == Polynomial((3,))
+
+
+def test_describe_then_parse_round_trips_on_every_bundled_carrier():
+    carriers = bundled_carriers()
+    # one entry per registry name, each parametrised one at its default
+    assert len({alg.name for alg, _ in carriers}) == len(ba.BUILTIN_NAMES)
+    for alg, samples in carriers:
+        for x in samples:
+            label = alg.describe(x)
+            assert isinstance(label, str)
+            assert alg.equal(alg.parse(label), x), (alg.name, label)
+
+
+def _convolution(p, q):
+    """The ordinary product of two coefficient lists, term by term."""
+    out = [0] * (len(p) + len(q))
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_monome_reference(p, q):
+    """The PolyMonome product from its definition: the ordinary product when
+    q has at most one nonzero coefficient, else p(0) times q."""
+    if sum(1 for c in q if c) <= 1:
+        return Polynomial.of(_convolution(p, q))
+    return Polynomial.of([(p[0] if p else 0) * c for c in q])
+
+
+@given(coeffs, st.lists(st.integers(min_value=0, max_value=3), max_size=5), st.integers(0, 5), st.integers(0, 9))
+@settings(max_examples=400, deadline=None)
+def test_poly_monome_mul_is_the_literal_product(p, q, degree, k):
+    alg = ba.poly_monome()
+    monome = [0] * degree + [k]
+    for left, right in ((p, q), (p, monome), (monome, p), (p, [k]), ([k], q), ([], q), (p, [])):
+        a, b = Polynomial.of(left), Polynomial.of(right)
+        assert alg.mul(a, b) == _poly_monome_reference(a.coeffs, b.coeffs), (left, right)

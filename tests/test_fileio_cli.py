@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +13,8 @@ from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Semantics
+
+from conftest import bundled_carriers
 
 
 @pytest.fixture
@@ -574,3 +581,76 @@ def test_cli_profile_on_a_deep_spine(tmp_path, capsys):
     assert d["size"] == depth + 1 and d["run"] == d["init"] == closed_form
     assert d["predicted"]["runs_enumerated"] == 1
     assert d["run_value"] == d["init_value"]
+
+
+@pytest.mark.parametrize("algebra, weight", [
+    ("NatPlusMin", 1.5), ("NatPlusMin", -0.5), ("NatPlusMin", True),
+    ("NatPlusPlus", 1.5), ("NatPlusPlus", False),
+    ("TruncFun(2)", [0, True, 2]), ("TruncFun(2)", [0, 1.5, 2]),
+    ("PolyMonome", True), ("PolyMonome", [1.5]),
+])
+def test_cli_refuses_weights_that_are_not_naturals(algebra, weight, tmp_path, capsys):
+    # int() read 1.5 as 1, -0.5 as 0 and true as 1, and a TruncFun element
+    # [0,true,2] printed as [0,True,2], which no command loads back
+    path = tmp_path / "automaton.json"
+    path.write_text(json.dumps({
+        "algebra": algebra, "alphabet": ["a"], "states": ["p"],
+        "initial": {"p": weight},
+    }))
+    code, out, err = run_cli(["eval", "--automaton", str(path), "--input", ""], capsys)
+    assert (code, out) == (2, "") and "initial 'p'" in err
+
+
+@pytest.mark.parametrize("alg, samples", bundled_carriers(), ids=lambda x: getattr(x, "name", ""))
+def test_saved_automata_load_and_evaluate_alike_on_every_bundled_carrier(alg, samples, tmp_path, capsys):
+    # each sample is an initial weight and a transition weight, so the file
+    # holds every label describe writes for them
+    k = len(samples)
+    states = [f"q{i}" for i in range(k)]
+    automaton = W.WordAutomaton(
+        alg, ("a",), states, dict(zip(states, samples)), {q: alg.one for q in states},
+        [(states[i], "a", states[(i + 1) % k], samples[(i + 1) % k]) for i in range(k)],
+    )
+    path = str(tmp_path / "automaton.json")
+    fileio.save_automaton(automaton, path)
+    loaded = fileio.load_automaton(path)
+    assert loaded.initial == automaton.initial and loaded.final == automaton.final
+    assert list(loaded.stored_transitions()) == list(automaton.stored_transitions())
+    for word in ("", "a", "a a a"):
+        for semantics in Semantics:
+            expected = alg.describe(W.evaluate(automaton, tuple(word.split()), semantics, prune=True))
+            argv = ["eval", "--automaton", path, "--input", word, "--semantics", semantics.value]
+            assert run_cli(argv, capsys) == (0, expected + "\n", ""), (alg.name, word, semantics)
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_cli_closed_stdout_exits_quietly_with_141():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedStdout()), contextlib.redirect_stderr(err):
+        code = cli.main(["props", "--algebra", "TruncFun(3)", "--format", "json"])
+    assert (code, err.getvalue()) == (cli.BROKEN_PIPE, "") and cli.BROKEN_PIPE == 141
+
+
+def test_cli_on_a_closed_pipe_writes_nothing_to_stderr_at_shutdown():
+    # the pipe's read end is closed before the command starts, so its first
+    # write or its final flush fails, whichever output it has
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
+    try:
+        for argv in (["props", "--algebra", "B4"], ["props", "--algebra", "TruncFun(3)", "--format", "json"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "bimonoid_automata", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+            assert (result.returncode, result.stderr) == (141, b""), argv
+    finally:
+        os.close(write_end)

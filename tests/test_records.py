@@ -62,7 +62,7 @@ def test_values_are_frozen_hashable_and_not_tuples(make):
     value, twin = make(), copy.copy(make())
     assert value == twin and hash(value) == hash(twin)
     assert pickle.loads(pickle.dumps(value)) == value
-    # TruncFunAlgebra._check and PolyMonomeAlgebra.parse branch on tuple
+    # PolyMonomeAlgebra.parse branches on tuple
     assert not isinstance(value, tuple)
     field = "symbol" if isinstance(value, T.Tree) else "coeffs"
     with pytest.raises(AttributeError):

@@ -175,6 +175,32 @@ def test_deep_trees_compare_print_measure_and_parse():
     assert str(spine(10**5)) == "gamma(" * 10**5 + "alpha" + ")" * 10**5
 
 
+def test_check_tree_ranks_each_distinct_subtree_once(monkeypatch):
+    # a doubled tree 16 levels deep: 2^17 - 1 nodes, 17 distinct subtrees
+    t = T.Tree("alpha")
+    for _ in range(16):
+        t = T.Tree("sigma", (t, t))
+    automaton = T.TreeAutomaton(ba.boole(), ALPHABET, ("p",), [], (1,))
+    calls = []
+    rank = T.RankedAlphabet.rank
+    monkeypatch.setattr(T.RankedAlphabet, "rank", lambda self, symbol: calls.append(symbol) or rank(self, symbol))
+    assert automaton.check_tree(t) is t
+    assert len(calls) <= 17
+
+
+@pytest.mark.parametrize("bad, error", [
+    (T.Tree("sigma", (T.Tree("alpha"),)), "symbol 'sigma' has rank 2 but 1 children"),
+    (T.Tree("alpha", (T.Tree("beta"),)), "symbol 'alpha' has rank 0 but 1 children"),
+    (T.Tree("omega"), "unknown symbol 'omega' (alphabet: sigma, delta, alpha, beta)"),
+])
+def test_check_tree_names_a_lone_bad_node(bad, error):
+    automaton = T.TreeAutomaton(ba.boole(), ALPHABET, ("p",), [], (1,))
+    for t in (bad, T.Tree("delta", (T.Tree("beta"), T.Tree("sigma", (T.Tree("alpha"), bad))))):
+        with pytest.raises(ValueError) as exc:
+            automaton.check_tree(t)
+        assert str(exc.value) == error
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         T.parse("sigma(alpha)", ALPHABET)  # arity mismatch
