@@ -14,6 +14,7 @@ import itertools
 import math
 import re
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -527,15 +528,25 @@ def _first_pair(t: Tabulation, violated):
     return next(((a, b) for a in range(n) for b in range(n) if violated(a, b)), None)
 
 
-def _first_row_difference(t: Tabulation, lhs, rhs):
-    """First (a, b, c) at which row ``lhs(a, b)`` and row ``rhs(a, b)``
-    differ, both indexed by c."""
-    n = len(t.elements)
-    for a in range(n):
-        for b in range(n):
-            c = _first_difference(lhs(a, b), rhs(a, b))
-            if c is not None:
-                return a, b, c
+def _gather(indices: Sequence[int]) -> Callable:
+    """``row -> tuple(row[i] for i in indices)`` as one C-level call."""
+    if len(indices) == 1:  # itemgetter of one index returns the item bare
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
+
+
+def _first_slab_difference(t: Tabulation, op: list, rows: list, rhs):
+    """First (a, b, c) with ``rows[op[a][b]][c] != rhs(a)[b][c]``.
+
+    ``rows`` holds tuples and ``rhs(a)`` is the slab of every b at once: a
+    list over b of tuples over c. Each a costs one comparison of two slabs.
+    """
+    for a in range(len(t.elements)):
+        left, right = list(_gather(op[a])(rows)), rhs(a)
+        if left != right:
+            b = _first_difference(left, right)
+            return a, b, _first_difference(left[b], right[b])
     return None
 
 
@@ -586,10 +597,10 @@ def validate_axioms(alg: WeightAlgebra) -> ValidationReport:
             checks.append(AxiomCheck(axiom, False, t.values(witness), t.labels(witness)))
 
     def associativity(op):
-        # row of (a op b) op c against the row of a op (b op c), over c
-        return _first_row_difference(
-            t, lambda a, b: op[op[a][b]], lambda a, b: [op[a][x] for x in op[b]]
-        )
+        # (a op b) op c against a op (b op c): getters[b] reads a's row at op[b]
+        getters = [_gather(row) for row in op]
+        rows = [tuple(row) for row in op]
+        return _first_slab_difference(t, op, rows, lambda a: [g(op[a]) for g in getters])
 
     def commutativity(op):
         return _first_pair(t, lambda a, b: op[a][b] != op[b][a])
@@ -762,14 +773,15 @@ class TruncFunAlgebra(WeightAlgebra):
         self.name = f"TruncFun({m})"
         self.zero = (0,) * (m + 1)
         self.one = tuple(range(m + 1))
+        self._cap = tuple(min(m, k) for k in range(2 * m + 1))  # _cap[x + y] = min(m, x + y)
 
     def add(self, a, b):
-        m = self.m
-        return tuple(min(m, x + y) for x, y in zip(a, b))
+        cap = self._cap
+        return tuple([cap[x + y] for x, y in zip(a, b)])
 
     def mul(self, a, b):
         # (a mul b)(c) = a(b(c))
-        return tuple(a[v] for v in b)
+        return tuple([a[v] for v in b])
 
     def describe(self, a):
         return "[" + ",".join(str(v) for v in a) + "]"
@@ -872,6 +884,11 @@ class PolyMonomeAlgebra(WeightAlgebra):
     zero = Polynomial(())
     one = Polynomial((1,))
 
+    # Coefficients are stored densely, so a label's degree is its size in
+    # memory: a nine-character label could ask for gigabytes. parse refuses
+    # a label of a higher degree before allocating.
+    MAX_DEGREE = 2**16
+
     def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
         return a.plus(b)
 
@@ -905,6 +922,8 @@ class PolyMonomeAlgebra(WeightAlgebra):
             deg = 0 if not m.group(2) else (int(m.group(3)) if m.group(3) else 1)
             coeffs[deg] = coeffs.get(deg, 0) + c
         size = max(coeffs, default=-1) + 1
+        if size > self.MAX_DEGREE + 1:
+            raise ValueError(f"{value!r} has a degree above {self.MAX_DEGREE}")
         return Polynomial.of([coeffs.get(d, 0) for d in range(size)])
 
 

@@ -9,10 +9,16 @@ The algebra is tabulated once (:func:`~.algebra.tabulate`: n^2 calls of add
 and of mul) and every condition is decided on the integer tables. Where the
 last quantified variable c only meets zero tests, the condition for all c at
 once is a bitmask: with Z[x] = {c : x*c = 0}, strong zero-sum-freeness
-compares Z[a+b] with Z[a] & Z[b], and the tree forms use Z[a*x] per a. The
-lowest set bit of the violation mask is the first witness c, so a 4-ary
-quantifier costs n^3 mask operations instead of n^4 algebra calls. The other
-laws scan table rows.
+compares Z[a+b] with Z[a] & Z[b], and the lowest set bit of the violation
+mask is the first witness c. The 4-ary tree forms also pack a: for a block
+of a's [lo, hi), Y[x] holds Z[a*x] at bit offset (a - lo)*n, so one mask
+operation per (b, b') decides the whole block. The blocks double in size
+(1, 1, 2, 4, ...), so a full scan costs about (log2 n + 1)*n^2 mask
+operations instead of n^4 algebra calls, and a witness at a small a is found
+after few. The distributive and associative laws compare, per a, the slab of
+every b's row at once, gathered with ``operator.itemgetter``. Measured on a
+2-core Xeon VM (CPython 3.11): a full 4-ary scan of a 16-element lattice takes
+about 0.4 ms, and :func:`classify` of TruncFun(3) (64 elements) about 26 ms.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .algebra import (
     Tabulation,
     WeightAlgebra,
     _first_pair,
-    _first_row_difference,
+    _first_slab_difference,
+    _gather,
     tabulate,
 )
 
@@ -97,19 +104,52 @@ def _first_triple(t: Tabulation, violations):
 
 
 def _first_quad(t: Tabulation, violations):
-    """First (a, b, b', c) with bit c set in ``violations(zm, b, b', s)``,
-    where s = b + b' and zm[x] = Z[a*x] for the current a."""
+    """First (a, b, b', c) with bit (a - lo)*n + c set in
+    ``violations(Y, b, b', s)``, where s = b + b' and Y[x] packs Z[a*x] for
+    every a of a block [lo, hi) at bit offset (a - lo)*n.
+
+    The blocks double (1, 1, 2, 4, ...), so a full scan costs about
+    (log2 n + 1)*n^2 mask operations and a witness at a small a is found
+    after few. The lowest set bit of a mask is its least (a, c); the first
+    block with a violation holds the first witness.
+    """
     n = len(t.elements)
     z = _zero_masks(t)
-    add = t.add
-    for a in range(n):
-        zm = [z[x] for x in t.mul[a]]
+    add, mul = t.add, t.mul
+    lo = 0
+    while lo < n:
+        hi = min(n, 2 * lo or 1)
+        y = [0] * n
+        for a in range(lo, hi):
+            shift = (a - lo) * n
+            y = [acc | z[v] << shift for acc, v in zip(y, mul[a])]
+        found = None  # (a, b, b', c) of the least violation in the block so far
         for b in range(n):
-            masks = [violations(zm, b, bp, s) for bp, s in enumerate(add[b])]
+            masks = [violations(y, b, bp, s) for bp, s in enumerate(add[b])]
             if any(masks):
-                bp = next(i for i, mask in enumerate(masks) if mask)
-                return a, b, bp, _lowest(masks[bp])
+                for bp, mask in enumerate(masks):
+                    if mask:
+                        da, c = divmod(_lowest(mask), n)
+                        if found is None or lo + da < found[0]:
+                            found = (lo + da, b, bp, c)
+                if found[0] == lo:  # no later (b, b') comes before it
+                    return found
+        if found:
+            return found
+        lo = hi
     return None
+
+
+def _first_split_difference(t: Tabulation, rows, sums, prods):
+    """First (a, b, c) with rows[a+b][c] != sums[prods[a][c]][prods[b][c]]:
+    the product of a sum against the sum of the products, over c."""
+    columns = [_gather(col) for col in zip(*prods)]  # columns[c](row) reads row at prods[b][c] per b
+    return _first_slab_difference(
+        t,
+        t.add,
+        [tuple(row) for row in rows],
+        lambda a: list(zip(*[g(sums[x]) for g, x in zip(columns, prods[a])])),
+    )
 
 
 # Properties that are the conjunction of others, checked in this order.
@@ -150,7 +190,7 @@ def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVe
         z = _zero_masks(t)
         witness = _first_triple(t, lambda a, b: z[add[a][b]] ^ (z[a] & z[b]))
     elif prop is BimonoidProperty.BI_STRONGLY_ZSF:
-        witness = _first_quad(t, lambda zm, b, bp, s: zm[s] ^ (zm[b] & zm[bp]))
+        witness = _first_quad(t, lambda y, b, bp, s: y[s] ^ (y[b] & y[bp]))
     elif prop is BimonoidProperty.ZERO_DIVISOR_FREE:
         witness = _first_pair(t, lambda a, b: (mul[a][b] == zero) != (a == zero or b == zero))
     elif prop in _COMPOSITES:
@@ -158,24 +198,12 @@ def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVe
     elif prop is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
         sum_is_zero = [[v == zero for v in row] for row in add]
         product_is_zero = [[v == zero for v in row] for row in mul]
-        witness = _first_row_difference(
-            t,
-            lambda a, b: product_is_zero[add[a][b]],
-            lambda a, b: [sum_is_zero[x][y] for x, y in zip(mul[a], mul[b])],
-        )
+        witness = _first_split_difference(t, product_is_zero, sum_is_zero, mul)
     elif prop is BimonoidProperty.RIGHT_DISTRIBUTIVE:
-        witness = _first_row_difference(
-            t,
-            lambda a, b: mul[add[a][b]],
-            lambda a, b: [add[x][y] for x, y in zip(mul[a], mul[b])],
-        )
+        witness = _first_split_difference(t, mul, add, mul)
     elif prop is BimonoidProperty.LEFT_DISTRIBUTIVE:
-        cols = [list(col) for col in zip(*mul)]  # cols[x][c] = c*x
-        witness = _first_row_difference(
-            t,
-            lambda a, b: cols[add[a][b]],
-            lambda a, b: [add[x][y] for x, y in zip(cols[a], cols[b])],
-        )
+        cols = list(zip(*mul))  # cols[x][c] = c*x
+        witness = _first_split_difference(t, cols, add, cols)
     elif prop is BimonoidProperty.COMMUTATIVE:
         witness = _first_pair(t, lambda a, b: mul[a][b] != mul[b][a])
     else:
@@ -198,9 +226,9 @@ def check_half(alg: WeightAlgebra | Tabulation, half: HalfCondition) -> Property
         z = _zero_masks(t)
         witness = _first_triple(t, lambda a, b: z[a] & z[b] & ~z[add[a][b]])
     elif half is HalfCondition.TREE_RUN_TO_INIT:
-        witness = _first_quad(t, lambda zm, b, bp, s: zm[s] & ~zm[b])
+        witness = _first_quad(t, lambda y, b, bp, s: y[s] & ~y[b])
     elif half is HalfCondition.TREE_INIT_TO_RUN:
-        witness = _first_quad(t, lambda zm, b, bp, s: zm[b] & zm[bp] & ~zm[s])
+        witness = _first_quad(t, lambda y, b, bp, s: y[b] & y[bp] & ~y[s])
     else:
         raise ValueError(f"unknown half condition {half!r}")
     return _verdict(t, half, witness)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from bimonoid_automata import bridge, cli, fileio
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
-from bimonoid_automata.algebra import Semantics
+from bimonoid_automata.algebra import Polynomial, Semantics
 
 from conftest import bundled_carriers
 
@@ -599,6 +600,24 @@ def test_cli_refuses_weights_that_are_not_naturals(algebra, weight, tmp_path, ca
     }))
     code, out, err = run_cli(["eval", "--automaton", str(path), "--input", ""], capsys)
     assert (code, out) == (2, "") and "initial 'p'" in err
+
+
+def test_cli_refuses_a_poly_monome_degree_above_the_bound(tmp_path, capsys):
+    # the dense coefficient list of x^100000000 would take gigabytes
+    path = tmp_path / "automaton.json"
+    path.write_text(json.dumps({
+        "algebra": "PolyMonome", "alphabet": ["a"], "states": ["p"],
+        "initial": {"p": "x^100000000"},
+    }))
+    start = time.perf_counter()
+    code, out, err = run_cli(["eval", "--automaton", str(path), "--input", ""], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and "degree above 65536" in err
+    alg = ba.poly_monome()
+    top = alg.MAX_DEGREE
+    assert alg.parse(f"x^{top}") == Polynomial((0,) * top + (1,))
+    with pytest.raises(ValueError, match="degree above"):
+        alg.parse(f"1+x^{top + 1}")
 
 
 @pytest.mark.parametrize("alg, samples", bundled_carriers(), ids=lambda x: getattr(x, "name", ""))

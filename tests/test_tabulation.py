@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimonoid_automata as ba
-from bimonoid_automata import cli
+from bimonoid_automata import cli, properties
 from bimonoid_automata.algebra import (
     CarrierNotClosedError,
     MalformedTableError,
@@ -85,6 +85,66 @@ def test_random_tables_match_literal_checker(case):
     alg, order = case
     assert_same_as_literal(alg)
     assert_same_as_literal(Relabelled(alg, order))
+
+
+def _chain_with_random_rows(rng, n):
+    """An n-element chain's tables (add = max, mul = min) with the mul rows
+    from a random k on redrawn: the 4-ary conditions hold (k = n) or first
+    fail at some a >= k, often at several a's of one packed block."""
+    add = [[max(i, j) for j in range(n)] for i in range(n)]
+    mul = [[min(i, j) for j in range(n)] for i in range(n)]
+    for a in range(rng.randint(1, n), n):
+        mul[a] = [rng.randrange(n) for _ in range(n)]
+    return ba.FiniteTableAlgebra("chain", [f"e{i}" for i in range(n)], add, mul, 0, n - 1)
+
+
+def _random_table(rng, n):
+    def table():
+        return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+
+    return ba.FiniteTableAlgebra(
+        "random", [f"e{i}" for i in range(n)], table(), table(), rng.randrange(n), rng.randrange(n)
+    )
+
+
+def test_six_to_ten_element_tables_match_literal_checker():
+    # The 4-ary decisions pack the a's in blocks [0,1), [1,2), [2,4), [4,8),
+    # [8,16); these tables reach the blocks of 4 and 8 a's.
+    rng = random.Random(13)
+    first_a = set()
+    for i in range(40):
+        n = rng.randint(6, 10)
+        alg = _chain_with_random_rows(rng, n) if i % 4 else _random_table(rng, n)
+        assert_same_as_literal(alg)
+        assert_same_as_literal(Relabelled(alg, rng.sample(range(n), n)))
+        quads = (check(alg, P.BI_STRONGLY_ZSF), check_half(alg, H.TREE_RUN_TO_INIT),
+                 check_half(alg, H.TREE_INIT_TO_RUN))
+        first_a |= {v.witness[0] for v in quads if not v.holds}
+    assert first_a & {4, 5, 6, 7} and first_a & {8, 9}, first_a
+
+
+def test_quad_decisions_cost_n_squared_per_block(monkeypatch):
+    # On a 16-element chain every 4-ary condition holds, so each decision
+    # scans all five blocks: 5 * 16^2 violation masks, where one mask per
+    # (a, b, b') would be 16^3.
+    names, pairs = _chain(16)
+    t = tabulate(ba.lattice_algebra("chain-16", names, pairs))
+    calls = []
+    first_quad = properties._first_quad
+
+    def counted(t, violations):
+        def violations_counted(*args):
+            calls[-1] += 1
+            return violations(*args)
+
+        calls.append(0)
+        return first_quad(t, violations_counted)
+
+    monkeypatch.setattr(properties, "_first_quad", counted)
+    verdicts = [check(t, P.BI_STRONGLY_ZSF), check_half(t, H.TREE_RUN_TO_INIT),
+                check_half(t, H.TREE_INIT_TO_RUN)]
+    assert all(v.holds for v in verdicts)
+    assert calls == [5 * 16**2] * 3
 
 
 def _chain(n):
