@@ -115,12 +115,18 @@ class WeightAlgebra:
     ``mul``. Values are immutable and shareable; the one mutable exception is
     :class:`CountingAlgebra`.
 
+    Values must be hashable, with ``equal`` agreeing with ``==``, on every
+    carrier, finite or not: the init recursion memoises its steps by
+    (vector, symbol) or (symbol, child vectors) (see :func:`_init_memo`),
+    and counted runs key on weights. Every bundled algebra meets this.
+
     Pruned run semantics (``run_semantics(..., prune=True)`` and the
     ``explore`` walks) counts runs by (state, weight) instead of listing
-    them: it relies on ``add`` being commutative and associative, on zero
-    annihilating, and on values being hashable with ``equal`` agreeing with
-    ``==``. Every bundled algebra meets this. On tables that break the axioms
-    (loaded with ``allow_invalid``) only the unpruned enumeration is literal.
+    them: it also relies on ``add`` being commutative and associative and on
+    zero annihilating. On tables that break the axioms (loaded with
+    ``allow_invalid``) only the unpruned enumeration is literal; the init
+    memo stays literal on them, since a hit returns the value the same step
+    would compute.
     """
 
     name = "algebra"
@@ -428,25 +434,45 @@ def _images(rows) -> dict:
     return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 
 
-def _finite_memo(alg: WeightAlgebra, step: Callable) -> Callable:
+# Misses in a row after which an init memo is emptied and bypassed for the
+# rest of its call: on a carrier whose values keep growing no vector repeats,
+# and a memo would keep every vector where the plain recursion keeps one.
+MEMO_MISS_LIMIT = 1024
+
+
+def _init_memo(alg: WeightAlgebra, step: Callable) -> Callable:
     """An init step ``step(x, y)``, memoised on (x, y) for as long as the
-    returned function lives if ``alg`` has a finite carrier.
+    returned function lives, on any carrier.
 
     The step depends on its vector(s) and symbol alone, so a hit returns what
-    it would, and over n elements there are at most n^|Q| vectors; finite
-    carriers have hashable elements (see ``WeightAlgebra.elements``). An
-    infinite carrier, and the counting wrapper over any carrier, keep the
+    it would; values are hashable (see :class:`WeightAlgebra`). Whenever the
+    weights generate a locally finite part of the algebra, finitely many
+    vectors are reachable and a long input costs about a lookup per step.
+    After :data:`MEMO_MISS_LIMIT` misses in a row the memo is emptied and
+    every later call takes the plain ``step``, so memory stays that of the
+    plain recursion where values never repeat. The counting wrapper keeps the
     plain ``step``, so counted profiles see every operation of the recursion.
     """
-    if not alg.is_finite or isinstance(alg, CountingAlgebra):
+    if isinstance(alg, CountingAlgebra):
         return step
+    limit = MEMO_MISS_LIMIT
     memo: dict = {}
+    misses = 0
 
     def memoised(x, y):
+        nonlocal misses
+        if misses >= limit:
+            return step(x, y)
         key = (x, y)
         value = memo.get(key)
-        if value is None:
-            value = memo[key] = step(x, y)
+        if value is not None:
+            misses = 0
+            return value
+        misses += 1
+        if misses >= limit:
+            memo.clear()
+            return step(x, y)
+        value = memo[key] = step(x, y)
         return value
 
     return memoised

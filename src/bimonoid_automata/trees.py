@@ -13,7 +13,7 @@ import re
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _finite_memo, _Frozen, _images, _is_int, _run_total
+from .algebra import _configuration, _cost_profile, _Frozen, _images, _init_memo, _is_int, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -565,8 +565,9 @@ def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> li
 
 def _init_nodes(automaton: TreeAutomaton):
     """``step(symbol, child vectors)``: :func:`_init_node`, memoised per
-    (symbol, child vectors) over a finite carrier (see ``algebra._finite_memo``)."""
-    return _finite_memo(
+    (symbol, child vectors) on any carrier (see ``algebra._init_memo``), so
+    distinct subtrees that reach the same vectors share one step."""
+    return _init_memo(
         automaton.algebra, lambda symbol, vecs: _init_node(automaton, symbol, vecs)
     )
 
@@ -576,10 +577,12 @@ def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
 
     Only stored transitions are visited; absent entries would contribute a
     zero factor and change nothing. Repeated subtrees are evaluated once.
-    Over a finite carrier each (symbol, child vectors) step is also computed
-    once per call, so distinct subtrees that reach the same vectors share it;
-    over an infinite carrier, and under the counting wrapper, every distinct
-    subtree does its own step.
+    Each (symbol, child vectors) step is also computed once per call, so
+    distinct subtrees that reach the same vectors share it, on a finite
+    carrier and on an infinite one whose weights reach finitely many vectors
+    (NatPlusMin). Where vectors stop repeating the memo gives up after
+    ``algebra.MEMO_MISS_LIMIT`` misses in a row; from then on, and under the
+    counting wrapper throughout, every distinct subtree does its own step.
     """
     return _bottom_up(automaton, t, {}, _init_nodes(automaton))
 

@@ -14,8 +14,8 @@ from collections import deque
 from functools import reduce
 from typing import Iterator, Optional, Sequence
 
-from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _finite_memo, _images, _run_total
+from .algebra import CostProfile, CountingAlgebra, Semantics, WeightAlgebra, WeightedAutomaton
+from .algebra import _configuration, _cost_profile, _images, _init_memo, _run_total
 
 Word = Sequence[str]
 
@@ -152,9 +152,14 @@ def enumerate_runs(automaton: WordAutomaton, word: Word) -> Iterator[tuple]:
 def run_semantics(automaton: WordAutomaton, word: Word, prune: bool = False):
     """Sum of run weights over every run.
 
-    By default every run is enumerated in lexicographic order and multiplied
-    out in full (this is the cost baseline); the word is checked and its
-    matrices looked up once per call, not once per run. With ``prune`` the
+    By default every run is enumerated in lexicographic order, each weighed
+    as :func:`run_weight` multiplies it, and the weights are summed left to
+    right (this is the cost baseline); the word is checked and its matrices
+    looked up once per call, not once per run. A run shares with the one
+    before it every prefix product up to where the enumeration carried, so
+    only the rest is multiplied again (see :func:`_run_weights`); under the
+    counting wrapper every run is multiplied out in full, so the counts are
+    :func:`word_run_cost` exactly. With ``prune`` the
     runs are counted instead of listed: a left-to-right sweep keeps, per
     state, how many runs reach it with each nonzero prefix weight, and the
     total folds each final value times its count. The value is the same
@@ -165,11 +170,43 @@ def run_semantics(automaton: WordAutomaton, word: Word, prune: bool = False):
         word = tuple(word)
         runs = enumerate_runs(automaton, word)  # checks the word
         matrices = [automaton.transitions[a] for a in word]
-        return alg.sum(_run_weight(automaton, automaton.initial, matrices, run) for run in runs)
+        return alg.sum(_run_weights(automaton, matrices, runs))
     runs = _run_start(automaton)
     for a in word:
         runs = _run_step(alg, runs, automaton._step(a)[2])
     return _run_total(alg, runs, automaton.final)
+
+
+def _run_weights(automaton: WordAutomaton, matrices: list, runs) -> Iterator:
+    """The weight of each run of ``runs``, which come in lexicographic
+    order, as :func:`_run_weight` multiplies it: the same left-nested
+    products, so the values are the same on any table.
+
+    ``prefix[i]`` holds the product of the last run's factors up to position
+    i. A run differs from the one before it from its last nonzero position
+    on, where the enumeration carried, and is multiplied from there; the
+    first run, and every run under the counting wrapper, from position 0.
+    """
+    mul = automaton.algebra.mul
+    initial, final = automaton.initial, automaton.final
+    n = len(matrices)
+    shared = not isinstance(automaton.algebra, CountingAlgebra)
+    prefix: list = [None] * (n + 1)
+    for run in runs:
+        k = n if shared else 0
+        while k and not run[k]:
+            k -= 1
+        if k:
+            acc = prefix[k - 1]
+        else:
+            acc = prefix[0] = initial[run[0]]
+            k = 1
+        p = run[k - 1]
+        for i in range(k, n + 1):
+            q = run[i]
+            acc = prefix[i] = mul(acc, matrices[i - 1][p][q])
+            p = q
+        yield mul(acc, final[p])
 
 
 def _run_start(automaton: WordAutomaton) -> list:
@@ -199,9 +236,9 @@ def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
 
 def _init_steps(automaton: WordAutomaton):
     """``step(vec, symbol)``: the vector times the symbol's matrix, memoised
-    per (vector, symbol) over a finite carrier (see ``algebra._finite_memo``)."""
+    per (vector, symbol) (see ``algebra._init_memo``)."""
     add, mul = automaton.algebra.add, automaton.algebra.mul
-    return _finite_memo(
+    return _init_memo(
         automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[1])
     )
 
@@ -209,10 +246,14 @@ def _init_steps(automaton: WordAutomaton):
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix.
 
-    Over a finite carrier each (vector, symbol) step is computed once per
-    call, so a long word costs about a lookup per symbol; over an infinite
-    carrier, and under the counting wrapper, every step does its |Q|^2 muls
-    and |Q|(|Q|-1) adds.
+    Each (vector, symbol) step is computed once per call, so a word whose
+    vectors repeat costs about a lookup per symbol. That holds on every
+    finite carrier, and on an infinite one whenever the weights reach
+    finitely many vectors (NatPlusMin). Where vectors stop repeating
+    (NatPlusPlus, PolyMonome) the memo gives up after
+    ``algebra.MEMO_MISS_LIMIT`` misses in a row and each later step does
+    its |Q|^2 muls and |Q|(|Q|-1) adds, as every step does under the
+    counting wrapper.
     """
     step = _init_steps(automaton)
     vec = automaton.initial

@@ -89,6 +89,49 @@ def dense_state_vector(automaton, t):
 
 
 # --------------------------------------------------------------------------
+# Automata with weights drawn from a fixed pool, for carriers that
+# ``harness`` cannot enumerate
+
+
+def infinite_pools():
+    """``(algebra, weight pool)`` for each infinite bundled carrier. Over
+    NatPlusMin the evolved vectors of a long input repeat; over NatPlusPlus
+    and PolyMonome they keep growing."""
+    return (
+        (ba.nat_plus_min(), [0, 1, 2, 5, INFINITY]),
+        (ba.nat_plus_plus(), [ADJOINED_ZERO, 0, 1, 2]),
+        (ba.poly_monome(), [Polynomial.of(c) for c in ((1,), (0, 1), (1, 1), (2,), (0, 0, 1))]),
+    )
+
+
+def pool_word_automaton(rng, alg, pool, n_states, alphabet=("a", "b")):
+    """``n_states`` states, each weight zero with probability 0.3, else drawn from ``pool``."""
+    def draw():
+        return alg.zero if rng.random() < 0.3 else rng.choice(pool)
+
+    states = tuple(f"q{i}" for i in range(n_states))
+    return W.WordAutomaton(
+        alg, alphabet, states,
+        [draw() for _ in states], [draw() for _ in states],
+        {a: [[draw() for _ in states] for _ in states] for a in alphabet},
+    )
+
+
+def pool_tree_automaton(rng, alg, pool, n_states, alphabet):
+    """``n_states`` states, each transition stored with probability 0.6 and
+    a weight drawn from ``pool``, as are the root weights."""
+    states = tuple(f"q{i}" for i in range(n_states))
+    quads = [
+        (sw, sym, q, rng.choice(pool))
+        for sym in alphabet.symbols
+        for sw in itertools.product(states, repeat=alphabet.rank(sym))
+        for q in states
+        if rng.random() < 0.6
+    ]
+    return T.TreeAutomaton(alg, alphabet, states, quads, [rng.choice(pool) for _ in states])
+
+
+# --------------------------------------------------------------------------
 # Random trees and runs
 
 
@@ -347,21 +390,29 @@ def _literal_dot(alg, vec, column):
     return acc
 
 
-def literal_word_vectors(automaton, word):
+def _literal_vectors(automaton, word):
     """The initial vector, then the vector after each prefix: no memo, one
     matrix product per symbol."""
     alg = automaton.algebra
     nq = len(automaton.states)
-    vecs = [tuple(automaton.initial)]
+    vec = tuple(automaton.initial)
+    yield vec
     for a in word:
         m = automaton.transitions[a]
-        vecs.append(tuple(_literal_dot(alg, vecs[-1], [m[p][q] for p in range(nq)]) for q in range(nq)))
-    return vecs
+        vec = tuple(_literal_dot(alg, vec, [m[p][q] for p in range(nq)]) for q in range(nq))
+        yield vec
+
+
+def literal_word_vectors(automaton, word):
+    return list(_literal_vectors(automaton, word))
 
 
 def literal_word_init(automaton, word):
-    """The initial vector times each symbol's matrix, then the final fold."""
-    return _literal_dot(automaton.algebra, literal_word_vectors(automaton, word)[-1], automaton.final)
+    """The initial vector times each symbol's matrix, then the final fold;
+    only the current vector is kept."""
+    for vec in _literal_vectors(automaton, word):
+        pass
+    return _literal_dot(automaton.algebra, vec, automaton.final)
 
 
 # --------------------------------------------------------------------------
@@ -377,6 +428,11 @@ def plain_tree_vectors(automaton, t):
         children = tuple(out[pos + (i,)][2] for i in range(1, len(node.children) + 1))
         out[pos] = (node.symbol, children, T._init_node(automaton, node.symbol, children))
     return out
+
+
+def plain_tree_init(automaton, t):
+    """The root weights folded with the plain recursion's root vector."""
+    return _literal_dot(automaton.algebra, plain_tree_vectors(automaton, t)[()][2], automaton.root_weights)
 
 
 # --------------------------------------------------------------------------

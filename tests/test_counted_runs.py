@@ -1,8 +1,9 @@
 """Counted run semantics and the ``explore`` walks against the literal run
-enumerator (``prune=False``) and ``initial_semantics``, and the operation
-counts of the default-config support sweeps that use them."""
+enumerator (``prune=False`` and conftest's ``literal_word_runs``) and the
+plain init recursion (conftest's ``literal_word_init`` and
+``plain_tree_init``), and the operation counts of the default-config
+support sweeps that use them."""
 
-import itertools
 import random
 
 import pytest
@@ -11,8 +12,16 @@ import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
-from bimonoid_automata.algebra import ADJOINED_ZERO, INFINITY, CountingAlgebra, Polynomial, _count_cycle
-from conftest import per_input_images
+from bimonoid_automata.algebra import INFINITY, CountingAlgebra, _count_cycle
+from conftest import (
+    infinite_pools,
+    literal_word_init,
+    literal_word_runs,
+    per_input_images,
+    plain_tree_init,
+    pool_tree_automaton,
+    pool_word_automaton,
+)
 
 FINITE = ba.bundled_finite_algebras()
 WORDS = list(W.all_words(("a", "b"), 4))
@@ -25,20 +34,23 @@ def _names(alg):
 
 def assert_word_rows(automaton, max_len, cycle=None):
     """``explore`` yields, by rank, the first word of each configuration with
-    the literal run value and the exact init value, pruned ``run_semantics``
-    agrees, and each word's values are those of a row at or before it."""
+    the literal run value and the plain init value, pruned and unpruned
+    ``run_semantics`` and ``initial_semantics`` agree, and each word's values
+    are those of a row at or before it."""
     alg = automaton.algebra
     words = list(W.all_words(automaton.alphabet, max_len))
     rows = list(W.explore(automaton, max_len, cycle))
     assert [row[0] for row in rows] == sorted({row[0] for row in rows}) and rows[0][0] == 0
+    plain = {word: (literal_word_runs(automaton, word), literal_word_init(automaton, word)) for word in words}
     for rank, word, run, init in rows:
         assert word == words[rank]
-        literal = W.run_semantics(automaton, word)
+        literal, plain_init = plain[word]
         assert alg.equal(run, literal), (alg.name, word)
+        assert alg.equal(W.run_semantics(automaton, word), literal), (alg.name, word)
         assert alg.equal(W.run_semantics(automaton, word, prune=True), literal), (alg.name, word)
-        assert init == W.initial_semantics(automaton, word), (alg.name, word)
+        assert init == plain_init == W.initial_semantics(automaton, word), (alg.name, word)
     for rank, word in enumerate(words):
-        pair = (W.run_semantics(automaton, word, prune=True), W.initial_semantics(automaton, word))
+        pair = (W.run_semantics(automaton, word, prune=True), plain[word][1])
         assert pair in {(run, init) for r, _, run, init in rows if r <= rank}, (alg.name, word)
     return rows
 
@@ -52,9 +64,9 @@ def assert_tree_rows(automaton, trees, cycle=None):
         literal = T.run_semantics(automaton, t)
         assert alg.equal(run, literal), (alg.name, str(t))
         assert alg.equal(T.run_semantics(automaton, t, prune=True), literal), (alg.name, str(t))
-        assert init == T.initial_semantics(automaton, t), (alg.name, str(t))
+        assert init == plain_tree_init(automaton, t) == T.initial_semantics(automaton, t), (alg.name, str(t))
     for index, t in enumerate(trees):
-        pair = (T.run_semantics(automaton, t, prune=True), T.initial_semantics(automaton, t))
+        pair = (T.run_semantics(automaton, t, prune=True), plain_tree_init(automaton, t))
         assert pair in {(run, init) for i, _, run, init in rows if i <= index}, (alg.name, str(t))
     return rows
 
@@ -72,31 +84,15 @@ def test_word_values_match_enumerator(alg):
         assert list(W.explore(automaton, 2)) == [row for row in rows if len(row[1]) <= 2]
 
 
-def _word_automaton(rng, alg, pool, n_states, alphabet=("a", "b")):
-    def draw():
-        return alg.zero if rng.random() < 0.3 else rng.choice(pool)
-
-    states = tuple(f"q{i}" for i in range(n_states))
-    return W.WordAutomaton(
-        alg, alphabet, states,
-        [draw() for _ in states], [draw() for _ in states],
-        {a: [[draw() for _ in states] for _ in states] for a in alphabet},
-    )
-
-
 @pytest.mark.parametrize(
     "alg, pool, max_len",
-    [
-        (ba.nat_plus_min(), [0, 1, 2, 5, INFINITY], 4),
-        (ba.nat_plus_plus(), [ADJOINED_ZERO, 0, 1, 2], 4),
-        (ba.poly_monome(), [Polynomial.of(c) for c in ((1,), (0, 1), (1, 1), (2,), (0, 0, 1))], 3),
-    ],
+    [(alg, pool, 3 if alg.name == "PolyMonome" else 4) for alg, pool in infinite_pools()],
     ids=lambda x: x.name if isinstance(x, ba.WeightAlgebra) else "",
 )
 def test_word_values_match_enumerator_on_infinite_carriers(alg, pool, max_len):
     rng = random.Random(13)
     for _ in range(4):
-        assert_word_rows(_word_automaton(rng, alg, pool, 3), max_len)
+        assert_word_rows(pool_word_automaton(rng, alg, pool, 3), max_len)
 
 
 def _tree_inputs():
@@ -121,18 +117,6 @@ def test_tree_values_match_enumerator(alg):
         assert set(assert_tree_rows(automaton, trees, cycle)) <= set(rows)
 
 
-def _tree_automaton(rng, alg, pool, n_states):
-    states = tuple(f"q{i}" for i in range(n_states))
-    quads = [
-        (sw, sym, q, rng.choice(pool))
-        for sym in TREE_ALPHABET.symbols
-        for sw in itertools.product(states, repeat=TREE_ALPHABET.rank(sym))
-        for q in states
-        if rng.random() < 0.6
-    ]
-    return T.TreeAutomaton(alg, TREE_ALPHABET, states, quads, [rng.choice(pool) for _ in states])
-
-
 @pytest.mark.parametrize("alg", [*FINITE, ba.nat_plus_min()], ids=_names)
 def test_images_match_the_per_input_path(alg):
     rng = random.Random(29)
@@ -140,9 +124,9 @@ def test_images_match_the_per_input_path(alg):
     words = list(W.all_words(("a", "b"), 4))
     trees = list(T.enumerate_trees(TREE_ALPHABET, 5))
     for _ in range(5):
-        automaton = _word_automaton(rng, alg, pool, rng.randint(1, 3))
+        automaton = pool_word_automaton(rng, alg, pool, rng.randint(1, 3))
         assert W.images_up_to(automaton, 4) == per_input_images(W, automaton, words)
-        automaton = _tree_automaton(rng, alg, pool, rng.randint(1, 3))
+        automaton = pool_tree_automaton(rng, alg, pool, rng.randint(1, 3), TREE_ALPHABET)
         assert T.images_up_to(automaton, 5) == per_input_images(T, automaton, trees)
 
 
@@ -167,9 +151,9 @@ def test_counts_reduce_by_index_and_period(alg, cycle):
     pool = list(alg.elements())[1:]
     trees = _tree_inputs()
     for _ in range(4):
-        automaton = _word_automaton(rng, alg, pool, 3)
+        automaton = pool_word_automaton(rng, alg, pool, 3)
         assert set(assert_word_rows(automaton, 4, cycle)) <= set(assert_word_rows(automaton, 4))
-        automaton = _tree_automaton(rng, alg, pool, 3)
+        automaton = pool_tree_automaton(rng, alg, pool, 3, TREE_ALPHABET)
         assert set(assert_tree_rows(automaton, trees, cycle)) <= set(assert_tree_rows(automaton, trees))
 
 
@@ -196,7 +180,8 @@ def test_pruned_run_semantics_of_a_long_word():
         alg, ("a", "b"), ("p", "q"), (1, 1), (0, 1),
         {"a": [[1, 1], [1, 1]], "b": [[1, 0], [0, 1]]},
     )
-    word = tuple(random.Random(23).choice("ab") for _ in range(10**5))
+    rng = random.Random(23)
+    word = tuple(rng.choice("ab") for _ in range(10**5))
     assert W.run_semantics(automaton, word, prune=True) == 1
     assert W.initial_semantics(automaton, word) == 1
 

@@ -6,11 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimonoid_automata as ba
+from bimonoid_automata import algebra
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata.algebra import Semantics
 
-from conftest import dense_state_vector, plain_tree_vectors, random_run, random_tree
+from conftest import (
+    dense_state_vector,
+    infinite_pools,
+    plain_tree_init,
+    plain_tree_vectors,
+    pool_tree_automaton,
+    random_run,
+    random_tree,
+)
 
 ALPHABET = T.RankedAlphabet({"sigma": 2, "delta": 2, "alpha": 0, "beta": 0})
 EXAMPLE = T.parse("sigma(delta(alpha,beta),alpha)", ALPHABET)
@@ -372,31 +381,66 @@ def _random_tree(rng, leaves):
     return pool[0]
 
 
-@pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
-def test_memoised_tree_init_matches_plain_fold(alg, monkeypatch):
-    # over a finite carrier each (symbol, child vectors) step runs once per call, so
-    # distinct subtrees that reach the same vectors share it; the twin
-    # subtrees below are equal but separately built
+MEMO_ALPHABET = T.RankedAlphabet({"alpha": 0, "beta": 0, "gamma": 1, "sigma": 2})
+
+# (algebra, weight pool or None for all of a finite carrier, leaves of the
+# random tree, leaves of each twin, spine depth): PolyMonome's coefficients
+# grow fastest, so its trees are the smallest
+MEMO_CASES = [
+    pytest.param(alg, pool, *sizes, id=alg.name)
+    for alg, pool, sizes in (
+        *((alg, None, (200, 60, 300)) for alg in ba.bundled_finite_algebras()),
+        *((alg, pool, (30, 10, 40) if alg.name == "PolyMonome" else (200, 60, 300)) for alg, pool in infinite_pools()),
+    )
+]
+
+
+def _memo_automata(alg, pool, leaves, twin_leaves, depth):
+    """Automata with 1, 2 and 3 states, each with three trees: a random one,
+    two equal but separately built twins under sigma, and a gamma spine."""
+    rng = random.Random(59)
+    for n_states in (1, 2, 3):
+        if pool is None:
+            automaton = H.random_tree_automaton(rng, alg, MEMO_ALPHABET, n_states)
+        else:
+            automaton = pool_tree_automaton(rng, alg, pool, n_states, MEMO_ALPHABET)
+        seed = rng.random()
+        twins = [_random_tree(random.Random(seed), twin_leaves) for _ in range(2)]
+        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        yield automaton, (_random_tree(rng, leaves), T.Tree("sigma", tuple(twins)), spine(depth))
+
+
+@pytest.mark.parametrize("alg, pool, leaves, twin_leaves, depth", MEMO_CASES)
+def test_memoised_tree_init_matches_plain_fold(alg, pool, leaves, twin_leaves, depth, monkeypatch):
+    # each (symbol, child vectors) step runs once per call, so distinct subtrees
+    # that reach the same vectors share it. Over a finite carrier, and over
+    # NatPlusMin, whose values stay bounded, that is fewer steps than nodes
     calls: list = []
     plain = T._init_node
     monkeypatch.setattr(T, "_init_node", lambda *args: calls.append(args) or plain(*args))
-    alphabet = T.RankedAlphabet({"alpha": 0, "beta": 0, "gamma": 1, "sigma": 2})
-    rng = random.Random(59)
-    for max_states in (1, 2, 3):
-        automaton = H.random_tree_automaton(rng, alg, alphabet, max_states)
-        seed = rng.random()
-        twins = [_random_tree(random.Random(seed), 60) for _ in range(2)]
-        assert twins[0] == twins[1] and twins[0] is not twins[1]
-        for t in (_random_tree(rng, 200), T.Tree("sigma", tuple(twins)), spine(300)):
+    for automaton, trees in _memo_automata(alg, pool, leaves, twin_leaves, depth):
+        for t in trees:
             steps = plain_tree_vectors(automaton, t)
             calls.clear()
             assert T.state_vector(automaton, t) == steps[()][2]
             assert len(calls) == len({(sym, children) for sym, children, _ in steps.values()})
-            assert len(calls) < T.size(t)
-        trees = list(T.enumerate_trees(alphabet, 5))
-        for _, t, _, init in T.explore(automaton, trees):
-            vec = plain_tree_vectors(automaton, t)[()][2]
-            assert init == alg.sum(map(alg.mul, vec, automaton.root_weights))
+            if alg.is_finite or alg.name == "NatPlusMin":
+                assert len(calls) < T.size(t)
+            assert T.initial_semantics(automaton, t) == plain_tree_init(automaton, t)
+        for _, t, _, init in T.explore(automaton, list(T.enumerate_trees(MEMO_ALPHABET, 5))):
+            assert init == plain_tree_init(automaton, t)
+
+
+@pytest.mark.parametrize("alg, pool", [pytest.param(*case, id=case[0].name) for case in infinite_pools()])
+def test_bypassed_tree_memo_keeps_plain_values(alg, pool, monkeypatch):
+    # at a miss limit of 4 the memo gives up early in most trees
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", 4)
+    for automaton, trees in _memo_automata(alg, pool, 30, 10, 40):
+        for t in trees:
+            assert T.state_vector(automaton, t) == plain_tree_vectors(automaton, t)[()][2]
+            assert T.initial_semantics(automaton, t) == plain_tree_init(automaton, t)
+        for _, t, _, init in T.explore(automaton, list(T.enumerate_trees(MEMO_ALPHABET, 5))):
+            assert init == plain_tree_init(automaton, t)
 
 
 def test_pruned_run_semantics_equals_unpruned():

@@ -1,21 +1,26 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bimonoid_automata as ba
+from bimonoid_automata import algebra
 from bimonoid_automata import harness as H
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import CountingAlgebra, Semantics
 
 from conftest import (
+    bundled_carriers,
+    infinite_pools,
     literal_word_init,
     literal_word_runs,
     literal_word_vectors,
     nfa_accepts,
     nfa_as_boole_automaton,
+    pool_word_automaton,
 )
 
 
@@ -222,26 +227,104 @@ def _count_init_steps(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
-def test_memoised_init_matches_literal_fold(alg, monkeypatch):
-    # over a finite carrier each (vector, symbol) step runs once per call: words of
-    # 10^3 symbols revisit vectors, so almost every step is a memo hit
-    calls = _count_init_steps(monkeypatch)
+# (algebra, weight pool or None for all of a finite carrier, word length):
+# PolyMonome's coefficients grow fastest, so its words are the shortest
+MEMO_CASES = [
+    pytest.param(alg, pool, length, id=alg.name)
+    for alg, pool, length in (
+        *((alg, None, 1000) for alg in ba.bundled_finite_algebras()),
+        *((alg, pool, {"NatPlusMin": 1000, "NatPlusPlus": 200}.get(alg.name, 40)) for alg, pool in infinite_pools()),
+    )
+]
+
+
+def _memo_automata(alg, pool, length):
+    """Automata with 1, 2 and 3 states, each with three words of ``length``
+    symbols: random, a block of a's then b's, and a repeated abb."""
     rng = random.Random(53)
-    for max_states in (1, 2, 3):
-        automaton = H.random_word_automaton(rng, alg, ("a", "b"), max_states)
-        for word in (
-            tuple(rng.choice("ab") for _ in range(1000)),
-            ("a",) * 700 + ("b",) * 300,
-            ("a", "b", "b") * 333,
-        ):
+    for n_states in (1, 2, 3):
+        if pool is None:
+            automaton = H.random_word_automaton(rng, alg, ("a", "b"), n_states)
+        else:
+            automaton = pool_word_automaton(rng, alg, pool, n_states)
+        words = (
+            tuple(rng.choice("ab") for _ in range(length)),
+            ("a",) * (length * 7 // 10) + ("b",) * (length * 3 // 10),
+            ("a", "b", "b") * (length // 3),
+        )
+        yield automaton, words
+
+
+@pytest.mark.parametrize("alg, pool, length", MEMO_CASES)
+def test_memoised_init_matches_literal_fold(alg, pool, length, monkeypatch):
+    # each (vector, symbol) step runs once per call. Over a finite carrier, and
+    # over NatPlusMin, whose values stay bounded, a long word revisits vectors,
+    # so most steps are memo hits; over NatPlusPlus and PolyMonome they do not
+    # repeat, and the memo must still give the literal values
+    calls = _count_init_steps(monkeypatch)
+    for automaton, words in _memo_automata(alg, pool, length):
+        for word in words:
             vecs = literal_word_vectors(automaton, word)
             calls.clear()
             assert W.state_vector(automaton, word) == vecs[-1]
-            assert len(calls) == len(set(zip(vecs, word))) < len(word)
+            assert len(calls) == len(set(zip(vecs, word)))
+            if alg.is_finite or alg.name == "NatPlusMin":
+                assert len(calls) < len(word)
             assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
-        for _, word, _, init in W.explore(automaton, 6):
+        for _, word, _, init in W.explore(automaton, 6 if pool is None else 4):
             assert init == literal_word_init(automaton, word)
+
+
+@pytest.mark.parametrize("alg, pool", [pytest.param(*case, id=case[0].name) for case in infinite_pools()])
+def test_bypassed_memo_keeps_literal_values(alg, pool, monkeypatch):
+    # after MEMO_MISS_LIMIT misses in a row the memo is emptied and every
+    # later step takes the plain recursion: at a limit of 4 most words cross it
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", 4)
+    for automaton, words in _memo_automata(alg, pool, 40):
+        for word in words:
+            assert W.state_vector(automaton, word) == literal_word_vectors(automaton, word)[-1]
+            assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
+        for _, word, _, init in W.explore(automaton, 4):
+            assert init == literal_word_init(automaton, word)
+
+
+@pytest.mark.parametrize("limit, word, steps", [
+    (4, "a" * 40, 40),
+    (5, "a" * 40, 4),
+    (algebra.MEMO_MISS_LIMIT, "a" * 40, 4),
+    (5, "a" * 8 + "ba" * 16, 8),
+])
+def test_memo_gives_up_after_the_miss_limit(limit, word, steps, monkeypatch):
+    # a moves the one entry round a 4-cycle of vectors, b keeps it: "a" * 40 makes
+    # four misses in a row, then only hits, unless the fourth miss reached the
+    # limit and every later step is recomputed; in the last word b's four
+    # misses come between hits, so the count of misses in a row stays at 4
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
+    calls = _count_init_steps(monkeypatch)
+    cycle = [[int(q == (p + 1) % 4) for q in range(4)] for p in range(4)]
+    identity = [[int(q == p) for q in range(4)] for p in range(4)]
+    automaton = W.WordAutomaton(
+        ba.boole(), ("a", "b"), "pqrs", (1, 0, 0, 0), (0, 0, 0, 1), {"a": cycle, "b": identity}
+    )
+    assert W.initial_semantics(automaton, tuple(word)) == literal_word_init(automaton, tuple(word))
+    assert len(calls) == steps
+
+
+def test_memo_on_growing_values_keeps_the_plain_memory():
+    # over NatPlusPlus, with every weight the natural 0 and initial (1, 1), each
+    # symbol doubles both entries, so no vector repeats and they reach 2·10^4
+    # bits: a memo of every vector would hold about 50 MB, the plain recursion
+    # holds one vector
+    automaton = W.WordAutomaton(ba.nat_plus_plus(), ("a",), ("p", "q"), (1, 1), (0, 0), {"a": [[0, 0], [0, 0]]})
+    word = ("a",) * 20000
+    tracemalloc.start()
+    try:
+        value = W.initial_semantics(automaton, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == literal_word_init(automaton, word) == 2**20001
+    assert peak < 4 * 2**20
 
 
 def test_counted_init_takes_the_plain_recursion(monkeypatch):
@@ -272,16 +355,32 @@ def test_deterministic_evaluation(b4_probe):
 
 
 def test_exact_cost_counts():
+    # criterion 11 on every bundled carrier: under the counting wrapper the
+    # enumerator multiplies every run out in full and init takes every step;
+    # the shared-prefix enumerator outside it gives the literal value
     rng = random.Random(3)
-    alg = ba.pentagon()
-    automaton = H.random_word_automaton(rng, alg, ("a",), 3)
-    while len(automaton.states) != 3:
-        automaton = H.random_word_automaton(rng, alg, ("a",), 3)
-    for n in range(0, 5):
-        word = ("a",) * n
-        profile = H.cost_profile(automaton, word)
-        assert profile.run_counts == profile.predicted["run"]
-        assert profile.init_counts == profile.predicted["init"]
+    for alg, pool in bundled_carriers():
+        pool = [x for x in pool if not alg.is_zero(x)]
+        for n_states in (1, 2, 3):
+            automaton = pool_word_automaton(rng, alg, pool, n_states)
+            for n in range(0, 5):
+                word = tuple(rng.choice("ab") for _ in range(n))
+                profile = H.cost_profile(automaton, word)
+                assert profile.run_counts == profile.predicted["run"] == W.word_run_cost(n_states, n)
+                assert profile.init_counts == profile.predicted["init"] == W.word_init_cost(n_states, n)
+                literal = literal_word_runs(automaton, word)
+                assert W.run_semantics(automaton, word) == literal, (alg.name, word)
+                assert profile.run_value == alg.describe(literal)
+
+
+def test_literal_enumerator_on_one_run_of_a_long_word():
+    # one state: a single run of 10^5 + 1 factors, which the prefix products
+    # must multiply without recursion
+    alg = ba.nat_plus_min()
+    automaton = W.WordAutomaton(alg, ("a", "b"), ("p",), (40,), (30,), {"a": [[25]], "b": [[7]]})
+    rng = random.Random(29)
+    word = tuple(rng.choice("ab") for _ in range(10**5))
+    assert W.run_semantics(automaton, word) == literal_word_runs(automaton, word) == 7
 
 
 def test_mixed_prefix_product_boundaries():
