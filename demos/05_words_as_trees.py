@@ -43,11 +43,9 @@ for alg in ba.bundled_finite_algebras():
     for word in W.all_words(("a", "b"), 4):
         tree = BR.word_to_tree(word)
         checked += 1
-        if not alg.equal(
-            W.run_semantics(automaton, word, prune=True),
-            T.run_semantics(converted, tree, prune=True),
-        ) or not alg.equal(
-            W.initial_semantics(automaton, word), T.initial_semantics(converted, tree)
+        if (
+            W.run_semantics(automaton, word, prune=True) != T.run_semantics(converted, tree, prune=True)
+            or W.initial_semantics(automaton, word) != T.initial_semantics(converted, tree)
         ):
             mismatches += 1
     back = BR.string_wta_to_wsa(converted)

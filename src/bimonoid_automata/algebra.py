@@ -109,16 +109,17 @@ class WeightedAutomaton:
 
 
 class WeightAlgebra:
-    """Base interface: add/mul/zero/one plus decidable equality and labels.
+    """Base interface: add/mul/zero/one plus labels.
 
     Subclasses set ``self.zero`` and ``self.one`` and implement ``add`` and
     ``mul``. Values are immutable and shareable; the one mutable exception is
     :class:`CountingAlgebra`.
 
-    Values must be hashable, with ``equal`` agreeing with ``==``, on every
-    carrier, finite or not: the init recursion memoises its steps by
-    (vector, symbol) or (symbol, child vectors) (see :func:`_init_memo`),
-    and counted runs key on weights. Every bundled algebra meets this.
+    Two weights are equal exactly when they are the same carrier element, so
+    weights compare with ``==`` and must be hashable, on every carrier,
+    finite or not: the init recursion memoises its steps by (vector, symbol)
+    or (symbol, child vectors) (see :func:`_init_memo`), and counted runs key
+    on weights. Every bundled algebra meets this.
 
     Pruned run semantics (``run_semantics(..., prune=True)`` and the
     ``explore`` walks) counts runs by (state, weight) instead of listing
@@ -140,11 +141,8 @@ class WeightAlgebra:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def equal(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
-        return self.equal(a, self.zero)
+        return a == self.zero
 
     def describe(self, a) -> str:
         """Human-readable label of an element, also used in file formats."""
@@ -161,10 +159,9 @@ class WeightAlgebra:
     def elements(self) -> Iterator:
         """Every carrier element exactly once, in a fixed enumeration order.
 
-        A finite carrier's elements must be hashable, and ``equal`` must agree
-        with ``==`` on them: property decisions and axiom validation tabulate
-        the operations (:func:`tabulate`) and look results up by hash. Every
-        bundled algebra meets this.
+        Property decisions and axiom validation tabulate the operations
+        (:func:`tabulate`) and look results up by hash, so a finite carrier's
+        elements must be hashable (see :class:`WeightAlgebra`).
         """
         raise InfiniteCarrierError(
             f"cannot enumerate the infinite carrier of {self.name}"
@@ -288,9 +285,6 @@ class CountingAlgebra(WeightAlgebra):
         self.mul_count += 1
         return self.inner.mul(a, b)
 
-    def equal(self, a, b):
-        return self.inner.equal(a, b)
-
     def describe(self, a):
         return self.inner.describe(a)
 
@@ -375,13 +369,14 @@ def _multiple(alg: WeightAlgebra, count: int, x):
 
 def _run_total(alg: WeightAlgebra, runs: list, final) -> object:
     """The sum over counted runs of weight times ``final[state]``."""
+    mul, zero = alg.mul, alg.zero
     totals: dict = {}
     for weights, f in zip(runs, final):
-        if alg.is_zero(f):
+        if f == zero:
             continue
         for w, count in weights.items():
-            x = alg.mul(w, f)
-            if not alg.is_zero(x):
+            x = mul(w, f)
+            if x != zero:
                 totals[x] = totals.get(x, 0) + count
     total = None
     for x, count in totals.items():
@@ -958,14 +953,7 @@ class PolyMonomeAlgebra(WeightAlgebra):
 
 
 def boole() -> FiniteTableAlgebra:
-    return FiniteTableAlgebra(
-        "Boole",
-        ("0", "1"),
-        ((0, 1), (1, 1)),
-        ((0, 0), (0, 1)),
-        zero_index=0,
-        one_index=1,
-    )
+    return lattice_algebra("Boole", ("0", "1"), [("0", "1")])
 
 
 def pentagon() -> FiniteTableAlgebra:

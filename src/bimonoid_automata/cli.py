@@ -63,8 +63,10 @@ def _parse_ranked_alphabet(text: str):
             continue
         if ":" not in part:
             raise ValueError(f"alphabet entry {part!r} must look like symbol:rank")
-        sym, rank = part.split(":", 1)
-        ranks[sym.strip()] = int(rank)
+        sym, rank = (x.strip() for x in part.split(":", 1))
+        if sym in ranks:
+            raise ValueError(f"--tree-alphabet {text!r} repeats the symbol {sym!r}")
+        ranks[sym] = int(rank)
     return RankedAlphabet(ranks)
 
 
@@ -85,8 +87,13 @@ def _module(automaton):
     return words
 
 
-def _evaluate(automaton, inp, semantics: Semantics):
-    return _module(automaton).evaluate(automaton, inp, semantics, prune=True)
+def _evaluate(args) -> tuple:
+    """The algebra, semantics and value of ``eval`` and ``support``: the
+    automaton file and input of ``args``, evaluated with pruned runs."""
+    automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
+    inp = _load_input(automaton, args.input)
+    semantics = Semantics(args.semantics)
+    return automaton.algebra, semantics, _module(automaton).evaluate(automaton, inp, semantics, prune=True)
 
 
 def _emit(args, payload, text: str):
@@ -97,25 +104,18 @@ def _emit(args, payload, text: str):
 
 
 def cmd_eval(args):
-    automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
-    inp = _load_input(automaton, args.input)
-    semantics = Semantics(args.semantics)
-    value = _evaluate(automaton, inp, semantics)
-    label = automaton.algebra.describe(value)
+    alg, semantics, value = _evaluate(args)
+    label = alg.describe(value)
     _emit(args, {"semantics": semantics.value, "value": label}, label)
     return 0
 
 
 def cmd_support(args):
-    automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
-    inp = _load_input(automaton, args.input)
-    semantics = Semantics(args.semantics)
-    value = _evaluate(automaton, inp, semantics)
-    member = not automaton.algebra.is_zero(value)
+    alg, semantics, value = _evaluate(args)
+    member = not alg.is_zero(value)
     _emit(
         args,
-        {"semantics": semantics.value, "in_support": member,
-         "value": automaton.algebra.describe(value)},
+        {"semantics": semantics.value, "in_support": member, "value": alg.describe(value)},
         "true" if member else "false",
     )
     return 0

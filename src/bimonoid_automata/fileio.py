@@ -52,6 +52,8 @@ def _read_json(path: str, kind: str):
         raise FileFormatError(path, f"cannot read {kind} file: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, f"invalid JSON at line {exc.lineno}") from None
+    except RecursionError:
+        raise FileFormatError(path, "JSON nested too deeply") from None
 
 
 def algebra_from_dict(obj: dict, source: str = "<algebra>", allow_invalid: bool = False) -> FiniteTableAlgebra:
@@ -215,9 +217,12 @@ def load_automaton(path: str, allow_invalid: bool = False):
 
 
 def save_automaton(automaton, path: str):
-    with open(path, "w") as fh:
-        json.dump(automaton_to_dict(automaton), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(automaton_to_dict(automaton), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise FileFormatError(path, f"cannot write automaton file: {exc.strerror}") from None
 
 
 def parse_word_input(automaton: WordAutomaton, text: str) -> tuple:

@@ -461,18 +461,20 @@ def _run_weight(automaton: TreeAutomaton, nodes: list, states) -> object:
     return weights[0]
 
 
+def _local_weight(automaton: TreeAutomaton, t: Tree, run: dict, u: Position) -> object:
+    """The transition weight the run takes at position ``u``: from the
+    states of u's children to the state of u, on u's symbol."""
+    node = subtree_at(t, u)
+    child_states = tuple(run[u + (i,)] for i in range(1, len(node.children) + 1))
+    return automaton.delta(child_states, node.symbol, run[u])
+
+
 def run_weight_postorder(automaton: TreeAutomaton, t: Tree, run) -> object:
     """The same run weight written as one flat product of local transition
     weights in post-order; computed independently of run_weight."""
-    alg = automaton.algebra
     checked = automaton.check_tree(t)
     run = _normalize_run(automaton, positions(checked), run)
-    factors = []
-    for u in postorder(checked):
-        node = subtree_at(checked, u)
-        child_states = tuple(run[u + (i,)] for i in range(1, len(node.children) + 1))
-        factors.append(automaton.delta(child_states, node.symbol, run[u]))
-    return alg.product(factors)
+    return automaton.algebra.product([_local_weight(automaton, checked, run, u) for u in postorder(checked)])
 
 
 def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
@@ -541,8 +543,7 @@ def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> li
     combination of child run weights multiplied (their counts multiply),
     times the transition weight; zero products are dropped as soon as they
     appear."""
-    alg = automaton.algebra
-    mul, is_zero = alg.mul, alg.is_zero
+    mul, zero = automaton.algebra.mul, automaton.algebra.zero
     out: list = [{} for _ in automaton.states]
     for sw, row in automaton._by_symbol.get(symbol, ()):
         partial = {None: 1}  # product of the children's weights so far -> count
@@ -551,13 +552,13 @@ def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> li
             for p, count in partial.items():
                 for w, c in runs[qi].items():
                     x = w if p is None else mul(p, w)
-                    if not is_zero(x):
+                    if x != zero:
                         grown[x] = grown.get(x, 0) + count * c
             partial = grown
         for p, count in partial.items():
             for q, w in row:
                 x = w if p is None else mul(p, w)
-                if not is_zero(x):
+                if x != zero:
                     target = out[q]
                     target[x] = target.get(x, 0) + count
     return out
@@ -705,6 +706,15 @@ def expand(t: Tree, cut: Cut, i: int) -> Cut:
     return cut[:i] + tuple(w + (j,) for j in range(1, k + 1)) + cut[i + 1 :]
 
 
+def _children_block(t: Tree, w: Position) -> Optional[Cut]:
+    """The positions of all children of w's parent, in order, when ``w`` is
+    a first child; None otherwise."""
+    if not w or w[-1] != 1:
+        return None
+    parent = w[:-1]
+    return tuple(parent + (j,) for j in range(1, len(subtree_at(t, parent).children) + 1))
+
+
 def merge(t: Tree, cut: Cut, i: int) -> Cut:
     """One step toward the root: replace the full children block starting at
     cut[i] by the common parent."""
@@ -712,16 +722,14 @@ def merge(t: Tree, cut: Cut, i: int) -> Cut:
     if not 0 <= i < len(cut):
         raise ValueError(f"cut index {i} out of range")
     w = cut[i]
-    if not w or w[-1] != 1:
+    block = _children_block(t, w)
+    if block is None:
         raise ValueError(f"position {w} does not start a children block")
-    parent = w[:-1]
-    k = len(subtree_at(t, parent).children)
-    block = tuple(parent + (j,) for j in range(1, k + 1))
-    if cut[i : i + k] != block:
+    if cut[i : i + len(block)] != block:
         raise ValueError(
-            f"cut positions at index {i} are not exactly the children of {parent}"
+            f"cut positions at index {i} are not exactly the children of {w[:-1]}"
         )
-    return cut[:i] + (parent,) + cut[i + k :]
+    return cut[:i] + (w[:-1],) + cut[i + len(block) :]
 
 
 def expandable_indices(t: Tree, cut: Cut) -> list:
@@ -729,15 +737,8 @@ def expandable_indices(t: Tree, cut: Cut) -> list:
 
 
 def mergeable_indices(t: Tree, cut: Cut) -> list:
-    found = []
-    for i, w in enumerate(cut):
-        if not w or w[-1] != 1:
-            continue
-        parent = w[:-1]
-        k = len(subtree_at(t, parent).children)
-        if cut[i : i + k] == tuple(parent + (j,) for j in range(1, k + 1)):
-            found.append(i)
-    return found
+    blocks = [_children_block(t, w) for w in cut]
+    return [i for i, block in enumerate(blocks) if block is not None and cut[i : i + len(block)] == block]
 
 
 def is_normal_form(t: Tree, cut: Cut, relation: str) -> bool:
@@ -774,14 +775,10 @@ def cut_partial_product(automaton: TreeAutomaton, t: Tree, run, cut: Cut):
             h_memo[pos] = state_vector(automaton, subtree_at(checked, pos))
         return h_memo[pos]
 
-    factors = []
-    for u in included:
-        if u in cutset:
-            factors.append(h_at(u)[run[u]])
-        else:
-            node = subtree_at(checked, u)
-            child_states = tuple(run[u + (i,)] for i in range(1, len(node.children) + 1))
-            factors.append(automaton.delta(child_states, node.symbol, run[u]))
+    factors = [
+        h_at(u)[run[u]] if u in cutset else _local_weight(automaton, checked, run, u)
+        for u in included
+    ]
     return alg.mul(alg.product(factors), automaton.root_weights[run[()]])
 
 

@@ -217,13 +217,13 @@ def _run_start(automaton: WordAutomaton) -> list:
 
 def _run_step(alg: WeightAlgebra, runs: list, successors: tuple) -> list:
     """Counted runs one symbol on, from each state's nonzero successors."""
-    mul, is_zero = alg.mul, alg.is_zero
+    mul, zero = alg.mul, alg.zero
     out: list = [{} for _ in runs]
     for weights, row in zip(runs, successors):
         for w, count in weights.items():
             for q, m in row:
                 x = mul(w, m)
-                if not is_zero(x):
+                if x != zero:
                     target = out[q]
                     target[x] = target.get(x, 0) + count
     return out

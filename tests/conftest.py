@@ -191,7 +191,7 @@ def merge_normal_forms(t, cut, memo):
 # --------------------------------------------------------------------------
 # Literal property and axiom checkers: every quantified tuple in carrier
 # enumeration order, each condition evaluated with the algebra's own
-# add/mul/is_zero/equal. The library decides the same conditions on
+# add/mul/is_zero and ==. The library decides the same conditions on
 # tabulated operations; these are the reference for verdicts and witnesses.
 
 
@@ -213,7 +213,6 @@ def literal_check(alg, prop: BimonoidProperty) -> PropertyVerdict:
     """Decide one property by exhaustive search; witness on failure."""
     z = alg.is_zero
     add, mul = alg.add, alg.mul
-    eq = alg.equal
 
     if prop is BimonoidProperty.ZERO_SUM_FREE:
         witness = _first(alg, 2, lambda a, b: z(add(a, b)) != (z(a) and z(b)))
@@ -242,11 +241,11 @@ def literal_check(alg, prop: BimonoidProperty) -> PropertyVerdict:
         )
     elif prop is BimonoidProperty.RIGHT_DISTRIBUTIVE:
         witness = _first(
-            alg, 3, lambda a, b, c: not eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))
+            alg, 3, lambda a, b, c: mul(add(a, b), c) != add(mul(a, c), mul(b, c))
         )
     elif prop is BimonoidProperty.LEFT_DISTRIBUTIVE:
         witness = _first(
-            alg, 3, lambda a, b, c: not eq(mul(c, add(a, b)), add(mul(c, a), mul(c, b)))
+            alg, 3, lambda a, b, c: mul(c, add(a, b)) != add(mul(c, a), mul(c, b))
         )
     elif prop is BimonoidProperty.DISTRIBUTIVE:
         for part in (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE):
@@ -255,7 +254,7 @@ def literal_check(alg, prop: BimonoidProperty) -> PropertyVerdict:
                 return PropertyVerdict(prop, False, sub.witness, sub.witness_labels)
         witness = None
     elif prop is BimonoidProperty.COMMUTATIVE:
-        witness = _first(alg, 2, lambda a, b: not eq(mul(a, b), mul(b, a)))
+        witness = _first(alg, 2, lambda a, b: mul(a, b) != mul(b, a))
     else:
         raise ValueError(f"unknown property {prop!r}")
     return _verdict(alg, prop, witness)
@@ -317,11 +316,11 @@ def literal_validate_axioms(alg) -> ValidationReport:
 
     record(
         "add-associativity",
-        first_triple(lambda a, b, c: not alg.equal(alg.add(alg.add(a, b), c), alg.add(a, alg.add(b, c)))),
+        first_triple(lambda a, b, c: alg.add(alg.add(a, b), c) != alg.add(a, alg.add(b, c))),
     )
     record(
         "add-commutativity",
-        first_pair(lambda a, b: not alg.equal(alg.add(a, b), alg.add(b, a))),
+        first_pair(lambda a, b: alg.add(a, b) != alg.add(b, a)),
     )
     record(
         "add-identity",
@@ -329,14 +328,14 @@ def literal_validate_axioms(alg) -> ValidationReport:
             (
                 (a,)
                 for a in elems
-                if not alg.equal(alg.add(alg.zero, a), a) or not alg.equal(alg.add(a, alg.zero), a)
+                if alg.add(alg.zero, a) != a or alg.add(a, alg.zero) != a
             ),
             None,
         ),
     )
     record(
         "mul-associativity",
-        first_triple(lambda a, b, c: not alg.equal(alg.mul(alg.mul(a, b), c), alg.mul(a, alg.mul(b, c)))),
+        first_triple(lambda a, b, c: alg.mul(alg.mul(a, b), c) != alg.mul(a, alg.mul(b, c))),
     )
     record(
         "mul-identity",
@@ -344,7 +343,7 @@ def literal_validate_axioms(alg) -> ValidationReport:
             (
                 (a,)
                 for a in elems
-                if not alg.equal(alg.mul(alg.one, a), a) or not alg.equal(alg.mul(a, alg.one), a)
+                if alg.mul(alg.one, a) != a or alg.mul(a, alg.one) != a
             ),
             None,
         ),

@@ -97,9 +97,9 @@ def test_criterion_04_word_probe_identities():
             automaton = W.probe_automaton(alg, a, b, c)
             run_direct = alg.add(alg.mul(a, c), alg.mul(b, c))
             init_direct = alg.mul(alg.add(a, b), c)
-            if not alg.equal(W.run_semantics(automaton, ("gamma",)), run_direct):
+            if W.run_semantics(automaton, ("gamma",)) != run_direct:
                 failures += 1
-            if not alg.equal(W.initial_semantics(automaton, ("gamma",)), init_direct):
+            if W.initial_semantics(automaton, ("gamma",)) != init_direct:
                 failures += 1
             expect_run = [alg.zero] if alg.is_zero(run_direct) else [alg.zero, run_direct]
             expect_init = [alg.zero] if alg.is_zero(init_direct) else [alg.zero, init_direct]
@@ -125,9 +125,9 @@ def test_criterion_05_tree_probe_identities():
                 automaton = T.branching_probe_automaton(alg, a, b, bp, c, alphabet)
                 run_direct = alg.add(alg.mul(alg.mul(a, b), c), alg.mul(alg.mul(a, bp), c))
                 init_direct = alg.mul(alg.mul(a, alg.add(b, bp)), c)
-                if not alg.equal(T.run_semantics(automaton, xi, prune=True), run_direct):
+                if T.run_semantics(automaton, xi, prune=True) != run_direct:
                     failures += 1
-                if not alg.equal(T.initial_semantics(automaton, xi), init_direct):
+                if T.initial_semantics(automaton, xi) != init_direct:
                     failures += 1
                 expect_run = [alg.zero] if alg.is_zero(run_direct) else [alg.zero, run_direct]
                 expect_init = [alg.zero] if alg.is_zero(init_direct) else [alg.zero, init_direct]
@@ -178,18 +178,12 @@ def test_criterion_07_distributive_semantics_equality():
         for _ in range(100):
             automaton = H.random_word_automaton(rng, alg, ("a", "b"), 3)
             for word in W.all_words(("a", "b"), 4):
-                if not alg.equal(
-                    W.run_semantics(automaton, word, prune=True),
-                    W.initial_semantics(automaton, word),
-                ):
+                if W.run_semantics(automaton, word, prune=True) != W.initial_semantics(automaton, word):
                     failures += 1
         for _ in range(100):
             automaton = H.random_tree_automaton(rng, alg, tree_alphabet, 3)
             for t in test_trees:
-                if not alg.equal(
-                    T.run_semantics(automaton, t, prune=True),
-                    T.initial_semantics(automaton, t),
-                ):
+                if T.run_semantics(automaton, t, prune=True) != T.initial_semantics(automaton, t):
                     failures += 1
     _report(7, "run = init pointwise over Boole and the diamond lattice (100 word + 100 tree automata each)",
             failures == 0, f"{failures} failures")
@@ -205,9 +199,7 @@ def test_criterion_08_postorder_product_equivalence():
         automaton = automata[i % len(automata)]
         t = random_tree(rng, alphabet, 4)
         rho = random_run(rng, automaton, t)
-        if not automaton.algebra.equal(
-            T.run_weight(automaton, t, rho), T.run_weight_postorder(automaton, t, rho)
-        ):
+        if T.run_weight(automaton, t, rho) != T.run_weight_postorder(automaton, t, rho):
             failures += 1
     _report(8, "inductive run weight equals the post-order product on 1000 random (tree, run) pairs",
             failures == 0, f"{failures} failures")
@@ -235,8 +227,8 @@ def test_criterion_09_cut_machinery():
         expected_base = alg.mul(T.run_weight(automaton, t, rho), automaton.root_weights[rho[()]])
         vec = T.state_vector(automaton, t)
         expected_top = alg.mul(vec[rho[()]], automaton.root_weights[rho[()]])
-        ok = ok and alg.equal(base, expected_base)
-        ok = ok and alg.equal(T.cut_partial_product(automaton, t, rho, root_cut), expected_top)
+        ok = ok and base == expected_base
+        ok = ok and T.cut_partial_product(automaton, t, rho, root_cut) == expected_top
         if not ok:
             break
     _report(9, "cut rewrites normalize to leaves-cut/root-cut with invariants preserved, boundaries exact",
@@ -260,15 +252,9 @@ def test_criterion_10_bridge_transfer():
                 failures += 1
             for word in W.all_words(("a", "b"), 4):
                 t = BR.word_to_tree(word)
-                if not alg.equal(
-                    W.run_semantics(automaton, word, prune=True),
-                    T.run_semantics(converted, t, prune=True),
-                ):
+                if W.run_semantics(automaton, word, prune=True) != T.run_semantics(converted, t, prune=True):
                     failures += 1
-                if not alg.equal(
-                    W.initial_semantics(automaton, word),
-                    T.initial_semantics(converted, t),
-                ):
+                if W.initial_semantics(automaton, word) != T.initial_semantics(converted, t):
                     failures += 1
     _report(10, "word<->tree transfer: both semantics commute with the spine encoding; round trip is identity",
             failures == 0, f"{failures} failures")

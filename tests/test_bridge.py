@@ -39,13 +39,10 @@ def test_probe_transfer_values():
     automaton = W.probe_automaton(alg, p, r, alg.one)
     converted = BR.wsa_to_wta(automaton)
     gamma_tree = T.parse("gamma(e)")
-    assert alg.equal(
-        T.run_semantics(converted, gamma_tree),
-        alg.add(alg.mul(p, alg.one), alg.mul(r, alg.one)),
-    )
+    assert T.run_semantics(converted, gamma_tree) == alg.add(alg.mul(p, alg.one), alg.mul(r, alg.one))
     # empty word: sum of initial*final
     eps_expected = W.initial_semantics(automaton, ())
-    assert alg.equal(T.initial_semantics(converted, T.Tree("e")), eps_expected)
+    assert T.initial_semantics(converted, T.Tree("e")) == eps_expected
 
 
 def test_semantics_commute_with_encoding(finite_algebras):
@@ -56,14 +53,10 @@ def test_semantics_commute_with_encoding(finite_algebras):
             converted = BR.wsa_to_wta(automaton)
             for w in W.all_words(("a", "b"), 4):
                 t = BR.word_to_tree(w)
-                assert alg.equal(
-                    W.run_semantics(automaton, w, prune=True),
-                    T.run_semantics(converted, t, prune=True),
+                assert (
+                    W.run_semantics(automaton, w, prune=True) == T.run_semantics(converted, t, prune=True)
                 ), (alg.name, w)
-                assert alg.equal(
-                    W.initial_semantics(automaton, w),
-                    T.initial_semantics(converted, t),
-                ), (alg.name, w)
+                assert W.initial_semantics(automaton, w) == T.initial_semantics(converted, t), (alg.name, w)
 
 
 def test_support_transfer_on_pentagon_and_hexagon():
@@ -118,11 +111,7 @@ def test_random_string_wta_transfer_on_b4():
         alg = ba.b4()
         for w in W.all_words(("a", "b"), 4):
             t = BR.word_to_tree(w)
-            assert alg.equal(
-                T.initial_semantics(tree_automaton, t),
-                W.initial_semantics(word_automaton, w),
-            )
-            assert alg.equal(
-                T.run_semantics(tree_automaton, t, prune=True),
-                W.run_semantics(word_automaton, w, prune=True),
+            assert T.initial_semantics(tree_automaton, t) == W.initial_semantics(word_automaton, w)
+            assert (
+                T.run_semantics(tree_automaton, t, prune=True) == W.run_semantics(word_automaton, w, prune=True)
             )

@@ -45,9 +45,9 @@ def assert_word_rows(automaton, max_len, cycle=None):
     for rank, word, run, init in rows:
         assert word == words[rank]
         literal, plain_init = plain[word]
-        assert alg.equal(run, literal), (alg.name, word)
-        assert alg.equal(W.run_semantics(automaton, word), literal), (alg.name, word)
-        assert alg.equal(W.run_semantics(automaton, word, prune=True), literal), (alg.name, word)
+        assert run == literal, (alg.name, word)
+        assert W.run_semantics(automaton, word) == literal, (alg.name, word)
+        assert W.run_semantics(automaton, word, prune=True) == literal, (alg.name, word)
         assert init == plain_init == W.initial_semantics(automaton, word), (alg.name, word)
     for rank, word in enumerate(words):
         pair = (W.run_semantics(automaton, word, prune=True), plain[word][1])
@@ -62,8 +62,8 @@ def assert_tree_rows(automaton, trees, cycle=None):
     for index, t, run, init in rows:
         assert t is trees[index]
         literal = T.run_semantics(automaton, t)
-        assert alg.equal(run, literal), (alg.name, str(t))
-        assert alg.equal(T.run_semantics(automaton, t, prune=True), literal), (alg.name, str(t))
+        assert run == literal, (alg.name, str(t))
+        assert T.run_semantics(automaton, t, prune=True) == literal, (alg.name, str(t))
         assert init == plain_tree_init(automaton, t) == T.initial_semantics(automaton, t), (alg.name, str(t))
     for index, t in enumerate(trees):
         pair = (T.run_semantics(automaton, t, prune=True), plain_tree_init(automaton, t))

@@ -87,7 +87,7 @@ def test_tree_automaton_file_round_trip(tree_probe_file):
     xi = T.doubled_probe_tree(automaton.alphabet)
     alg = automaton.algebra
     expected = alg.mul(alg.mul(2, alg.add(2, 3)), 2)
-    assert alg.equal(T.initial_semantics(automaton, xi), expected)
+    assert T.initial_semantics(automaton, xi) == expected
     again = fileio.automaton_from_dict(fileio.automaton_to_dict(automaton))
     assert list(again.stored_transitions()) == list(automaton.stored_transitions())
 
@@ -308,17 +308,23 @@ _MALFORMED_FILES = {
                         "transitions": []},
     "file-number": 5,
 }
-_EMPTY_WORD_SYMBOLS = {"word-alphabet-empty": "", "word-alphabet-inner": "a,,b", "word-alphabet-trailing": "a,"}
+_MALFORMED_ALPHABETS = {
+    "word-alphabet-empty": ("supports-words", "--word-alphabet", ""),
+    "word-alphabet-inner": ("supports-words", "--word-alphabet", "a,,b"),
+    "word-alphabet-trailing": ("supports-words", "--word-alphabet", "a,"),
+    "tree-alphabet-repeated": ("supports-trees", "--tree-alphabet", "alpha:0,sigma:2,sigma:3"),
+}
 
 
 @pytest.mark.parametrize(
-    "patch, word_alphabet",
+    "patch, alphabet",
     [pytest.param(patch, None, id=name) for name, patch in _MALFORMED_FILES.items()]
-    + [pytest.param(None, text, id=name) for name, text in _EMPTY_WORD_SYMBOLS.items()],
+    + [pytest.param(None, option, id=name) for name, option in _MALFORMED_ALPHABETS.items()],
 )
-def test_cli_malformed_input_exits_two(tmp_path, capsys, patch, word_alphabet):
+def test_cli_malformed_input_exits_two(tmp_path, capsys, patch, alphabet):
     if patch is None:
-        argv = ["check", "supports-words", "--algebra", "B4", "--word-alphabet", word_alphabet]
+        target, option, text = alphabet
+        argv = ["check", target, "--algebra", "B4", option, text]
     else:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({**_WORD_FILE, **patch} if isinstance(patch, dict) else patch))
@@ -346,6 +352,16 @@ def test_cli_convert_round_trip(probe_file, tmp_path, capsys):
     original = fileio.load_automaton(probe_file)
     assert back.transitions == original.transitions
     assert back.initial == original.initial and back.final == original.final
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."], ids=["missing-directory", "directory"])
+def test_cli_convert_to_an_unwritable_output_exits_two(probe_file, tmp_path, monkeypatch, capsys, target):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["convert", "--automaton", probe_file, "--direction", "word-to-tree", "--output", target], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {target}: cannot write automaton file: ")
 
 
 def test_cli_convert_has_no_format_option(probe_file, capsys):
@@ -392,6 +408,23 @@ def test_cli_rejects_options_it_would_ignore(argv, probe_file, tree_probe_file, 
     # an option given at its default value is accepted
     code, _, _ = run_cli(["check", "images-words", "--algebra", "B4", "--seed", "42"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("shape", ["array", "object"])
+@pytest.mark.parametrize("command", ["eval", "props"])
+def test_cli_deeply_nested_json_exits_two(tmp_path, capsys, command, shape, depth):
+    # json.load recurses once per level; past the recursion limit the file is
+    # refused like any other malformed one
+    opening, leaf, closing = ("[", "", "]") if shape == "array" else ('{"a":', "0", "}")
+    path = tmp_path / "deep.json"
+    path.write_text(opening * depth + leaf + closing * depth)
+    if command == "eval":
+        argv = ["eval", "--automaton", str(path), "--input", "a"]
+    else:
+        argv = ["props", "--algebra", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and err == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_cli_missing_automaton_file_exits_two(tmp_path, capsys):

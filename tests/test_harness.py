@@ -88,6 +88,21 @@ def test_trees_monadic_counterexample_on_b4():
     revalidate(report)
 
 
+@pytest.mark.parametrize("max_size, rank", [(7, 30), (3, 3)])
+def test_tree_sweep_draws_no_weights_for_symbols_too_big_to_occur(max_size, rank):
+    # a rank-k symbol needs k + 1 nodes, so no swept tree holds "big": the
+    # automata draw the same weights, and the report is the same, as without
+    # it. Drawing weights for "big" at rank 30 would take 3^31 per automaton.
+    small = T.RankedAlphabet({"alpha": 0, "sigma": 2})
+    big = T.RankedAlphabet({"alpha": 0, "sigma": 2, "big": rank})
+    reports = [
+        H.check_support_theorem_trees(config(ba.pentagon(), tree_alphabet=alph, max_tree_size=max_size))
+        for alph in (small, big)
+    ]
+    assert reports[1].to_dict() == reports[0].to_dict()
+    assert reports[1].hypothesis["alphabet-class"] == "branching"
+
+
 def test_determinism_under_fixed_seed():
     r1 = H.check_support_theorem_words(config(ba.hexagon(), seed=7))
     r2 = H.check_support_theorem_words(config(ba.hexagon(), seed=7))

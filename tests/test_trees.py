@@ -139,7 +139,7 @@ def test_literal_enumerator_checks_once_and_builds_no_positions(monkeypatch):
     monkeypatch.setattr(T, "positions", no_positions)
     for t, value in expected.items():
         checked.clear()
-        assert alg.equal(T.run_semantics(automaton, t), value)
+        assert T.run_semantics(automaton, t) == value
         assert checked == [t]
 
 
@@ -259,10 +259,7 @@ def test_nullary_run_weight(b4_probe):
     alg, _, automaton = b4_probe
     leaf = T.Tree("alpha")
     for i, q in enumerate(automaton.states):
-        assert automaton.algebra.equal(
-            T.run_weight(automaton, leaf, {(): q}),
-            automaton.delta((), "alpha", i),
-        )
+        assert T.run_weight(automaton, leaf, {(): q}) == automaton.delta((), "alpha", i)
 
 
 def test_probe_run_weights_of_the_two_accepting_runs(b4_probe):
@@ -295,8 +292,8 @@ def test_probe_identities_random_quadruples(finite_algebras):
                     alg.mul(alg.mul(a, b), c), alg.mul(alg.mul(a, bp), c)
                 )
                 init_direct = alg.mul(alg.mul(a, alg.add(b, bp)), c)
-                assert alg.equal(T.run_semantics(automaton, xi, prune=True), run_direct)
-                assert alg.equal(T.initial_semantics(automaton, xi), init_direct)
+                assert T.run_semantics(automaton, xi, prune=True) == run_direct
+                assert T.initial_semantics(automaton, xi) == init_direct
                 assert alg.is_zero(T.run_semantics(automaton, T.Tree("alpha"), prune=True))
                 assert alg.is_zero(T.initial_semantics(automaton, T.Tree("alpha")))
 
@@ -351,10 +348,7 @@ def test_run_weight_equals_postorder_product():
         for _ in range(60):
             t = random_tree(rng, automaton.alphabet, 4)
             rho = random_run(rng, automaton, t)
-            assert alg.equal(
-                T.run_weight(automaton, t, rho),
-                T.run_weight_postorder(automaton, t, rho),
-            )
+            assert T.run_weight(automaton, t, rho) == T.run_weight_postorder(automaton, t, rho)
 
 
 def test_state_vector_matches_dense_oracle():
@@ -451,10 +445,7 @@ def test_pruned_run_semantics_equals_unpruned():
                 rng, alg, T.RankedAlphabet({"alpha": 0, "sigma": 2}), 3
             )
             for t in T.enumerate_trees(automaton.alphabet, 5):
-                assert alg.equal(
-                    T.run_semantics(automaton, t),
-                    T.run_semantics(automaton, t, prune=True),
-                )
+                assert T.run_semantics(automaton, t) == T.run_semantics(automaton, t, prune=True)
 
 
 def test_trivial_alphabet_semantics_coincide():
@@ -465,9 +456,7 @@ def test_trivial_alphabet_semantics_coincide():
             automaton = H.random_tree_automaton(rng, alg, alph, 3)
             for sym in ("alpha", "beta"):
                 t = T.Tree(sym)
-                assert alg.equal(
-                    T.run_semantics(automaton, t), T.initial_semantics(automaton, t)
-                )
+                assert T.run_semantics(automaton, t) == T.initial_semantics(automaton, t)
 
 
 def test_distributive_algebras_equal_semantics_on_trees():
@@ -477,10 +466,7 @@ def test_distributive_algebras_equal_semantics_on_trees():
         for _ in range(10):
             automaton = H.random_tree_automaton(rng, alg, alph, 3)
             for t in T.enumerate_trees(alph, 7):
-                assert alg.equal(
-                    T.run_semantics(automaton, t, prune=True),
-                    T.initial_semantics(automaton, t),
-                )
+                assert T.run_semantics(automaton, t, prune=True) == T.initial_semantics(automaton, t)
 
 
 def test_restriction_to_one_nullary_symbol():
@@ -504,11 +490,8 @@ def test_restriction_to_one_nullary_symbol():
     for sym in ("alpha", "beta"):
         part = T.restrict_to_nullary(automaton, sym)
         for t in T.enumerate_trees(part.alphabet, 4):
-            assert alg.equal(
-                T.run_semantics(part, t, prune=True),
-                T.run_semantics(automaton, t, prune=True),
-            )
-            assert alg.equal(T.initial_semantics(part, t), T.initial_semantics(automaton, t))
+            assert T.run_semantics(part, t, prune=True) == T.run_semantics(automaton, t, prune=True)
+            assert T.initial_semantics(part, t) == T.initial_semantics(automaton, t)
             if T.in_support(part, t, Semantics.RUN):
                 support_parts.add(t)
     assert support_full == support_parts
