@@ -60,8 +60,9 @@ class WeightedAutomaton:
     """State bookkeeping shared by word and tree automata: the algebra, the
     nonempty tuple of distinct state names, and weight vectors over them.
 
-    States are always looked up by name, whatever their type; only the run
-    normalisers of ``words`` and ``trees`` also take integer indices.
+    States are looked up by name, whatever their type, except in a run: the
+    run functions of ``words`` and ``trees`` take state indices only, as
+    their run enumerators yield them, so an integer name is never misread.
     ``kind`` ("word" or "tree") names the module that evaluates the
     automaton. Callers dispatch on it instead of ``isinstance``, so they
     import neither module, and an automaton built by a second import of the
@@ -87,11 +88,10 @@ class WeightedAutomaton:
             raise ValueError(f"unknown state {name!r}") from None
 
     def _run_state(self, q) -> int:
-        """A state in a run: an index into ``states``, or a state name."""
-        i = q if isinstance(q, int) else self.state_index(q)
-        if not 0 <= i < len(self.states):
-            raise ValueError(f"state index {i} out of range")
-        return i
+        """A state in a run: an index into ``states``, never a name."""
+        if not (isinstance(q, int) and 0 <= q < len(self.states)):
+            raise ValueError(f"run state {q!r} is not an index into the states")
+        return q
 
     def _vector(self, data) -> tuple:
         """Weights aligned with ``states``, from a sequence or a name mapping

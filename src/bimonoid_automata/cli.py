@@ -33,6 +33,9 @@ USAGE_ERROR = 2
 UNEXPECTED_COUNTEREXAMPLE = 1
 INTERNAL_ERROR = 3
 BROKEN_PIPE = 141
+# A usage error's message is cut to this many characters: the loaders echo
+# the offending value, which a malformed file can make thousands long.
+_MESSAGE_LIMIT = 300
 
 # The TheoremCheckConfig field each sweep option of ``check`` sets.
 _SWEEP_FIELDS = {
@@ -45,7 +48,7 @@ _SWEEP_FIELDS = {
     "--seed": "seed",
 }
 # The sweep options each check would ignore: a support check reads one input
-# kind, and an image check runs one fixed probe family.
+# kind, and an image check sweeps or probes at TheoremCheckConfig's defaults.
 _IGNORED = {
     "supports-words": ("--tree-alphabet", "--max-size"),
     "supports-trees": ("--word-alphabet", "--max-len"),
@@ -291,6 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    if len(message) > _MESSAGE_LIMIT:
+        message = message[: _MESSAGE_LIMIT - 1] + "…"
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -310,11 +320,9 @@ def main(argv=None) -> int:
     except HierarchyInconsistencyError as exc:
         # reachable only for tables loaded with --allow-invalid: the hierarchy
         # implications presuppose the strong-bimonoid axioms
-        print(f"error: {exc} (the loaded tables violate the axioms)", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"{exc} (the loaded tables violate the axioms)")
     except (FileFormatError, UnknownAlgebraError, InfiniteCarrierError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(exc))
     except Exception as exc:
         # anything else is a fault in this program, not in its input: keep
         # exit code 1 for unexpected counterexamples

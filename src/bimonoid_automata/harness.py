@@ -1,10 +1,11 @@
 """Desk-scale verification of the support and image theorems.
 
 Each check decides the algebra-side hypothesis exhaustively, then either
-sweeps random automata over bounded inputs expecting agreement, or builds the
-probe automaton from the property checker's witness and confirms the
-predicted one-sided support failure. A check never concludes that a theorem
-is false: an unexpected outcome is reported as inconsistent and treated as an
+sweeps seeded random automata over bounded inputs expecting agreement, or
+builds one probe from the first failing condition's witness and confirms the
+predicted difference: one-sided supports for a half-condition, different
+values for a distributive law. A check never concludes that a theorem is
+false: an unexpected outcome is reported as inconsistent and treated as an
 implementation bug signal by callers.
 """
 
@@ -18,7 +19,7 @@ from . import trees as T
 from . import words as W
 from .algebra import CostProfile, HierarchyInconsistencyError, Semantics, WeightAlgebra, _count_cycle, tabulate
 from .bridge import word_to_tree, wsa_to_wta
-from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
+from .config import TheoremCheckConfig
 from .properties import BimonoidProperty, HalfCondition, check, check_half
 from .trees import RankedAlphabet, Tree, TreeAutomaton, classify_alphabet
 from .words import WordAutomaton
@@ -194,39 +195,73 @@ def _sweep(theorem, config, hypothesis, random_automaton, explore, n_inputs, com
     return CheckReport(theorem, alg.name, "consistent", True, hypothesis, None, stats, config.seed)
 
 
+def _sweep_words(theorem, config, hypothesis, compare, cycle) -> CheckReport:
+    """``_sweep`` over every word of at most ``config.max_word_len`` symbols."""
+    alphabet, max_len = config.word_alphabet, config.max_word_len
+    return _sweep(
+        theorem, config, hypothesis,
+        lambda rng: random_word_automaton(rng, config.algebra, alphabet, config.max_states),
+        lambda automaton: W.explore(automaton, max_len, cycle),
+        sum(len(alphabet) ** n for n in range(max_len + 1)),
+        compare,
+    )
+
+
+def _sweep_trees(theorem, config, hypothesis, compare, cycle=None, max_size=None) -> CheckReport:
+    """``_sweep`` over every tree of at most ``max_size`` nodes, by default
+    ``config.max_tree_size``."""
+    alphabet, max_size = config.tree_alphabet, max_size or config.max_tree_size
+    test_trees = list(T.enumerate_trees(alphabet, max_size))
+    # a symbol of rank max_size or more occurs in no tree of max_size
+    # nodes, so the automata draw no weights for it
+    drawn = RankedAlphabet({s: k for s, k in alphabet.to_dict().items() if k < max_size})
+    return _sweep(
+        theorem, config, hypothesis,
+        lambda rng: random_tree_automaton(rng, config.algebra, drawn, config.max_states),
+        lambda automaton: T.explore(automaton, test_trees, cycle),
+        len(test_trees),
+        compare,
+    )
+
+
 # The halves of each support hypothesis, run-to-init first.
 _WORD_HALVES = (HalfCondition.RUN_TO_INIT, HalfCondition.INIT_TO_RUN)
 _TREE_HALVES = (HalfCondition.TREE_RUN_TO_INIT, HalfCondition.TREE_INIT_TO_RUN)
 
 
 def _first_failing_half(tables, halves):
-    """First failing half-condition, checked in the given order."""
+    """Verdict of the first failing half-condition, in the given order."""
     for half in halves:
         verdict = check_half(tables, half)
         if not verdict.holds:
-            return half, verdict
+            return verdict
     # a hypothesis fails only through one of its halves in a strong bimonoid
     raise HierarchyInconsistencyError(
         f"{tables.algebra.name}: a support hypothesis fails but neither of its halves does"
     )
 
 
-def _probe(theorem, config, hypothesis, half, verdict, mod, automaton, inp) -> CheckReport:
-    """Evaluate the probe built from a failing half's witness and confirm the
-    one-sided support difference that half predicts."""
-    alg = config.algebra
+def _probe(theorem, config, hypothesis, verdict, automaton, inp) -> CheckReport:
+    """Evaluate the probe built from a failing verdict's witness and confirm
+    what it predicts: a failing half, the one-sided support difference of
+    that half; a failing law, different values."""
+    alg, mod = config.algebra, W if automaton.kind == "word" else T
     run_val = mod.evaluate(automaton, inp, Semantics.RUN, prune=True)
     init_val = mod.evaluate(automaton, inp, Semantics.INIT)
-    run_to_init = half in (HalfCondition.RUN_TO_INIT, HalfCondition.TREE_RUN_TO_INIT)
-    expected = "run-only" if run_to_init else "init-only"
+    failing = verdict.property
+    if isinstance(failing, HalfCondition):
+        run_to_init = failing in (HalfCondition.RUN_TO_INIT, HalfCondition.TREE_RUN_TO_INIT)
+        expected, compare, key = "run-only" if run_to_init else "init-only", _supports_differ, "failing-half"
+    else:
+        expected, compare, key = "values-differ", _values_differ, "failing-law"
     witness = CheckWitness(
         automaton, inp, alg.describe(run_val), alg.describe(init_val),
         expected, verdict.witness_labels,
     )
     return CheckReport(
         theorem, alg.name, "counterexample",
-        _supports_differ(alg, run_val, init_val) == expected,
-        {**hypothesis, "failing-half": half.value}, witness,
+        compare(alg, run_val, init_val) == expected,
+        {**hypothesis, key: failing.value}, witness,
         {"automata_checked": 1, "inputs_checked": 1}, config.seed,
     )
 
@@ -241,20 +276,13 @@ def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
     hypothesis = {"strongly-zero-sum-free": strongly.holds}
 
     if strongly.holds:
-        max_len, cycle = config.max_word_len, _count_cycle(tables)
-        return _sweep(
-            "supports-words", config, hypothesis,
-            lambda rng: random_word_automaton(rng, alg, alphabet, config.max_states),
-            lambda automaton: W.explore(automaton, max_len, cycle),
-            sum(len(alphabet) ** n for n in range(max_len + 1)),
-            _supports_differ,
-        )
+        return _sweep_words("supports-words", config, hypothesis, _supports_differ, _count_cycle(tables))
 
-    half, verdict = _first_failing_half(tables, _WORD_HALVES)
+    verdict = _first_failing_half(tables, _WORD_HALVES)
     a, b, c = verdict.witness
     gamma = alphabet[0]
     automaton = W.probe_automaton(alg, a, b, c, gamma, alphabet)
-    return _probe("supports-words", config, hypothesis, half, verdict, W, automaton, (gamma,))
+    return _probe("supports-words", config, hypothesis, verdict, automaton, (gamma,))
 
 
 def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
@@ -265,50 +293,33 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     alphabet = config.tree_alphabet
     cls = classify_alphabet(alphabet)
 
-    def sweep(hypothesis, max_size, compare, cycle=None):
-        test_trees = list(T.enumerate_trees(alphabet, max_size))
-        # a symbol of rank max_size or more occurs in no tree of max_size
-        # nodes, so the automata draw no weights for it
-        drawn = RankedAlphabet({s: k for s, k in alphabet.to_dict().items() if k < max_size})
-        return _sweep(
-            "supports-trees", config, hypothesis,
-            lambda rng: random_tree_automaton(rng, alg, drawn, config.max_states),
-            lambda automaton: T.explore(automaton, test_trees, cycle),
-            len(test_trees),
-            compare,
-        )
-
     if cls.trivial:
         # every tree is a single leaf, on which the two semantics coincide;
         # no tables are built, so counts stay exact
-        return sweep({"alphabet-class": "trivial"}, 1, _values_differ)
+        return _sweep_trees("supports-trees", config, {"alphabet-class": "trivial"}, _values_differ, max_size=1)
 
-    if cls.monadic:
-        hypothesis_prop = BimonoidProperty.STRONGLY_ZSF
-        label = "monadic"
-    else:
-        hypothesis_prop = BimonoidProperty.BI_STRONGLY_ZSF
-        label = "branching"
+    label, hypothesis_prop = (("monadic", BimonoidProperty.STRONGLY_ZSF) if cls.monadic
+                              else ("branching", BimonoidProperty.BI_STRONGLY_ZSF))
     tables = tabulate(alg)
     hyp = check(tables, hypothesis_prop)
     hypothesis = {"alphabet-class": label, hypothesis_prop.value: hyp.holds}
 
     if hyp.holds:
-        return sweep(hypothesis, config.max_tree_size, _supports_differ, _count_cycle(tables))
+        return _sweep_trees("supports-trees", config, hypothesis, _supports_differ, _count_cycle(tables))
 
     if cls.monadic:
         # word-style failure lifted through the unary spine
-        half, verdict = _first_failing_half(tables, _WORD_HALVES)
+        verdict = _first_failing_half(tables, _WORD_HALVES)
         a, b, c = verdict.witness
         unary, alpha = alphabet.of_rank(1), alphabet.of_rank(0)[0]
         automaton = wsa_to_wta(W.probe_automaton(alg, a, b, c, unary[0], unary), alpha)
         t = word_to_tree((unary[0],), alpha)
     else:
-        half, verdict = _first_failing_half(tables, _TREE_HALVES)
+        verdict = _first_failing_half(tables, _TREE_HALVES)
         a, b, bp, c = verdict.witness
         automaton = T.branching_probe_automaton(alg, a, b, bp, c, alphabet)
         t = T.doubled_probe_tree(alphabet)
-    return _probe("supports-trees", config, hypothesis, half, verdict, T, automaton, t)
+    return _probe("supports-trees", config, hypothesis, verdict, automaton, t)
 
 
 # --------------------------------------------------------------------------
@@ -316,52 +327,31 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
 
 
 def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
-    """Image equality of the two semantics across the probe family matches the
-    distributivity verdicts: right-distributivity for words; right and left
-    for trees over a branching alphabet (the tree probe, taken with c = one,
-    pins down the left law)."""
-    tables = tabulate(alg)
-    if mode == "words":
-        props = (BimonoidProperty.RIGHT_DISTRIBUTIVE,)
-        probe = lambda a, b, c: W.probe_automaton(alg, a, b, c)
-        mod, inp, bound = W, ("gamma",), 1
-    elif mode == "trees":
-        props = (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE)
-        alphabet = RankedAlphabet(dict(DEFAULT_TREE_ALPHABET))
-        probe = lambda a, b, bp: T.branching_probe_automaton(alg, a, b, bp, alg.one, alphabet)
-        mod, inp = T, T.doubled_probe_tree(alphabet)
-        bound = T.size(inp)
-    else:
+    """Images of the two semantics agree for every automaton iff the algebra
+    is right-distributive (words), or right- and left-distributive (trees).
+    Decide the laws, then sweep as the support checks do, at
+    :class:`TheoremCheckConfig`'s defaults, or probe the first failing law's
+    witness (a, b, c) on the probe's one input of nonzero value, where
+    different values are different images. The tree probe, x*y*z + x*y'*z
+    against x*(y+y')*z, takes (one, a, b, c) for the right law and
+    (c, a, b, one) for the left."""
+    if mode not in ("words", "trees"):
         raise ValueError("mode must be 'words' or 'trees'")
-    hypothesis = {prop.value: check(tables, prop).holds for prop in props}
+    config, tables, theorem = TheoremCheckConfig(algebra=alg), tabulate(alg), f"images-{mode}"
+    laws = (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE)
+    verdicts = [check(tables, law) for law in laws[: 1 if mode == "words" else 2]]
+    hypothesis = {v.property.value: v.holds for v in verdicts}
+    failing = next((v for v in verdicts if not v.holds), None)
+    if failing is None:
+        sweep = _sweep_words if mode == "words" else _sweep_trees
+        return sweep(theorem, config, hypothesis, _values_differ, _count_cycle(tables))
 
-    witness = None
-    checked = 0
-    for params in itertools.product(tables.elements, repeat=3):
-        automaton = probe(*params)
-        images = mod.images_up_to(automaton, bound)
-        im_run, im_init = images[Semantics.RUN], images[Semantics.INIT]
-        checked += 1
-        if set(im_run) != set(im_init):
-            witness = CheckWitness(
-                automaton,
-                inp,
-                "{" + ", ".join(alg.describe(v) for v in im_run) + "}",
-                "{" + ", ".join(alg.describe(v) for v in im_init) + "}",
-                "values-differ",
-                tuple(alg.describe(p) for p in params),
-            )
-            break
-    images_all_equal = witness is None
-    return CheckReport(
-        f"images-{mode}",
-        alg.name,
-        "consistent" if images_all_equal else "counterexample",
-        all(hypothesis.values()) == images_all_equal,
-        hypothesis,
-        witness,
-        {"tuples_checked": checked},
-    )
+    a, b, c = failing.witness
+    if mode == "words":
+        return _probe(theorem, config, hypothesis, failing, W.probe_automaton(alg, a, b, c), ("gamma",))
+    x, z = (alg.one, c) if failing.property is laws[0] else (c, alg.one)
+    automaton = T.branching_probe_automaton(alg, x, a, b, z, config.tree_alphabet)
+    return _probe(theorem, config, hypothesis, failing, automaton, T.doubled_probe_tree(config.tree_alphabet))
 
 
 # --------------------------------------------------------------------------

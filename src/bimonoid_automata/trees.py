@@ -696,7 +696,7 @@ def all_cuts(t: Tree) -> list:
 
 def expand(t: Tree, cut: Cut, i: int) -> Cut:
     """One step toward the leaves: replace cut[i] by its children."""
-    cut = tuple(tuple(p) for p in cut)
+    cut = validate_cut(t, cut)
     if not 0 <= i < len(cut):
         raise ValueError(f"cut index {i} out of range")
     w = cut[i]
@@ -718,7 +718,7 @@ def _children_block(t: Tree, w: Position) -> Optional[Cut]:
 def merge(t: Tree, cut: Cut, i: int) -> Cut:
     """One step toward the root: replace the full children block starting at
     cut[i] by the common parent."""
-    cut = tuple(tuple(p) for p in cut)
+    cut = validate_cut(t, cut)
     if not 0 <= i < len(cut):
         raise ValueError(f"cut index {i} out of range")
     w = cut[i]
@@ -733,10 +733,11 @@ def merge(t: Tree, cut: Cut, i: int) -> Cut:
 
 
 def expandable_indices(t: Tree, cut: Cut) -> list:
-    return [i for i, w in enumerate(cut) if subtree_at(t, w).children]
+    return [i for i, w in enumerate(validate_cut(t, cut)) if subtree_at(t, w).children]
 
 
 def mergeable_indices(t: Tree, cut: Cut) -> list:
+    cut = validate_cut(t, cut)
     blocks = [_children_block(t, w) for w in cut]
     return [i for i, block in enumerate(blocks) if block is not None and cut[i : i + len(block)] == block]
 

@@ -471,3 +471,54 @@ def per_input_images(mod, automaton, inputs) -> dict:
         run[mod.run_semantics(automaton, inp, prune=True)] = None
         init[mod.initial_semantics(automaton, inp)] = None
     return {ba.Semantics.RUN: list(run), ba.Semantics.INIT: list(init)}
+
+
+# --------------------------------------------------------------------------
+# Atlas: every small strong bimonoid, by brute force
+
+
+def _associative(table) -> bool:
+    n = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in n for b in n for c in n)
+
+
+def _tables(n, cells, identity, commutative):
+    """Every associative n x n table that is ``identity(a, b)`` outside
+    ``cells`` and takes every value at each of ``cells``; a commutative one
+    mirrors each cell."""
+    found = []
+    for values in itertools.product(range(n), repeat=len(cells)):
+        table = [[identity(a, b) for b in range(n)] for a in range(n)]
+        for (a, b), v in zip(cells, values):
+            table[a][b] = v
+            if commutative:
+                table[b][a] = v
+        if _associative(table):
+            found.append(table)
+    return found
+
+
+def _relabel(table, p) -> tuple:
+    """The table with each index a renamed p[a]."""
+    inverse = sorted(range(len(p)), key=p.__getitem__)
+    return tuple(tuple(p[table[x][y]] for y in inverse) for x in inverse)
+
+
+def small_strong_bimonoids(n: int) -> list:
+    """Every strong bimonoid on n >= 2 elements with zero at index 0 and one
+    at index 1, up to relabelling the others, as ``FiniteTableAlgebra``s
+    named ``atlas<n>.<i>``: each associative commutative sum with identity
+    0, times each associative product with identity 1 and absorbing 0."""
+    sums = _tables(n, [(a, b) for a in range(1, n) for b in range(a, n)],
+                   lambda a, b: b if a == 0 else a if b == 0 else None, True)
+    products = _tables(n, [(a, b) for a in range(2, n) for b in range(2, n)],
+                       lambda a, b: 0 if 0 in (a, b) else b if a == 1 else a if b == 1 else None, False)
+    relabellings = [(0, 1) + p for p in itertools.permutations(range(2, n))]  # the identity first
+    names = ["0", "1"] + [chr(ord("a") + i) for i in range(n - 2)]
+    seen, algebras = set(), []
+    for add, mul in itertools.product(sums, products):
+        if (_relabel(add, relabellings[0]), _relabel(mul, relabellings[0])) in seen:
+            continue
+        seen.update((_relabel(add, p), _relabel(mul, p)) for p in relabellings)
+        algebras.append(ba.FiniteTableAlgebra(f"atlas{n}.{len(algebras)}", names, add, mul, 0, 1))
+    return algebras

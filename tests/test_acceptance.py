@@ -290,5 +290,5 @@ def test_criterion_12_image_theorem():
             expected = rd if mode == "words" else (rd and ld)
             ok = ok and report.as_predicted
             ok = ok and (report.verdict == "consistent") == expected
-    _report(12, "image equality across the probe family matches the distributivity verdicts (words and trees)",
+    _report(12, "image checks match the distributivity verdicts: sweep when the laws hold, one probe per failing law",
             ok)

@@ -57,6 +57,20 @@ def test_invalid_rewrites_raise():
         T.validate_cut(t, ((), (1,)))  # not independent
 
 
+def test_rewrites_refuse_a_non_cut():
+    # each of these returned a tuple before the rewrites validated the cut
+    leaf = T.Tree("alpha")
+    pair = T.parse("sigma(alpha,alpha)", T.RankedAlphabet({"alpha": 0, "sigma": 2}))
+    for rewrite in (
+        lambda: T.merge(leaf, ((1,),), 0),  # (1,) is not a position of a leaf
+        lambda: T.mergeable_indices(leaf, ((1,),)),
+        lambda: T.merge(pair, ((1,), (2,), (2, 1)), 0),  # (2,) and (2, 1) are not independent
+        lambda: T.expandable_indices(pair, ((), (1,))),
+    ):
+        with pytest.raises(ValueError):
+            rewrite()
+
+
 def test_rewrite_normal_forms_exhaustive_to_seven_nodes():
     # the acceptance suite pushes this to nine nodes
     for t in T.enumerate_trees(MIXED, 7):

@@ -270,6 +270,23 @@ def test_cli_check_unexpected_counterexample_exits_one(tmp_path, capsys):
     assert "NOT AS PREDICTED" in out
 
 
+def test_cli_images_trees_probes_the_right_law(tmp_path, capsys):
+    # right-distributivity fails at (1, a, b) and left-distributivity holds,
+    # so only a probe of the right law shows the differing images
+    algebra = {
+        "names": ["0", "1", "a", "b"], "zero": "0", "one": "1",
+        "add": [["0", "1", "a", "b"], ["1", "1", "1", "1"], ["a", "1", "a", "1"], ["b", "1", "1", "b"]],
+        "mul": [["0", "0", "0", "0"], ["0", "1", "a", "b"], ["0", "a", "0", "a"], ["0", "b", "0", "b"]],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(algebra))
+    code, out, _ = run_cli(["check", "images-trees", "--algebra", str(path), "--format", "json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "counterexample" and report["as_predicted"]
+    assert report["hypothesis"]["failing-law"] == "right-distributive"
+    assert report["witness"]["run"] != report["witness"]["init"]
+
+
 def test_cli_usage_errors_exit_two(probe_file, capsys):
     code, _, err = run_cli(["props", "--algebra", "nosuch"], capsys)
     assert code == 2 and "nosuch" in err and "PentagonN5" in err
@@ -425,6 +442,21 @@ def test_cli_deeply_nested_json_exits_two(tmp_path, capsys, command, shape, dept
         argv = ["props", "--algebra", str(path)]
     code, _, err = run_cli(argv, capsys)
     assert code == 2 and err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_cli_caps_a_long_error_line(tmp_path):
+    # the loader echoes the offending weight, here nested 980 levels deep; a
+    # fresh process parses that depth, where pytest's deeper stack would not
+    weight = "[" * 980 + "]" * 980
+    path = tmp_path / "deep.json"
+    path.write_text('{"algebra": "B4", "alphabet": ["a"], "states": ["q"], "initial": {"q": "1"},'
+                    f' "final": {{"q": {weight}}}, "transitions": []}}')
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
+    result = subprocess.run([sys.executable, "-m", "bimonoid_automata", "eval", "--automaton", str(path),
+                             "--input", "a"], capture_output=True, encoding="utf-8", env=env)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: {path} final 'q': '[[[")
+    assert result.stderr.endswith("…\n") and len(result.stderr) <= 320
 
 
 def test_cli_missing_automaton_file_exits_two(tmp_path, capsys):

@@ -259,17 +259,18 @@ def test_nullary_run_weight(b4_probe):
     alg, _, automaton = b4_probe
     leaf = T.Tree("alpha")
     for i, q in enumerate(automaton.states):
-        assert T.run_weight(automaton, leaf, {(): q}) == automaton.delta((), "alpha", i)
+        assert T.run_weight(automaton, leaf, {(): automaton.state_index(q)}) == automaton.delta((), "alpha", i)
 
 
 def test_probe_run_weights_of_the_two_accepting_runs(b4_probe):
     alg, alph, automaton = b4_probe
     xi = T.doubled_probe_tree(alph)
     k = 3
-    rho1 = {(): "q2", (1,): "seed_a", (2,): "unit", (3,): "q1",
-            (3, 1): "seed_b1", (3, 2): "unit", (3, 3): "unit"}
+    names = {(): "q2", (1,): "seed_a", (2,): "unit", (3,): "q1",
+             (3, 1): "seed_b1", (3, 2): "unit", (3, 3): "unit"}
+    rho1 = {p: automaton.state_index(q) for p, q in names.items()}
     rho2 = dict(rho1)
-    rho2[(3, 1)] = "seed_b2"
+    rho2[(3, 1)] = automaton.state_index("seed_b2")
     # weight before root weights: a*b and a*b'
     assert T.run_weight(automaton, xi, rho1) == alg.mul(2, 2)
     assert T.run_weight(automaton, xi, rho2) == alg.mul(2, 3)

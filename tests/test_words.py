@@ -34,7 +34,7 @@ def test_empty_word_run_weight(b4_probe):
     alg, automaton = b4_probe
     for i, q in enumerate(automaton.states):
         expected = alg.mul(automaton.initial[i], automaton.final[i])
-        assert W.run_weight(automaton, (), (q,)) == expected
+        assert W.run_weight(automaton, (), (automaton.state_index(q),)) == expected
 
 
 def test_probe_single_symbol_values(b4_probe):
@@ -49,10 +49,27 @@ def test_probe_single_run_weights():
     alg = ba.pentagon()
     p, r = alg.parse("p"), alg.parse("r")
     automaton = W.probe_automaton(alg, p, r, alg.parse("q"))
+    def run(*names):
+        return tuple(automaton.state_index(q) for q in names)
+
     # the run through the first initial state picks up a, the unit step, then c
-    assert W.run_weight(automaton, ("gamma",), ("p", "r")) == alg.mul(p, alg.parse("q"))
-    assert W.run_weight(automaton, ("gamma",), ("q", "r")) == alg.mul(r, alg.parse("q"))
-    assert W.run_weight(automaton, ("gamma",), ("p", "q")) == alg.zero
+    assert W.run_weight(automaton, ("gamma",), run("p", "r")) == alg.mul(p, alg.parse("q"))
+    assert W.run_weight(automaton, ("gamma",), run("q", "r")) == alg.mul(r, alg.parse("q"))
+    assert W.run_weight(automaton, ("gamma",), run("p", "q")) == alg.zero
+
+
+def test_runs_are_state_indices_even_for_integer_names():
+    # states named 1 and 0, in that order: the run (1, 0) visits index 1
+    # (the state named 0), then index 0 (the state named 1)
+    alg = ba.nat_plus_min()
+    automaton = W.WordAutomaton(alg, ("g",), (1, 0), {1: 2, 0: 7}, {1: 5, 0: 3},
+                                [(1, "g", 0, 4), (0, "g", 1, 6)])
+    assert W.run_weight(automaton, ("g",), (1, 0)) == 5  # min(7, 6, 5)
+    by_name = (automaton.state_index(1), automaton.state_index(0))
+    assert W.run_weight(automaton, ("g",), by_name) == 2  # min(2, 4, 3)
+    named = W.probe_automaton(alg, 1, 2, 3)
+    with pytest.raises(ValueError):
+        W.run_weight(named, ("gamma",), ("p", "r"))
 
 
 def test_probe_b3prime_supports():
@@ -87,7 +104,8 @@ def test_probe_identities_random_triples(finite_algebras):
 def test_zero_transition_annihilates(b4_probe):
     alg, automaton = b4_probe
     # the run through r twice crosses an all-zero row
-    assert W.run_weight(automaton, ("gamma", "gamma"), ("r", "r", "r")) == alg.zero
+    r = automaton.state_index("r")
+    assert W.run_weight(automaton, ("gamma", "gamma"), (r, r, r)) == alg.zero
 
 
 def test_image_examples(b4_probe):
@@ -419,7 +437,7 @@ def test_input_errors(b4_probe):
     with pytest.raises(ValueError):
         W.run_weight(automaton, ("gamma",), ("p",))  # too short
     with pytest.raises(ValueError):
-        W.mixed_prefix_product(automaton, ("gamma",), ("p", "r"), 5)
+        W.mixed_prefix_product(automaton, ("gamma",), (0, 2), 5)
     with pytest.raises(ValueError):
         W.probe_automaton(ba.b4(), 1, 1, 1, "gamma", ("delta",))
 
