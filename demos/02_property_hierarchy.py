@@ -50,6 +50,6 @@ print("one-sided conditions (which half of the support equality can fail):")
 for name in ("B4", "B3prime"):
     report = reports[name]
     for half in (HC.RUN_TO_INIT, HC.INIT_TO_RUN):
-        verdict = report.halves[half]
+        verdict = report.verdicts[half]
         status = "holds" if verdict.holds else f"fails at ({', '.join(verdict.witness_labels)})"
         print(f"  {name:<9} {half.value:<13} {status}")

@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "properties": (
         "BimonoidProperty", "HalfCondition", "PropertyReport", "PropertyVerdict",
-        "check", "check_half", "classify",
+        "check", "classify",
     ),
     "trees": (
         "AlphabetClass", "RankedAlphabet", "Tree", "TreeAutomaton", "all_cuts",

@@ -240,8 +240,6 @@ class FiniteTableAlgebra(WeightAlgebra):
         return self.names[a]
 
     def parse(self, value):
-        if _is_index(value, len(self.names)):
-            return value
         text = str(value)
         if text in self.names:
             return self.names.index(text)
@@ -536,10 +534,8 @@ def tabulate(alg: WeightAlgebra) -> Tabulation:
     return Tabulation(alg, elements, add, mul, position(alg.zero, "zero"), position(alg.one, "one"))
 
 
-def _first_difference(xs: list, ys: list) -> Optional[int]:
-    """First index at which two equally long lists differ, or None."""
-    if xs == ys:
-        return None
+def _first_difference(xs: list, ys: list) -> int:
+    """First index at which two equally long lists differ; they must differ."""
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 

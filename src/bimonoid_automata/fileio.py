@@ -43,17 +43,28 @@ def _is_state(value) -> bool:
     return isinstance(value, str) or _is_int(value)
 
 
+_MAX_NESTING = 100  # levels of arrays and objects; the formats nest at most 6
+
+
 def _read_json(path: str, kind: str):
-    """The JSON value in the ``kind`` file at ``path``."""
+    """The JSON value in the ``kind`` file at ``path``; one nested more than
+    ``_MAX_NESTING`` levels deep is refused, at any depth of the caller's stack."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh)
+        level = [value]
+        for _ in range(_MAX_NESTING + 1):  # walked level by level, without recursion
+            level = [x for x in level if isinstance(x, (list, dict))]
+            if not level:
+                return value
+            level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
     except OSError as exc:
         raise FileFormatError(path, f"cannot read {kind} file: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, f"invalid JSON at line {exc.lineno}") from None
-    except RecursionError:
-        raise FileFormatError(path, "JSON nested too deeply") from None
+    except RecursionError:  # the parser ran out of stack first
+        pass
+    raise FileFormatError(path, "JSON nested too deeply")
 
 
 def algebra_from_dict(obj: dict, source: str = "<algebra>", allow_invalid: bool = False) -> FiniteTableAlgebra:

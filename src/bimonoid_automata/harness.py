@@ -20,7 +20,7 @@ from . import words as W
 from .algebra import CostProfile, HierarchyInconsistencyError, Semantics, WeightAlgebra, _count_cycle, tabulate
 from .bridge import word_to_tree, wsa_to_wta
 from .config import TheoremCheckConfig
-from .properties import BimonoidProperty, HalfCondition, check, check_half
+from .properties import _HALVES, BimonoidProperty, HalfCondition, check
 from .trees import RankedAlphabet, Tree, TreeAutomaton, classify_alphabet
 from .words import WordAutomaton
 
@@ -224,15 +224,10 @@ def _sweep_trees(theorem, config, hypothesis, compare, cycle=None, max_size=None
     )
 
 
-# The halves of each support hypothesis, run-to-init first.
-_WORD_HALVES = (HalfCondition.RUN_TO_INIT, HalfCondition.INIT_TO_RUN)
-_TREE_HALVES = (HalfCondition.TREE_RUN_TO_INIT, HalfCondition.TREE_INIT_TO_RUN)
-
-
-def _first_failing_half(tables, halves):
-    """Verdict of the first failing half-condition, in the given order."""
-    for half in halves:
-        verdict = check_half(tables, half)
+def _first_failing_half(tables, hypothesis):
+    """Verdict of the first failing half of a support hypothesis, run-to-init first."""
+    for half in _HALVES[hypothesis]:
+        verdict = check(tables, half)
         if not verdict.holds:
             return verdict
     # a hypothesis fails only through one of its halves in a strong bimonoid
@@ -278,7 +273,7 @@ def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
     if strongly.holds:
         return _sweep_words("supports-words", config, hypothesis, _supports_differ, _count_cycle(tables))
 
-    verdict = _first_failing_half(tables, _WORD_HALVES)
+    verdict = _first_failing_half(tables, BimonoidProperty.STRONGLY_ZSF)
     a, b, c = verdict.witness
     gamma = alphabet[0]
     automaton = W.probe_automaton(alg, a, b, c, gamma, alphabet)
@@ -307,15 +302,14 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     if hyp.holds:
         return _sweep_trees("supports-trees", config, hypothesis, _supports_differ, _count_cycle(tables))
 
+    verdict = _first_failing_half(tables, hypothesis_prop)
     if cls.monadic:
         # word-style failure lifted through the unary spine
-        verdict = _first_failing_half(tables, _WORD_HALVES)
         a, b, c = verdict.witness
         unary, alpha = alphabet.of_rank(1), alphabet.of_rank(0)[0]
         automaton = wsa_to_wta(W.probe_automaton(alg, a, b, c, unary[0], unary), alpha)
         t = word_to_tree((unary[0],), alpha)
     else:
-        verdict = _first_failing_half(tables, _TREE_HALVES)
         a, b, bp, c = verdict.witness
         automaton = T.branching_probe_automaton(alg, a, b, bp, c, alphabet)
         t = T.doubled_probe_tree(alphabet)

@@ -1,5 +1,9 @@
 """Exhaustive property decisions on finite strong bimonoids.
 
+:func:`check` decides any of the ten properties and the four half
+conditions, the two directions of strong and of bi-strong zero-sum-freeness
+(``_HALVES``); :func:`classify` decides all fourteen into one verdict table
+and checks it against the hierarchy, a list of rules (``_IMPLICATIONS``).
 Each property is the universally quantified "iff" from its definition; both
 directions are checked (one direction is usually trivial, but the checker
 encodes no reasoning). Verdicts carry the first violating tuple in carrier
@@ -93,11 +97,11 @@ def _lowest(mask: int) -> int:
 
 
 def _first_triple(t: Tabulation, violations):
-    """First (a, b, c) with bit c set in ``violations(a, b)``."""
-    n = len(t.elements)
-    for a in range(n):
-        for b in range(n):
-            mask = violations(a, b)
+    """First (a, b, c) with bit c set in ``violations(Z[a+b], Z[a], Z[b])``."""
+    z = _zero_masks(t)
+    for a, row in enumerate(t.add):
+        for b, s in enumerate(row):
+            mask = violations(z[s], z[a], z[b])
             if mask:
                 return a, b, _lowest(mask)
     return None
@@ -105,8 +109,8 @@ def _first_triple(t: Tabulation, violations):
 
 def _first_quad(t: Tabulation, violations):
     """First (a, b, b', c) with bit (a - lo)*n + c set in
-    ``violations(Y, b, b', s)``, where s = b + b' and Y[x] packs Z[a*x] for
-    every a of a block [lo, hi) at bit offset (a - lo)*n.
+    ``violations(Y[b+b'], Y[b], Y[b'])``, where Y[x] packs Z[a*x] for every
+    a of a block [lo, hi) at bit offset (a - lo)*n.
 
     The blocks double (1, 1, 2, 4, ...), so a full scan costs about
     (log2 n + 1)*n^2 mask operations and a witness at a small a is found
@@ -125,7 +129,7 @@ def _first_quad(t: Tabulation, violations):
             y = [acc | z[v] << shift for acc, v in zip(y, mul[a])]
         found = None  # (a, b, b', c) of the least violation in the block so far
         for b in range(n):
-            masks = [violations(y, b, bp, s) for bp, s in enumerate(add[b])]
+            masks = [violations(y[s], y[b], y[bp]) for bp, s in enumerate(add[b])]
             if any(masks):
                 for bp, mask in enumerate(masks):
                     if mask:
@@ -155,12 +159,8 @@ def _first_split_difference(t: Tabulation, rows, sums, prods):
 # Properties that are the conjunction of others, checked in this order.
 _COMPOSITES = {
     BimonoidProperty.POSITIVE: (BimonoidProperty.ZERO_SUM_FREE, BimonoidProperty.ZERO_DIVISOR_FREE),
-    BimonoidProperty.DISTRIBUTIVE: (
-        BimonoidProperty.RIGHT_DISTRIBUTIVE,
-        BimonoidProperty.LEFT_DISTRIBUTIVE,
-    ),
+    BimonoidProperty.DISTRIBUTIVE: (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE),
 }
-
 
 # Properties another one implies: when it holds they hold without a scan,
 # since (a+b)*c = a*c + b*c makes both sides zero together.
@@ -176,83 +176,84 @@ def _composite(prop: BimonoidProperty, parts) -> PropertyVerdict:
     return PropertyVerdict(prop, True)
 
 
-def check(alg: WeightAlgebra | Tabulation, prop: BimonoidProperty) -> PropertyVerdict:
-    """Decide one property by exhaustive search; witness on failure.
+# The halves of each support hypothesis, run-to-init first: the hypothesis
+# is a two-way support inclusion and each half one of its directions.
+_HALVES = {
+    BimonoidProperty.STRONGLY_ZSF: (HalfCondition.RUN_TO_INIT, HalfCondition.INIT_TO_RUN),
+    BimonoidProperty.BI_STRONGLY_ZSF: (HalfCondition.TREE_RUN_TO_INIT, HalfCondition.TREE_INIT_TO_RUN),
+}
+
+# Each hypothesis and its halves as the mask of violating c, from the zero
+# masks of a sum s = x + y and of its terms. The word forms read Z (see
+# _first_triple) and the tree forms the packed Y (see _first_quad), so a
+# word form and its tree form share one formula.
+_FORMULAS = (lambda s, x, y: s ^ (x & y), lambda s, x, y: s & ~x, lambda s, x, y: x & y & ~s)
+_WORD_FORMS, _TREE_FORMS = (
+    dict(zip((hypothesis, *halves), _FORMULAS)) for hypothesis, halves in _HALVES.items()
+)
+
+# The hierarchy as (premises, conclusion): in a strong bimonoid the
+# conclusion holds wherever all the premises do. A hypothesis holds exactly
+# when both of its halves do, since + is commutative.
+_IMPLICATIONS = [
+    ((BimonoidProperty.POSITIVE,), BimonoidProperty.BI_STRONGLY_ZSF),
+    ((BimonoidProperty.BI_STRONGLY_ZSF,), BimonoidProperty.STRONGLY_ZSF),
+    ((BimonoidProperty.STRONGLY_ZSF,), BimonoidProperty.ZERO_SUM_FREE),
+    ((BimonoidProperty.STRONGLY_ZSF,), BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE),
+    ((BimonoidProperty.ZERO_SUM_FREE, BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE), BimonoidProperty.STRONGLY_ZSF),
+    ((BimonoidProperty.COMMUTATIVE, BimonoidProperty.STRONGLY_ZSF), BimonoidProperty.BI_STRONGLY_ZSF),
+    *(((hypothesis,), half) for hypothesis, halves in _HALVES.items() for half in halves),
+    *((halves, hypothesis) for hypothesis, halves in _HALVES.items()),
+]
+
+
+def check(alg: WeightAlgebra | Tabulation, cond: BimonoidProperty | HalfCondition) -> PropertyVerdict:
+    """Decide one condition, a property or a half condition, by exhaustive
+    search; witness on failure (for a half condition, a tuple that violates
+    its implication).
 
     ``alg`` is a finite algebra or its :func:`tabulate` tables.
     """
     t = _tables(alg)
     add, mul, zero = t.add, t.mul, t.zero
 
-    if prop is BimonoidProperty.ZERO_SUM_FREE:
+    if cond is BimonoidProperty.ZERO_SUM_FREE:
         witness = _first_pair(t, lambda a, b: (add[a][b] == zero) != (a == zero and b == zero))
-    elif prop is BimonoidProperty.STRONGLY_ZSF:
-        z = _zero_masks(t)
-        witness = _first_triple(t, lambda a, b: z[add[a][b]] ^ (z[a] & z[b]))
-    elif prop is BimonoidProperty.BI_STRONGLY_ZSF:
-        witness = _first_quad(t, lambda y, b, bp, s: y[s] ^ (y[b] & y[bp]))
-    elif prop is BimonoidProperty.ZERO_DIVISOR_FREE:
+    elif cond in _WORD_FORMS:
+        witness = _first_triple(t, _WORD_FORMS[cond])
+    elif cond in _TREE_FORMS:
+        witness = _first_quad(t, _TREE_FORMS[cond])
+    elif cond is BimonoidProperty.ZERO_DIVISOR_FREE:
         witness = _first_pair(t, lambda a, b: (mul[a][b] == zero) != (a == zero or b == zero))
-    elif prop in _COMPOSITES:
-        return _composite(prop, (check(t, part) for part in _COMPOSITES[prop]))
-    elif prop is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
+    elif cond in _COMPOSITES:
+        return _composite(cond, (check(t, part) for part in _COMPOSITES[cond]))
+    elif cond is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
         sum_is_zero = [[v == zero for v in row] for row in add]
         product_is_zero = [[v == zero for v in row] for row in mul]
         witness = _first_split_difference(t, product_is_zero, sum_is_zero, mul)
-    elif prop is BimonoidProperty.RIGHT_DISTRIBUTIVE:
+    elif cond is BimonoidProperty.RIGHT_DISTRIBUTIVE:
         witness = _first_split_difference(t, mul, add, mul)
-    elif prop is BimonoidProperty.LEFT_DISTRIBUTIVE:
+    elif cond is BimonoidProperty.LEFT_DISTRIBUTIVE:
         cols = list(zip(*mul))  # cols[x][c] = c*x
         witness = _first_split_difference(t, cols, add, cols)
-    elif prop is BimonoidProperty.COMMUTATIVE:
+    elif cond is BimonoidProperty.COMMUTATIVE:
         witness = _first_pair(t, lambda a, b: mul[a][b] != mul[b][a])
     else:
-        raise ValueError(f"unknown property {prop!r}")
-    return _verdict(t, prop, witness)
-
-
-def check_half(alg: WeightAlgebra | Tabulation, half: HalfCondition) -> PropertyVerdict:
-    """Decide one one-sided support condition; witness violates the implication.
-
-    ``alg`` is a finite algebra or its :func:`tabulate` tables.
-    """
-    t = _tables(alg)
-    add = t.add
-
-    if half is HalfCondition.RUN_TO_INIT:
-        z = _zero_masks(t)
-        witness = _first_triple(t, lambda a, b: z[add[a][b]] & ~z[a])
-    elif half is HalfCondition.INIT_TO_RUN:
-        z = _zero_masks(t)
-        witness = _first_triple(t, lambda a, b: z[a] & z[b] & ~z[add[a][b]])
-    elif half is HalfCondition.TREE_RUN_TO_INIT:
-        witness = _first_quad(t, lambda y, b, bp, s: y[s] & ~y[b])
-    elif half is HalfCondition.TREE_INIT_TO_RUN:
-        witness = _first_quad(t, lambda y, b, bp, s: y[b] & y[bp] & ~y[s])
-    else:
-        raise ValueError(f"unknown half condition {half!r}")
-    return _verdict(t, half, witness)
+        raise ValueError(f"unknown condition {cond!r}")
+    return _verdict(t, cond, witness)
 
 
 class PropertyReport(NamedTuple):
     algebra: str
-    verdicts: dict
-    halves: dict
+    verdicts: dict  # every BimonoidProperty, then every HalfCondition
 
-    def holds(self, prop) -> bool:
-        table = self.halves if isinstance(prop, HalfCondition) else self.verdicts
-        return table[prop].holds
-
-    def rows(self):
-        for prop in BimonoidProperty:
-            yield self.verdicts[prop]
-        for half in HalfCondition:
-            yield self.halves[half]
+    def holds(self, cond) -> bool:
+        return self.verdicts[cond].holds
 
     def __str__(self):
-        width = max(len(p.value) for p in list(BimonoidProperty) + list(HalfCondition))
+        width = max(len(c.value) for c in (*BimonoidProperty, *HalfCondition))
         lines = [f"properties of {self.algebra}"]
-        for v in self.rows():
+        for v in self.verdicts.values():
             status = "holds" if v.holds else f"fails  witness ({', '.join(v.witness_labels)})"
             lines.append(f"  {v.property.value:<{width}}  {status}")
         return "\n".join(lines)
@@ -264,63 +265,42 @@ class PropertyReport(NamedTuple):
                 d["witness"] = list(v.witness_labels)
             return d
 
+        def entries(kind):
+            return {c.value: entry(v) for c, v in self.verdicts.items() if isinstance(c, kind)}
+
         return {
             "algebra": self.algebra,
-            "properties": {p.value: entry(v) for p, v in self.verdicts.items()},
-            "half_conditions": {h.value: entry(v) for h, v in self.halves.items()},
+            "properties": entries(BimonoidProperty),
+            "half_conditions": entries(HalfCondition),
         }
 
 
 def classify(alg: WeightAlgebra) -> PropertyReport:
-    """All verdicts plus internal consistency of the implication hierarchy.
+    """Every condition's verdict, checked against the hierarchy.
 
-    A hierarchy violation can only come from an implementation bug, so it
-    raises instead of being reported as a result.
+    A composite is decided from its parts, and zero-right-distributivity
+    holds without a scan where right-distributivity does; every other
+    condition is scanned, so its failing verdict has the first witness. A
+    rule of ``_IMPLICATIONS`` broken by the verdicts can only come from an
+    implementation bug, so it raises instead of being reported as a result.
     """
     t = tabulate(alg)
     decided: dict = {}
 
-    def decide(prop):
-        if prop not in decided:
-            if prop in _COMPOSITES:
-                verdict = _composite(prop, (decide(part) for part in _COMPOSITES[prop]))
-            elif prop in _IMPLIED_BY and decide(_IMPLIED_BY[prop]).holds:
-                verdict = PropertyVerdict(prop, True)
-            else:  # scanned, so a failing verdict has the first witness
-                verdict = check(t, prop)
-            decided[prop] = verdict
-        return decided[prop]
+    def decide(cond):
+        if cond not in decided:
+            if cond in _COMPOSITES:
+                verdict = _composite(cond, (decide(part) for part in _COMPOSITES[cond]))
+            elif cond in _IMPLIED_BY and decide(_IMPLIED_BY[cond]).holds:
+                verdict = PropertyVerdict(cond, True)
+            else:
+                verdict = check(t, cond)
+            decided[cond] = verdict
+        return decided[cond]
 
-    verdicts = {prop: decide(prop) for prop in BimonoidProperty}
-    halves = {half: check_half(t, half) for half in HalfCondition}
-
-    def h(prop):
-        return verdicts[prop].holds
-
-    chain = (
-        BimonoidProperty.POSITIVE,
-        BimonoidProperty.BI_STRONGLY_ZSF,
-        BimonoidProperty.STRONGLY_ZSF,
-        BimonoidProperty.ZERO_SUM_FREE,
-    )
-    for stronger, weaker in zip(chain, chain[1:]):
-        if h(stronger) and not h(weaker):
-            raise HierarchyInconsistencyError(
-                f"{alg.name}: {stronger.value} holds but {weaker.value} fails"
-            )
-    expected_strongly = h(BimonoidProperty.ZERO_SUM_FREE) and h(
-        BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE
-    )
-    if h(BimonoidProperty.STRONGLY_ZSF) != expected_strongly:
-        raise HierarchyInconsistencyError(
-            f"{alg.name}: strongly-zsf verdict disagrees with zsf & zero-right-distributive"
-        )
-    if (
-        h(BimonoidProperty.COMMUTATIVE)
-        and h(BimonoidProperty.STRONGLY_ZSF)
-        and not h(BimonoidProperty.BI_STRONGLY_ZSF)
-    ):
-        raise HierarchyInconsistencyError(
-            f"{alg.name}: commutative and strongly-zsf but not bi-strongly-zsf"
-        )
-    return PropertyReport(alg.name, verdicts, halves)
+    report = PropertyReport(alg.name, {cond: decide(cond) for cond in (*BimonoidProperty, *HalfCondition)})
+    for premises, conclusion in _IMPLICATIONS:
+        if all(map(report.holds, premises)) and not report.holds(conclusion):
+            names = " and ".join(p.value for p in premises)
+            raise HierarchyInconsistencyError(f"{alg.name}: {names} hold but {conclusion.value} fails")
+    return report

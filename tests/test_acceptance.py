@@ -16,7 +16,7 @@ from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Semantics
 from bimonoid_automata.properties import BimonoidProperty as P
 from bimonoid_automata.properties import HalfCondition as HC
-from bimonoid_automata.properties import check, check_half, classify
+from bimonoid_automata.properties import check, classify
 
 from conftest import expand_normal_forms, merge_normal_forms, random_run, random_tree
 
@@ -64,18 +64,18 @@ def test_criterion_03_reference_classifications():
             not check(alg, P.RIGHT_DISTRIBUTIVE).holds,
         ]
     b4 = ba.b4()
-    init_to_run = check_half(b4, HC.INIT_TO_RUN)
+    init_to_run = check(b4, HC.INIT_TO_RUN)
     checks += [
         check(b4, P.ZERO_SUM_FREE).holds,
-        check_half(b4, HC.RUN_TO_INIT).holds,
+        check(b4, HC.RUN_TO_INIT).holds,
         not init_to_run.holds,
         init_to_run.witness_labels == ("2", "2", "2"),
     ]
     b3 = ba.b3prime()
     checks += [
         check(b3, P.ZERO_SUM_FREE).holds,
-        check_half(b3, HC.INIT_TO_RUN).holds,
-        not check_half(b3, HC.RUN_TO_INIT).holds,
+        check(b3, HC.INIT_TO_RUN).holds,
+        not check(b3, HC.RUN_TO_INIT).holds,
     ]
     tf = ba.trunc_fun(2)
     checks += [

@@ -444,19 +444,69 @@ def test_cli_deeply_nested_json_exits_two(tmp_path, capsys, command, shape, dept
     assert code == 2 and err == f"error: {path}: JSON nested too deeply\n"
 
 
-def test_cli_caps_a_long_error_line(tmp_path):
-    # the loader echoes the offending weight, here nested 980 levels deep; a
-    # fresh process parses that depth, where pytest's deeper stack would not
-    weight = "[" * 980 + "]" * 980
+def test_json_nesting_is_refused_at_the_same_bound_from_any_stack_depth(tmp_path):
+    # a fixed bound of 100 levels decides, not the room left on the caller's
+    # stack: json.load parses 150 levels from 300 frames down, and the file is
+    # refused all the same; 100 levels get past the bound to the next check
+    def message(text, frames):
+        if frames:
+            return message(text, frames - 1)
+        path.write_text(text)
+        with pytest.raises(fileio.FileFormatError) as info:
+            fileio.load_automaton(str(path))
+        return str(info.value)
+
     path = tmp_path / "deep.json"
-    path.write_text('{"algebra": "B4", "alphabet": ["a"], "states": ["q"], "initial": {"q": "1"},'
-                    f' "final": {{"q": {weight}}}, "transitions": []}}')
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
-    result = subprocess.run([sys.executable, "-m", "bimonoid_automata", "eval", "--automaton", str(path),
-                             "--input", "a"], capture_output=True, encoding="utf-8", env=env)
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr.startswith(f"error: {path} final 'q': '[[[")
-    assert result.stderr.endswith("…\n") and len(result.stderr) <= 320
+    for depth, expected in [(150, "JSON nested too deeply"), (100, "an automaton is a JSON object")]:
+        text = "[" * depth + "]" * depth
+        assert message(text, 0) == message(text, 300) == f"{path}: {expected}"
+
+
+def test_cli_caps_a_long_error_line(tmp_path, capsys):
+    # the loader echoes the offending weight, here a 2,000-character label
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"algebra": "B4", "alphabet": ["a"], "states": ["q"], "initial": {"q": "1"},
+                                "final": {"q": "x" * 2000}, "transitions": []}))
+    code, out, err = run_cli(["eval", "--automaton", str(path), "--input", "a"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} final 'q': 'xxx")
+    assert err.endswith("…\n") and len(err) <= 320
+
+
+@pytest.mark.parametrize("algebra, weight, value", [
+    ("NatPlusPlus[3]", 2, "2"),  # names zero, 0, 1, 2, 3: read as an index, 2 was the element 1
+    ("PentagonN5", 1, "1"),      # names 0, p, q, r, 1: the top, not p
+    ("B3prime", 1, None),        # names 0', 1', 2': no element is named 1
+])
+def test_cli_reads_an_integer_table_weight_by_its_name(algebra, weight, value, tmp_path, capsys):
+    alg = ba.builtin(algebra)
+    path = tmp_path / "automaton.json"
+    path.write_text(json.dumps({
+        "algebra": algebra, "alphabet": ["a"], "states": ["p"],
+        "initial": {"p": weight}, "final": {"p": alg.describe(alg.one)},
+    }))
+    code, out, err = run_cli(["eval", "--automaton", str(path), "--input", ""], capsys)
+    if value is None:
+        assert (code, out) == (2, "") and err.startswith(f"error: {path} initial 'p': '1' is not an element")
+    else:
+        assert (code, out) == (0, f"{value}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sigma(alpha,alpha", "unexpected end of tree text 'sigma(alpha,alpha'"),
+    ("sigma(alpha alpha)", "expected ')', found 'alpha' in 'sigma(alpha alpha)'"),
+    ("sigma(,alpha)", "expected a symbol, found ',' in 'sigma(,alpha)'"),
+    ("alpha#", "cannot tokenize tree text at '#'"),
+])
+def test_cli_eval_refuses_malformed_tree_text(tree_probe_file, text, message, capsys):
+    code, out, err = run_cli(["eval", "--automaton", tree_probe_file, "--input", text], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_eval_reads_tree_text_with_trailing_whitespace(tree_probe_file, capsys):
+    assert T.parse("sigma(alpha,alpha)  ") == T.parse("sigma(alpha,alpha)")
+    argv = ["eval", "--automaton", tree_probe_file, "--semantics", "run", "--input"]
+    assert run_cli([*argv, "sigma(alpha,alpha)  "], capsys) == run_cli([*argv, "sigma(alpha,alpha)"], capsys)
 
 
 def test_cli_missing_automaton_file_exits_two(tmp_path, capsys):

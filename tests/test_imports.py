@@ -47,7 +47,7 @@ PUBLIC_NAMES = (
     "TreeAutomaton", "UnknownAlgebraError", "ValidationReport", "WeightAlgebra",
     "WordAutomaton", "algebra", "all_cuts", "all_words", "b3prime", "b4", "boole",
     "branching_probe_automaton", "bridge", "builtin", "bundled_finite_algebras", "check",
-    "check_half", "check_image_theorem", "check_support_theorem_trees",
+    "check_image_theorem", "check_support_theorem_trees",
     "check_support_theorem_words", "classify", "classify_alphabet", "cost_profile",
     "cut_partial_product", "diamond", "doubled_probe_tree", "enumerate_trees", "expand",
     "harness", "hexagon", "is_normal_form", "lattice_algebra", "leaves_cut", "merge",

@@ -1,10 +1,10 @@
 import pytest
 
 import bimonoid_automata as ba
-from bimonoid_automata.algebra import InfiniteCarrierError
+from bimonoid_automata.algebra import HierarchyInconsistencyError, InfiniteCarrierError
 from bimonoid_automata.properties import BimonoidProperty as P
 from bimonoid_automata.properties import HalfCondition as H
-from bimonoid_automata.properties import check, check_half, classify
+from bimonoid_automata.properties import check, classify
 
 
 def holds(alg, prop):
@@ -34,8 +34,8 @@ def test_b4_classification_and_halves():
     strongly = check(alg, P.STRONGLY_ZSF)
     assert not strongly.holds
     assert strongly.witness_labels == ("2", "2", "2")
-    assert check_half(alg, H.RUN_TO_INIT).holds
-    init_to_run = check_half(alg, H.INIT_TO_RUN)
+    assert check(alg, H.RUN_TO_INIT).holds
+    init_to_run = check(alg, H.INIT_TO_RUN)
     assert not init_to_run.holds
     assert init_to_run.witness_labels == ("2", "2", "2")
 
@@ -43,8 +43,8 @@ def test_b4_classification_and_halves():
 def test_b3prime_classification_and_halves():
     alg = ba.b3prime()
     assert holds(alg, P.ZERO_SUM_FREE)
-    assert check_half(alg, H.INIT_TO_RUN).holds
-    run_to_init = check_half(alg, H.RUN_TO_INIT)
+    assert check(alg, H.INIT_TO_RUN).holds
+    run_to_init = check(alg, H.RUN_TO_INIT)
     assert not run_to_init.holds
     assert run_to_init.witness_labels == ("1'", "1'", "2'")
     strongly = check(alg, P.STRONGLY_ZSF)
@@ -123,7 +123,7 @@ def test_half_witness_soundness(finite_algebras):
     for alg in finite_algebras:
         z, add, mul = alg.is_zero, alg.add, alg.mul
         for half in H:
-            verdict = check_half(alg, half)
+            verdict = check(alg, half)
             if verdict.holds:
                 continue
             w = verdict.witness
@@ -152,6 +152,15 @@ def test_hierarchy_is_monotone_on_bundled_algebras(finite_algebras):
             report.holds(P.ZERO_SUM_FREE) and report.holds(P.ZERO_RIGHT_DISTRIBUTIVE)
         )
         assert not report.holds(P.RIGHT_DISTRIBUTIVE) or report.holds(P.ZERO_RIGHT_DISTRIBUTIVE)
+
+
+def test_classify_raises_on_the_first_broken_rule():
+    # constant-zero mul with a sum-free add breaks the axioms: strong
+    # zero-sum-freeness holds vacuously while plain zero-sum-freeness fails
+    alg = ba.FiniteTableAlgebra("degenerate", ["0", "1"], [[1, 1], [1, 1]], [[0, 0], [0, 0]], 0, 1)
+    with pytest.raises(HierarchyInconsistencyError,
+                       match="^degenerate: strongly-zero-sum-free hold but zero-sum-free fails$"):
+        classify(alg)
 
 
 def test_infinite_algebra_refused():

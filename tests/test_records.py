@@ -39,7 +39,7 @@ REPRS = [
     (P.PropertyVerdict(P.BimonoidProperty.POSITIVE, False, (1, 2), ("a", "b")),
      "PropertyVerdict(property=<BimonoidProperty.POSITIVE: 'positive'>, holds=False, witness=(1, 2),"
      " witness_labels=('a', 'b'))"),
-    (P.PropertyReport("B4", {}, {}), "PropertyReport(algebra='B4', verdicts={}, halves={})"),
+    (P.PropertyReport("B4", {}), "PropertyReport(algebra='B4', verdicts={})"),
     (T.AlphabetClass(False, True, True, False),
      "AlphabetClass(trivial=False, monadic=True, string_ranked=True, branching=False)"),
     (TREE,

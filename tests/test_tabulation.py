@@ -23,7 +23,7 @@ from bimonoid_automata.algebra import (
 )
 from bimonoid_automata.properties import BimonoidProperty as P
 from bimonoid_automata.properties import HalfCondition as H
-from bimonoid_automata.properties import check, check_half, classify
+from bimonoid_automata.properties import check, classify
 
 from conftest import literal_check, literal_check_half, literal_validate_axioms
 
@@ -34,7 +34,7 @@ def assert_same_as_literal(alg):
     for prop in P:
         assert check(alg, prop) == literal_check(alg, prop), (alg.name, prop)
     for half in H:
-        assert check_half(alg, half) == literal_check_half(alg, half), (alg.name, half)
+        assert check(alg, half) == literal_check_half(alg, half), (alg.name, half)
     assert ba.validate_axioms(alg) == literal_validate_axioms(alg), alg.name
 
 
@@ -117,8 +117,8 @@ def test_six_to_ten_element_tables_match_literal_checker():
         alg = _chain_with_random_rows(rng, n) if i % 4 else _random_table(rng, n)
         assert_same_as_literal(alg)
         assert_same_as_literal(Relabelled(alg, rng.sample(range(n), n)))
-        quads = (check(alg, P.BI_STRONGLY_ZSF), check_half(alg, H.TREE_RUN_TO_INIT),
-                 check_half(alg, H.TREE_INIT_TO_RUN))
+        quads = (check(alg, P.BI_STRONGLY_ZSF), check(alg, H.TREE_RUN_TO_INIT),
+                 check(alg, H.TREE_INIT_TO_RUN))
         first_a |= {v.witness[0] for v in quads if not v.holds}
     assert first_a & {4, 5, 6, 7} and first_a & {8, 9}, first_a
 
@@ -141,8 +141,8 @@ def test_quad_decisions_cost_n_squared_per_block(monkeypatch):
         return first_quad(t, violations_counted)
 
     monkeypatch.setattr(properties, "_first_quad", counted)
-    verdicts = [check(t, P.BI_STRONGLY_ZSF), check_half(t, H.TREE_RUN_TO_INIT),
-                check_half(t, H.TREE_INIT_TO_RUN)]
+    verdicts = [check(t, P.BI_STRONGLY_ZSF), check(t, H.TREE_RUN_TO_INIT),
+                check(t, H.TREE_INIT_TO_RUN)]
     assert all(v.holds for v in verdicts)
     assert calls == [5 * 16**2] * 3
 
@@ -202,8 +202,7 @@ def test_bundled_and_generated_algebras_match_literal_checker(alg):
     assert_same_as_literal(alg)
     # classify derives the composite verdicts from their parts' verdicts
     report = classify(alg)
-    assert list(report.verdicts.items()) == [(prop, check(alg, prop)) for prop in P]
-    assert list(report.halves.items()) == [(half, check_half(alg, half)) for half in H]
+    assert list(report.verdicts.items()) == [(cond, check(alg, cond)) for cond in (*P, *H)]
 
 
 # TruncFun(3)'s witnesses, computed once with the literal checker (about 20 s).
@@ -308,7 +307,7 @@ def test_check_takes_an_algebra_or_its_tables():
     for prop in P:
         assert check(t, prop) == check(alg, prop)
     for half in H:
-        assert check_half(t, half) == check_half(alg, half)
+        assert check(t, half) == check(alg, half)
 
 
 def test_bool_is_not_a_table_index_or_rank():
