@@ -74,7 +74,7 @@ for seed in range(50):
             continue
         for rho in T.enumerate_runs(automaton, t):
             full = pent.mul(T.run_weight(automaton, t, rho), automaton.root_weights[rho[()]])
-            if not pent.is_zero(full):
+            if full != pent.zero:
                 witness = (t, rho)
                 break
         if witness:

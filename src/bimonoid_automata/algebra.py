@@ -141,9 +141,6 @@ class WeightAlgebra:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def describe(self, a) -> str:
         """Human-readable label of an element, also used in file formats."""
         return str(a)
@@ -504,11 +501,17 @@ class Tabulation(NamedTuple):
         return tuple(self.algebra.describe(self.elements[i]) for i in indices)
 
 
+_MAX_TABULATED = 4096  # elements; the two tables then hold at most 2^25 entries
+
+
 def tabulate(alg: WeightAlgebra) -> Tabulation:
     """Tabulate a finite algebra: enumerate ``elements()`` once, then call
     ``add`` and ``mul`` exactly n^2 times each and index every result by
-    hash. Nothing is cached on ``alg``; every call pays again."""
-    elements = tuple(alg.elements())
+    hash. Nothing is cached on ``alg``; every call pays again. A carrier of
+    more than ``_MAX_TABULATED`` elements is refused before any operation."""
+    elements = tuple(itertools.islice(alg.elements(), _MAX_TABULATED + 1))
+    if len(elements) > _MAX_TABULATED:
+        raise ValueError(f"cannot tabulate {alg.name}: it has more than {_MAX_TABULATED} elements")
     index = {x: i for i, x in enumerate(elements)}
 
     def table(op, symbol):

@@ -60,7 +60,7 @@ def wsa_to_wta(automaton: WordAutomaton, end_marker: str = "e") -> TreeAutomaton
     quads = [
         ((), end_marker, q, w)
         for q, w in zip(automaton.states, automaton.initial)
-        if not alg.is_zero(w)
+        if w != alg.zero
     ]
     quads += [((p,), a, q, w) for p, a, q, w in automaton.stored_transitions()]
     alphabet = string_alphabet(automaton.alphabet, end_marker)

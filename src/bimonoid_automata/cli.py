@@ -19,14 +19,7 @@ import sys
 # reads the check defaults from config. Each command imports the other
 # layers it runs, so it loads no module it does not use.
 from .algebra import HierarchyInconsistencyError, InfiniteCarrierError, Semantics, UnknownAlgebraError
-from .fileio import (
-    FileFormatError,
-    automaton_to_dict,
-    load_algebra,
-    load_automaton,
-    parse_word_input,
-    save_automaton,
-)
+from .fileio import FileFormatError, automaton_to_dict, load_algebra, load_automaton, save_automaton
 from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
 
 USAGE_ERROR = 2
@@ -63,7 +56,8 @@ def _parse_ranked_alphabet(text: str):
     for part in text.split(","):
         part = part.strip()
         if not part:
-            continue
+            raise ValueError(f"--tree-alphabet {text!r} has an empty entry; give symbol:rank entries"
+                             " separated by commas")
         if ":" not in part:
             raise ValueError(f"alphabet entry {part!r} must look like symbol:rank")
         sym, rank = (x.strip() for x in part.split(":", 1))
@@ -73,16 +67,9 @@ def _parse_ranked_alphabet(text: str):
     return RankedAlphabet(ranks)
 
 
-def _load_input(automaton, text: str):
-    if automaton.kind == "tree":
-        from .trees import parse
-        return parse(text, automaton.alphabet)
-    return parse_word_input(automaton, text)
-
-
 def _module(automaton):
-    """The semantics module that evaluates this automaton; the other one is
-    not loaded."""
+    """The module that reads inputs for this automaton and evaluates it; the
+    other one is not loaded."""
     if automaton.kind == "tree":
         from . import trees
         return trees
@@ -94,9 +81,10 @@ def _evaluate(args) -> tuple:
     """The algebra, semantics and value of ``eval`` and ``support``: the
     automaton file and input of ``args``, evaluated with pruned runs."""
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
-    inp = _load_input(automaton, args.input)
+    mod = _module(automaton)
+    inp = mod.parse(args.input, automaton.alphabet)
     semantics = Semantics(args.semantics)
-    return automaton.algebra, semantics, _module(automaton).evaluate(automaton, inp, semantics, prune=True)
+    return automaton.algebra, semantics, mod.evaluate(automaton, inp, semantics, prune=True)
 
 
 def _emit(args, payload, text: str):
@@ -115,7 +103,7 @@ def cmd_eval(args):
 
 def cmd_support(args):
     alg, semantics, value = _evaluate(args)
-    member = not alg.is_zero(value)
+    member = value != alg.zero
     _emit(
         args,
         {"semantics": semantics.value, "in_support": member, "value": alg.describe(value)},
@@ -193,8 +181,8 @@ def cmd_convert(args):
 
 def cmd_profile(args):
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
-    inp = _load_input(automaton, args.input)
-    profile = _module(automaton).cost_profile(automaton, inp)
+    mod = _module(automaton)
+    profile = mod.cost_profile(automaton, mod.parse(args.input, automaton.alphabet))
     _emit(args, profile.to_dict(), str(profile))
     return 0
 

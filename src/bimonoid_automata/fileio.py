@@ -1,4 +1,7 @@
-"""JSON file formats for algebras and automata.
+"""JSON file formats for algebras and automata, and nothing else: the text
+of an input is read by the module of its structure (``words.parse``,
+``trees.parse``). Every defect in a file is a :class:`FileFormatError` that
+names the file.
 
 Algebra file: ``names`` (array), ``add``/``mul`` (n x n arrays of names),
 ``zero``/``one`` (names). Automaton file: ``algebra`` (builtin name or inline
@@ -14,12 +17,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
-from .algebra import FiniteTableAlgebra, WeightAlgebra, _is_int, builtin, validate_axioms
-
-if TYPE_CHECKING:
-    from .words import WordAutomaton
+from .algebra import FiniteTableAlgebra, MalformedTableError, WeightAlgebra, _is_int, builtin, validate_axioms
 
 
 class FileFormatError(ValueError):
@@ -51,19 +51,23 @@ def _read_json(path: str, kind: str):
     ``_MAX_NESTING`` levels deep is refused, at any depth of the caller's stack."""
     try:
         with open(path) as fh:
-            value = json.load(fh)
-        level = [value]
-        for _ in range(_MAX_NESTING + 1):  # walked level by level, without recursion
-            level = [x for x in level if isinstance(x, (list, dict))]
-            if not level:
-                return value
-            level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+            text = fh.read()
     except OSError as exc:
         raise FileFormatError(path, f"cannot read {kind} file: {exc.strerror}") from None
+    try:
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, f"invalid JSON at line {exc.lineno}") from None
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        raise FileFormatError(path, "invalid JSON: a number has too many digits") from None
     except RecursionError:  # the parser ran out of stack first
-        pass
+        raise FileFormatError(path, "JSON nested too deeply") from None
+    level = [value]
+    for _ in range(_MAX_NESTING + 1):  # walked level by level, without recursion
+        level = [x for x in level if isinstance(x, (list, dict))]
+        if not level:
+            return value
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
     raise FileFormatError(path, "JSON nested too deeply")
 
 
@@ -74,6 +78,8 @@ def algebra_from_dict(obj: dict, source: str = "<algebra>", allow_invalid: bool 
     mul_names = _require(obj, "mul", source)
     zero = _require(obj, "zero", source)
     one = _require(obj, "one", source)
+    name = obj.get("name", source)
+    _expect(isinstance(name, str), source, "'name' must be a string")
     _expect(isinstance(names, list) and all(isinstance(x, str) for x in names),
             source, "'names' must be an array of element names")
     for label, rows in (("add", add_names), ("mul", mul_names)):
@@ -92,14 +98,12 @@ def algebra_from_dict(obj: dict, source: str = "<algebra>", allow_invalid: bool 
 
     for x in (zero, one):
         _expect(isinstance(x, str) and x in index, source, f"unknown element {x!r} for zero/one")
-    alg = FiniteTableAlgebra(
-        obj.get("name", source),
-        names,
-        table(add_names, "add"),
-        table(mul_names, "mul"),
-        index[zero],
-        index[one],
-    )
+    try:
+        alg = FiniteTableAlgebra(
+            name, names, table(add_names, "add"), table(mul_names, "mul"), index[zero], index[one]
+        )
+    except MalformedTableError as exc:
+        raise FileFormatError(source, str(exc)) from None
     if not allow_invalid:
         report = validate_axioms(alg)
         if not report.ok:
@@ -143,7 +147,10 @@ def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: b
     algebra = _require(obj, "algebra", source)
     _expect(isinstance(algebra, (str, dict)), source,
             "'algebra' must be a builtin name or an algebra object")
-    alg = load_algebra(algebra, allow_invalid=allow_invalid)
+    if isinstance(algebra, dict):
+        alg = algebra_from_dict(algebra, f"{source} algebra", allow_invalid)
+    else:
+        alg = load_algebra(algebra, allow_invalid=allow_invalid)
     alphabet = _require(obj, "alphabet", source)
     _expect(isinstance(alphabet, (list, dict)) and all(isinstance(a, str) and a for a in alphabet),
             source, "'alphabet' must be an array of symbols (word automaton)"
@@ -201,7 +208,7 @@ def automaton_to_dict(automaton) -> dict:
 
     def weights(vector) -> dict:
         return {
-            s: alg.describe(w) for s, w in zip(automaton.states, vector) if not alg.is_zero(w)
+            s: alg.describe(w) for s, w in zip(automaton.states, vector) if w != alg.zero
         }
 
     obj: dict = {}
@@ -235,18 +242,3 @@ def save_automaton(automaton, path: str):
     except OSError as exc:
         raise FileFormatError(path, f"cannot write automaton file: {exc.strerror}") from None
 
-
-def parse_word_input(automaton: WordAutomaton, text: str) -> tuple:
-    """A word from CLI text: whitespace/comma-separated symbol names, or a
-    string of single-character symbols; empty text is the empty word."""
-    text = text.strip()
-    if not text:
-        return ()
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if all(p in automaton.transitions for p in parts):
-        return tuple(parts)
-    if all(ch in automaton.transitions for ch in text):
-        return tuple(text)
-    raise ValueError(
-        f"cannot read {text!r} as a word over alphabet {', '.join(automaton.alphabet)}"
-    )

@@ -145,7 +145,7 @@ def random_tree_automaton(
         for sw in itertools.product(states, repeat=k):
             for q in states:
                 w = draw()
-                if not algebra.is_zero(w):
+                if w != algebra.zero:
                     quads.append((sw, sym, q, w))
     final = tuple(draw() for _ in states)
     return TreeAutomaton(algebra, alphabet, states, quads, final)
@@ -156,7 +156,7 @@ def random_tree_automaton(
 
 
 def _supports_differ(alg, run_val, init_val) -> Optional[str]:
-    run_in, init_in = not alg.is_zero(run_val), not alg.is_zero(init_val)
+    run_in, init_in = run_val != alg.zero, init_val != alg.zero
     if run_in == init_in:
         return None
     return "run-only" if run_in else "init-only"

@@ -635,7 +635,7 @@ def evaluate(automaton: TreeAutomaton, t: Tree, semantics: Semantics, prune: boo
 
 
 def in_support(automaton: TreeAutomaton, t: Tree, semantics: Semantics) -> bool:
-    return not automaton.algebra.is_zero(evaluate(automaton, t, semantics, prune=True))
+    return evaluate(automaton, t, semantics, prune=True) != automaton.algebra.zero
 
 
 def images_up_to(automaton: TreeAutomaton, max_size: int) -> dict:

@@ -4,7 +4,8 @@ Two semantics are implemented side by side: the run semantics (sum over all
 state sequences of the product of traversed weights) and the initial-algebra
 semantics (left-to-right vector-matrix evolution of a state vector). Over a
 non-distributive algebra they may disagree; comparing them is the point of
-this package.
+this package. A symbol's matrix is ``automaton.transitions[symbol]``, and
+:func:`parse` reads a word from text, as ``trees.parse`` reads a tree.
 """
 
 from __future__ import annotations
@@ -44,15 +45,11 @@ class WordAutomaton(WeightedAutomaton):
         self.initial = self._vector(initial)
         self.final = self._vector(final)
         self.transitions = self._matrices(transitions)
-        # per symbol: the matrix, its columns (init step) and each row's
-        # nonzero entries as (target, weight) pairs (counted run step)
-        is_zero = algebra.is_zero
+        # per symbol: the matrix's columns (init step) and each row's nonzero
+        # entries as (target, weight) pairs (counted run step)
+        zero = algebra.zero
         self._steps = {
-            a: (
-                m,
-                tuple(zip(*m)),
-                tuple(tuple((q, w) for q, w in enumerate(row) if not is_zero(w)) for row in m),
-            )
+            a: (tuple(zip(*m)), tuple(tuple((q, w) for q, w in enumerate(row) if w != zero) for row in m))
             for a, m in self.transitions.items()
         }
 
@@ -74,21 +71,18 @@ class WordAutomaton(WeightedAutomaton):
                 mats[sym][self.state_index(src)][self.state_index(dst)] = w
         return {a: tuple(tuple(row) for row in m) for a, m in mats.items()}
 
-    def matrix(self, symbol):
-        return self._step(symbol)[0]
-
     def stored_transitions(self) -> Iterator[tuple]:
         """(from_state, symbol, to_state, weight) for every nonzero matrix
         entry, states by name: by symbol in alphabet order, then source,
         then target, in state order."""
         states = self.states
         for a in self.alphabet:
-            for p, row in zip(states, self._steps[a][2]):
+            for p, row in zip(states, self._steps[a][1]):
                 for q, w in row:
                     yield p, a, states[q], w
 
     def _step(self, symbol) -> tuple:
-        """(matrix, columns, nonzero successors per row) of ``symbol``."""
+        """(columns, nonzero successors per row) of ``symbol``."""
         try:
             return self._steps[symbol]
         except KeyError:
@@ -115,6 +109,18 @@ class WordAutomaton(WeightedAutomaton):
         )
 
 
+def parse(text: str, alphabet) -> tuple:
+    """A word from text: whitespace/comma-separated symbol names, or a
+    string of single-character symbols; empty text is the empty word."""
+    text, symbols = text.strip(), set(alphabet)
+    parts = text.replace(",", " ").split()
+    if symbols.issuperset(parts):
+        return tuple(parts)
+    if symbols.issuperset(text):
+        return tuple(text)
+    raise ValueError(f"cannot read {text!r} as a word over alphabet {', '.join(alphabet)}")
+
+
 def _normalize_run(automaton, run, length):
     states = tuple(automaton._run_state(q) for q in run)
     if len(states) != length + 1:
@@ -124,9 +130,9 @@ def _normalize_run(automaton, run, length):
 
 def run_weight(automaton: WordAutomaton, word: Word, run):
     """Weight of one run: initial, the traversed matrix entries, then final."""
-    matrices = [automaton.matrix(a) for a in word]
-    states = _normalize_run(automaton, run, len(matrices))
-    return _run_weight(automaton, automaton.initial, matrices, states)
+    word = automaton.check_word(word)
+    states = _normalize_run(automaton, run, len(word))
+    return _run_weight(automaton, automaton.initial, [automaton.transitions[a] for a in word], states)
 
 
 def _run_weight(automaton: WordAutomaton, start: tuple, matrices: list, states) -> object:
@@ -173,7 +179,7 @@ def run_semantics(automaton: WordAutomaton, word: Word, prune: bool = False):
         return alg.sum(_run_weights(automaton, matrices, runs))
     runs = _run_start(automaton)
     for a in word:
-        runs = _run_step(alg, runs, automaton._step(a)[2])
+        runs = _run_step(alg, runs, automaton._step(a)[1])
     return _run_total(alg, runs, automaton.final)
 
 
@@ -211,8 +217,8 @@ def _run_weights(automaton: WordAutomaton, matrices: list, runs) -> Iterator:
 
 def _run_start(automaton: WordAutomaton) -> list:
     """Counted runs of the empty prefix: one per nonzero initial weight."""
-    is_zero = automaton.algebra.is_zero
-    return [{} if is_zero(w) else {w: 1} for w in automaton.initial]
+    zero = automaton.algebra.zero
+    return [{} if w == zero else {w: 1} for w in automaton.initial]
 
 
 def _run_step(alg: WeightAlgebra, runs: list, successors: tuple) -> list:
@@ -239,7 +245,7 @@ def _init_steps(automaton: WordAutomaton):
     per (vector, symbol) (see ``algebra._init_memo``)."""
     add, mul = automaton.algebra.add, automaton.algebra.mul
     return _init_memo(
-        automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[1])
+        automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[0])
     )
 
 
@@ -289,7 +295,7 @@ def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = Non
         for i, a in enumerate(alphabet):
             # word + (a_i,) has rank k·rank + 1 + i in all_words order, k = |alphabet|
             step = (len(alphabet) * rank + 1 + i, word + (a,), init_step(vec, a),
-                    _run_step(alg, runs, automaton._step(a)[2]))
+                    _run_step(alg, runs, automaton._step(a)[1]))
             key = _configuration(step[2], step[3], cycle)
             if key not in seen:
                 seen.add(key)
@@ -303,7 +309,7 @@ def evaluate(automaton: WordAutomaton, word: Word, semantics: Semantics, prune: 
 
 
 def in_support(automaton: WordAutomaton, word: Word, semantics: Semantics) -> bool:
-    return not automaton.algebra.is_zero(evaluate(automaton, word, semantics, prune=True))
+    return evaluate(automaton, word, semantics, prune=True) != automaton.algebra.zero
 
 
 def all_words(alphabet, max_len: int) -> Iterator[tuple]:

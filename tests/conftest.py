@@ -191,7 +191,7 @@ def merge_normal_forms(t, cut, memo):
 # --------------------------------------------------------------------------
 # Literal property and axiom checkers: every quantified tuple in carrier
 # enumeration order, each condition evaluated with the algebra's own
-# add/mul/is_zero and ==. The library decides the same conditions on
+# add/mul and ==. The library decides the same conditions on
 # tabulated operations; these are the reference for verdicts and witnesses.
 
 
@@ -211,7 +211,7 @@ def _first(alg, arity, violates):
 
 def literal_check(alg, prop: BimonoidProperty) -> PropertyVerdict:
     """Decide one property by exhaustive search; witness on failure."""
-    z = alg.is_zero
+    z = lambda x: x == alg.zero
     add, mul = alg.add, alg.mul
 
     if prop is BimonoidProperty.ZERO_SUM_FREE:
@@ -262,7 +262,7 @@ def literal_check(alg, prop: BimonoidProperty) -> PropertyVerdict:
 
 def literal_check_half(alg, half: HalfCondition) -> PropertyVerdict:
     """Decide one one-sided support condition; witness violates the implication."""
-    z = alg.is_zero
+    z = lambda x: x == alg.zero
     add, mul = alg.add, alg.mul
 
     if half is HalfCondition.RUN_TO_INIT:
@@ -354,7 +354,7 @@ def literal_validate_axioms(alg) -> ValidationReport:
             (
                 (a,)
                 for a in elems
-                if not alg.is_zero(alg.mul(alg.zero, a)) or not alg.is_zero(alg.mul(a, alg.zero))
+                if alg.mul(alg.zero, a) != alg.zero or alg.mul(a, alg.zero) != alg.zero
             ),
             None,
         ),

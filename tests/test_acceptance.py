@@ -101,8 +101,8 @@ def test_criterion_04_word_probe_identities():
                 failures += 1
             if W.initial_semantics(automaton, ("gamma",)) != init_direct:
                 failures += 1
-            expect_run = [alg.zero] if alg.is_zero(run_direct) else [alg.zero, run_direct]
-            expect_init = [alg.zero] if alg.is_zero(init_direct) else [alg.zero, init_direct]
+            expect_run = [alg.zero] if run_direct == alg.zero else [alg.zero, run_direct]
+            expect_init = [alg.zero] if init_direct == alg.zero else [alg.zero, init_direct]
             images = W.images_up_to(automaton, 1)
             if images[Semantics.RUN] != expect_run:
                 failures += 1
@@ -129,8 +129,8 @@ def test_criterion_05_tree_probe_identities():
                     failures += 1
                 if T.initial_semantics(automaton, xi) != init_direct:
                     failures += 1
-                expect_run = [alg.zero] if alg.is_zero(run_direct) else [alg.zero, run_direct]
-                expect_init = [alg.zero] if alg.is_zero(init_direct) else [alg.zero, init_direct]
+                expect_run = [alg.zero] if run_direct == alg.zero else [alg.zero, run_direct]
+                expect_init = [alg.zero] if init_direct == alg.zero else [alg.zero, init_direct]
                 images = T.images_up_to(automaton, T.size(xi))
                 if images[Semantics.RUN] != expect_run:
                     failures += 1

@@ -123,12 +123,10 @@ def test_cut_partial_product_stays_nonzero_on_pentagon():
                 full = alg.mul(
                     T.run_weight(automaton, t, rho), automaton.root_weights[rho[()]]
                 )
-                if alg.is_zero(full):
+                if full == alg.zero:
                     continue
                 for cut in T.all_cuts(t):
-                    assert not alg.is_zero(
-                        T.cut_partial_product(automaton, t, rho, cut)
-                    )
+                    assert T.cut_partial_product(automaton, t, rho, cut) != alg.zero
                 checked += 1
                 break
             if checked >= 8:

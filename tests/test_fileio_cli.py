@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -126,7 +127,7 @@ def test_integer_state_names_are_names_not_indices(tmp_path):
     word_aut, tree_aut = loaded
 
     assert word_aut.initial == (1, 2) and word_aut.final == (0, 1)
-    assert word_aut.matrix("a")[0][1] == 2  # from state 1 (index 0) to state 0 (index 1)
+    assert word_aut.transitions["a"][0][1] == 2  # from state 1 (index 0) to state 0 (index 1)
     assert tree_aut.delta((0,), "a", 1) == 2
     assert tree_aut.delta((), "e", 1) == 2 and tree_aut.root_weights == (0, 1)
 
@@ -175,16 +176,16 @@ def test_missing_keys_and_bad_json(tmp_path):
     assert "alphabet" in str(exc.value)
 
 
-def test_parse_word_input_forms(probe_file):
+def test_words_parse_forms(probe_file):
     automaton = fileio.load_automaton(probe_file)
-    assert fileio.parse_word_input(automaton, "gamma") == ("gamma",)
-    assert fileio.parse_word_input(automaton, "gamma gamma") == ("gamma", "gamma")
-    assert fileio.parse_word_input(automaton, "gamma,gamma") == ("gamma", "gamma")
-    assert fileio.parse_word_input(automaton, "") == ()
+    assert W.parse("gamma", automaton.alphabet) == ("gamma",)
+    assert W.parse("gamma gamma", automaton.alphabet) == ("gamma", "gamma")
+    assert W.parse("gamma,gamma", automaton.alphabet) == ("gamma", "gamma")
+    assert W.parse("", automaton.alphabet) == ()
     with pytest.raises(ValueError):
-        fileio.parse_word_input(automaton, "delta")
+        W.parse("delta", automaton.alphabet)
     chars = W.WordAutomaton(ba.boole(), ("a", "b"), ("q",), (1,), (1,), [])
-    assert fileio.parse_word_input(chars, "abba") == ("a", "b", "b", "a")
+    assert W.parse("abba", chars.alphabet) == ("a", "b", "b", "a")
 
 
 def run_cli(args, capsys):
@@ -324,30 +325,132 @@ _MALFORMED_FILES = {
     "states-same-key": {"states": [1, "1"], "initial": {"1": "1"}, "final": {"1": "1"},
                         "transitions": []},
     "file-number": 5,
+    "inline-algebra-duplicate-name": {"algebra": {"names": ["0", "0"], "add": [["0", "0"], ["0", "0"]],
+                                                  "mul": [["0", "0"], ["0", "0"]], "zero": "0", "one": "0"}},
+    "inline-algebra-missing-row": {"algebra": {"names": ["0", "1"], "add": [["0", "1"]],
+                                               "mul": [["0", "0"], ["0", "1"]], "zero": "0", "one": "1"}},
+    "inline-algebra-short-row": {"algebra": {"names": ["0", "1"], "add": [["0", "1"], ["1"]],
+                                             "mul": [["0", "0"], ["0", "1"]], "zero": "0", "one": "1"}},
+    "inline-algebra-name-object": {"algebra": {"name": {"x": [1, 2]}, "names": ["0", "1"],
+                                               "add": [["0", "1"], ["1", "1"]],
+                                               "mul": [["0", "0"], ["0", "1"]], "zero": "0", "one": "1"}},
+    # a string is the file's text: json cannot write an integer this long
+    "integer-too-long": '{"algebra": "NatPlusMin", "states": [' + "1" * 5000 + "]}",
+    "alphabet-empty-array": {"alphabet": []},
+    "alphabet-repeated": {"alphabet": ["a", "a"]},
+    "tree-alphabet-empty-object": {"alphabet": {}},
+    "poly-monome-negative": {"algebra": "PolyMonome", "final": {"q": [-1]}},
+    "poly-monome-dangling-exponent": {"algebra": "PolyMonome", "final": {"q": "2x^"}},
 }
 _MALFORMED_ALPHABETS = {
     "word-alphabet-empty": ("supports-words", "--word-alphabet", ""),
     "word-alphabet-inner": ("supports-words", "--word-alphabet", "a,,b"),
     "word-alphabet-trailing": ("supports-words", "--word-alphabet", "a,"),
     "tree-alphabet-repeated": ("supports-trees", "--tree-alphabet", "alpha:0,sigma:2,sigma:3"),
+    "tree-alphabet-inner": ("supports-trees", "--tree-alphabet", "alpha:0,,sigma:2"),
+    "tree-alphabet-trailing": ("supports-trees", "--tree-alphabet", "alpha:0,sigma:2,"),
+    "tree-alphabet-no-rank": ("supports-trees", "--tree-alphabet", "alpha"),
+}
+# The whole stderr of some cases, {path} standing for the file's path.
+_MALFORMED_MESSAGES = {
+    "inline-algebra-duplicate-name": "{path} algebra: duplicate element names",
+    "inline-algebra-missing-row": "{path} algebra: add table has 1 rows, expected 2",
+    "inline-algebra-short-row": "{path} algebra: add table row 1 has 1 entries",
+    "inline-algebra-name-object": "{path} algebra: 'name' must be a string",
+    "alphabet-empty-array": "{path}: alphabet must be nonempty",
+    "alphabet-repeated": "{path}: duplicate alphabet symbols",
+    "tree-alphabet-empty-object": "{path}: alphabet must be nonempty",
+    "poly-monome-negative": "{path} final 'q': coefficients must be nonnegative",
+    "poly-monome-dangling-exponent": "{path} final 'q': cannot parse polynomial term '2x^'",
+    "tree-alphabet-inner": "--tree-alphabet 'alpha:0,,sigma:2' has an empty entry;"
+                           " give symbol:rank entries separated by commas",
+    "tree-alphabet-trailing": "--tree-alphabet 'alpha:0,sigma:2,' has an empty entry;"
+                              " give symbol:rank entries separated by commas",
+    "tree-alphabet-no-rank": "alphabet entry 'alpha' must look like symbol:rank",
 }
 
 
 @pytest.mark.parametrize(
-    "patch, alphabet",
-    [pytest.param(patch, None, id=name) for name, patch in _MALFORMED_FILES.items()]
-    + [pytest.param(None, option, id=name) for name, option in _MALFORMED_ALPHABETS.items()],
+    "name, patch, alphabet",
+    [pytest.param(name, patch, None, id=name) for name, patch in _MALFORMED_FILES.items()]
+    + [pytest.param(name, None, option, id=name) for name, option in _MALFORMED_ALPHABETS.items()],
 )
-def test_cli_malformed_input_exits_two(tmp_path, capsys, patch, alphabet):
+def test_cli_malformed_input_exits_two(tmp_path, capsys, name, patch, alphabet):
+    path = tmp_path / "malformed.json"
     if patch is None:
         target, option, text = alphabet
         argv = ["check", target, "--algebra", "B4", option, text]
     else:
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps({**_WORD_FILE, **patch} if isinstance(patch, dict) else patch))
+        if not isinstance(patch, str):
+            patch = json.dumps({**_WORD_FILE, **patch} if isinstance(patch, dict) else patch)
+        path.write_text(patch)
         argv = ["eval", "--automaton", str(path), "--input", "a"]
     code, _, err = run_cli(argv, capsys)
     assert code == 2 and err.startswith("error: ")
+    if patch is not None:
+        assert str(path) in err
+    if name in _MALFORMED_MESSAGES:
+        assert err == f"error: {_MALFORMED_MESSAGES[name].format(path=path)}\n"
+
+
+_TWO_ELEMENTS = {"names": ["0", "1"], "add": [["0", "1"], ["1", "1"]], "mul": [["0", "0"], ["0", "1"]],
+                 "zero": "0", "one": "1"}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"names": ["0", "0"], "add": [["0", "0"], ["0", "0"]], "mul": [["0", "0"], ["0", "0"]],
+                 "zero": "0", "one": "0"}), "duplicate element names"),
+    (json.dumps({**_TWO_ELEMENTS, "add": [["0", "1"]]}), "add table has 1 rows, expected 2"),
+    (json.dumps({**_TWO_ELEMENTS, "mul": [["0", "0"], ["0"]]}), "mul table row 1 has 1 entries"),
+    (json.dumps({**_TWO_ELEMENTS, "name": {"x": [1, 2]}}), "'name' must be a string"),
+    (json.dumps({**_TWO_ELEMENTS, "names": "N"}).replace('"N"', "1" * 5000),
+     "invalid JSON: a number has too many digits"),
+], ids=["duplicate-name", "missing-row", "short-row", "name-object", "integer-too-long"])
+def test_cli_props_names_a_malformed_algebra_file(text, message, tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(text)
+    code, out, err = run_cli(["props", "--algebra", str(path), "--format", "json"], capsys)
+    if message.startswith("invalid JSON") and not hasattr(sys, "set_int_max_str_digits"):
+        message = "'names' must be an array of element names"  # before 3.10.7 any integer is read
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    with pytest.raises(fileio.FileFormatError):
+        fileio.load_algebra(str(path))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["props", "--algebra", "TruncFun(0)"], "TruncFun needs m >= 1"),
+    (["props", "--algebra", "NatPlusPlus[0]"], "cap must be >= 1"),
+    (["convert", "--automaton", "WORD", "--direction", "tree-to-word"], "WORD does not contain a tree automaton"),
+    (["convert", "--automaton", "TREE", "--direction", "word-to-tree"], "TREE does not contain a word automaton"),
+    (["image", "--automaton", "TREE", "--max-size", "0"], "max_size must be >= 1"),
+    (["image", "--automaton", "WORD", "--max-len", "-1"], "max_len must be >= 0"),
+], ids=["trunc-fun-0", "nat-plus-plus-0", "convert-word-as-tree", "convert-tree-as-word",
+        "image-max-size-0", "image-max-len-negative"])
+def test_cli_refuses_out_of_range_arguments(argv, message, probe_file, tree_probe_file, capsys):
+    files = {"WORD": probe_file, "TREE": tree_probe_file}
+    for key, path in files.items():
+        message = message.replace(key, path)
+    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["props", "--algebra", "TruncFun(9)"],
+    ["check", "supports-words", "--algebra", "TruncFun(9)"],
+], ids=["props", "check"])
+def test_cli_refuses_a_carrier_too_large_to_tabulate(argv):
+    # TruncFun(9) has 10^9 elements, and listing them takes all the memory
+    # there is: the command runs in a child capped at 1 GB of address space
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "bimonoid_automata", *argv], capture_output=True, text=True,
+                            env=env, timeout=10, preexec_fn=cap_memory)
+    assert time.perf_counter() - start < 2
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: cannot tabulate TruncFun(9): it has more than 4096 elements\n")
 
 
 def test_cli_convert_round_trip(probe_file, tmp_path, capsys):

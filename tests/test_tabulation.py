@@ -301,6 +301,30 @@ def test_non_closed_carrier_is_a_named_error():
         ba.validate_axioms(Leaky())
 
 
+class Crowded(WeightAlgebra):
+    """One element more than ``tabulate`` takes; its operations are never due."""
+
+    name = "Crowded"
+    zero, one = 0, 1
+
+    def add(self, a, b):
+        raise AssertionError("add called")
+
+    mul = add
+
+    @property
+    def is_finite(self):
+        return True
+
+    def elements(self):
+        return iter(range(4097))
+
+
+def test_tabulate_refuses_a_carrier_above_4096_elements():
+    with pytest.raises(ValueError, match=r"^cannot tabulate Crowded: it has more than 4096 elements$"):
+        tabulate(Crowded())
+
+
 def test_check_takes_an_algebra_or_its_tables():
     alg = ba.b4()
     t = tabulate(alg)
