@@ -1038,6 +1038,8 @@ def nat_plus_plus_table(cap: int = 3) -> FiniteTableAlgebra:
     is needed."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if cap + 2 > _MAX_TABULATED:  # refused before the (cap + 2)^2 tables are built
+        raise ValueError(f"NatPlusPlus[{cap}] has {cap + 2} elements; a table holds at most {_MAX_TABULATED}")
     names = ("zero",) + tuple(str(i) for i in range(cap + 1))
 
     # index 0 is the fresh zero, neutral for add and absorbing for mul;

@@ -16,11 +16,11 @@ import os
 import sys
 
 # Loaded for every command: main catches fileio's error and build_parser
-# reads the check defaults from config. Each command imports the other
-# layers it runs, so it loads no module it does not use.
-from .algebra import HierarchyInconsistencyError, InfiniteCarrierError, Semantics, UnknownAlgebraError
+# reads image's bounds from config. Each command imports the other layers it
+# runs, so it loads no module it does not use.
+from .algebra import HierarchyInconsistencyError, Semantics, UnknownAlgebraError
 from .fileio import FileFormatError, automaton_to_dict, load_algebra, load_automaton, save_automaton
-from .config import DEFAULT_TREE_ALPHABET, TheoremCheckConfig
+from .config import TheoremCheckConfig
 
 USAGE_ERROR = 2
 UNEXPECTED_COUNTEREXAMPLE = 1
@@ -30,24 +30,13 @@ BROKEN_PIPE = 141
 # the offending value, which a malformed file can make thousands long.
 _MESSAGE_LIMIT = 300
 
-# The TheoremCheckConfig field each sweep option of ``check`` sets.
-_SWEEP_FIELDS = {
-    "--word-alphabet": "word_alphabet",
-    "--tree-alphabet": "tree_alphabet",
-    "--max-len": "max_word_len",
-    "--max-size": "max_tree_size",
-    "--trials": "num_automata",
-    "--states": "max_states",
-    "--seed": "seed",
-}
-# The sweep options each check would ignore: a support check reads one input
-# kind, and an image check sweeps or probes at TheoremCheckConfig's defaults.
-_IGNORED = {
-    "supports-words": ("--tree-alphabet", "--max-size"),
-    "supports-trees": ("--word-alphabet", "--max-len"),
-    "images-words": tuple(_SWEEP_FIELDS),
-    "images-trees": tuple(_SWEEP_FIELDS),
-}
+
+def _parse_word_alphabet(text: str) -> tuple:
+    alphabet = tuple(text.split(","))
+    if not all(alphabet):
+        raise ValueError(f"--word-alphabet {text!r} has an empty symbol;"
+                         " give nonempty symbols separated by commas")
+    return alphabet
 
 
 def _parse_ranked_alphabet(text: str):
@@ -114,12 +103,7 @@ def cmd_support(args):
 
 def cmd_props(args):
     from .properties import classify
-    alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
-    if not alg.is_finite:
-        raise InfiniteCarrierError(
-            f"property decision needs a finite algebra, {alg.name} is infinite"
-        )
-    report = classify(alg)
+    report = classify(load_algebra(args.algebra, allow_invalid=args.allow_invalid))
     _emit(args, report.to_dict(), str(report))
     return 0
 
@@ -127,35 +111,16 @@ def cmd_props(args):
 def cmd_check(args):
     from .harness import check_image_theorem, check_support_theorem_trees, check_support_theorem_words
     alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
-    word_alphabet = tuple(args.word_alphabet.split(","))
-    if not all(word_alphabet):
-        raise ValueError(
-            f"--word-alphabet {args.word_alphabet!r} has an empty symbol;"
-            " give nonempty symbols separated by commas"
-        )
-    config = TheoremCheckConfig(
-        algebra=alg,
-        word_alphabet=word_alphabet,
-        tree_alphabet=_parse_ranked_alphabet(args.tree_alphabet),
-        max_word_len=args.max_len,
-        max_tree_size=args.max_size,
-        num_automata=args.trials,
-        max_states=args.states,
-        seed=args.seed,
-    )
-    default = TheoremCheckConfig(algebra=alg)
-    ignored = [
-        opt for opt in _IGNORED[args.target]
-        if getattr(config, _SWEEP_FIELDS[opt]) != getattr(default, _SWEEP_FIELDS[opt])
-    ]
-    if ignored:
-        raise ValueError(f"{args.target} does not take {', '.join(ignored)}")
-    if args.target == "supports-words":
-        report = check_support_theorem_words(config)
-    elif args.target == "supports-trees":
-        report = check_support_theorem_trees(config)
+    if args.target.startswith("images-"):
+        report = check_image_theorem(alg, args.target[len("images-"):])
     else:
-        report = check_image_theorem(alg, "words" if args.target == "images-words" else "trees")
+        # only the options given reach the config, which holds every default
+        given = {field: getattr(args, field) for field in args.fields if field in args}
+        for field, parse in (("word_alphabet", _parse_word_alphabet), ("tree_alphabet", _parse_ranked_alphabet)):
+            if field in given:
+                given[field] = parse(given[field])
+        check = check_support_theorem_words if args.target == "supports-words" else check_support_theorem_trees
+        report = check(TheoremCheckConfig(algebra=alg, **given))
     _emit(args, report.to_dict(), str(report))
     return 0 if report.as_predicted else UNEXPECTED_COUNTEREXAMPLE
 
@@ -231,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="word (symbol names or single-char string) or tree term")
 
-    # check and image default to TheoremCheckConfig's field defaults, which
-    # its class attributes hold
-    def bounds(p):
-        p.add_argument("--max-len", type=int, default=TheoremCheckConfig.max_word_len)
-        p.add_argument("--max-size", type=int, default=TheoremCheckConfig.max_tree_size)
-
     p = sub.add_parser("eval", help="evaluate one semantics on one input")
     common(p, automaton=True, inp=True)
     p.add_argument("--semantics", choices=("run", "init"), default="init")
@@ -252,17 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_props)
 
     p = sub.add_parser("check", help="run one theorem check")
-    p.add_argument("target", choices=(
-        "supports-words", "supports-trees", "images-words", "images-trees"))
-    common(p, algebra=True)
-    p.add_argument("--word-alphabet", default=",".join(TheoremCheckConfig.word_alphabet))
-    p.add_argument("--tree-alphabet",
-                   default=",".join(f"{s}:{k}" for s, k in DEFAULT_TREE_ALPHABET.items()))
-    bounds(p)
-    p.add_argument("--trials", type=int, default=TheoremCheckConfig.num_automata)
-    p.add_argument("--states", type=int, default=TheoremCheckConfig.max_states)
-    p.add_argument("--seed", type=int, default=TheoremCheckConfig.seed)
-    p.set_defaults(fn=cmd_check)
+    targets = p.add_subparsers(dest="target", required=True)
+    counts = (("--trials", "num_automata"), ("--states", "max_states"), ("--seed", "seed"))
+    for target, options in (
+        ("supports-words", (("--word-alphabet", "word_alphabet"), ("--max-len", "max_word_len"), *counts)),
+        ("supports-trees", (("--tree-alphabet", "tree_alphabet"), ("--max-size", "max_tree_size"), *counts)),
+        ("images-words", ()),  # the image checks sweep or probe at the defaults
+        ("images-trees", ()),
+    ):
+        t = targets.add_parser(target)
+        common(t, algebra=True)
+        # each option sets the TheoremCheckConfig field it names, and only
+        # when given: the parser holds no default, so an option the target
+        # does not read is refused at any value
+        for flag, field in options:
+            t.add_argument(flag, dest=field, type=str if field.endswith("alphabet") else int,
+                           default=argparse.SUPPRESS)
+        t.set_defaults(fn=cmd_check, fields=tuple(field for _, field in options))
 
     p = sub.add_parser("convert", help="convert between word and tree automata")
     common(p, automaton=True, emits=False)
@@ -277,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="image sets of both semantics on bounded inputs")
     common(p, automaton=True)
-    bounds(p)
+    # the defaults are TheoremCheckConfig's, which its class attributes hold
+    p.add_argument("--max-len", type=int, default=TheoremCheckConfig.max_word_len)
+    p.add_argument("--max-size", type=int, default=TheoremCheckConfig.max_tree_size)
     p.set_defaults(fn=cmd_image)
     return parser
 
@@ -309,7 +276,7 @@ def main(argv=None) -> int:
         # reachable only for tables loaded with --allow-invalid: the hierarchy
         # implications presuppose the strong-bimonoid axioms
         return _usage_error(f"{exc} (the loaded tables violate the axioms)")
-    except (FileFormatError, UnknownAlgebraError, InfiniteCarrierError, ValueError) as exc:
+    except (FileFormatError, UnknownAlgebraError, ValueError) as exc:
         return _usage_error(str(exc))
     except Exception as exc:
         # anything else is a fault in this program, not in its input: keep

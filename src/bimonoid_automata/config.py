@@ -1,8 +1,9 @@
 """Bounds, trial counts and seeding of the theorem checks.
 
-Kept apart from ``harness``, which loads every layer, so that the CLI can
-read the defaults of ``check`` and ``image`` for any command without loading
-the semantics layers.
+:class:`TheoremCheckConfig` holds every default of ``bimaut check``: the
+CLI passes on only the options given. It is kept apart from ``harness``,
+which loads every layer, so that the CLI can read the two bounds of
+``image`` from it without loading the semantics layers.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ if TYPE_CHECKING:
     from .algebra import WeightAlgebra
     from .trees import RankedAlphabet
 
-DEFAULT_WORD_ALPHABET = ("a", "b")
-DEFAULT_TREE_ALPHABET = {"alpha": 0, "sigma": 2}
-
 
 class TheoremCheckConfig:
     """Bounds, trial counts and seeding for one theorem check. The class
-    attributes hold the defaults, which the CLI reads without an instance."""
+    attributes hold the defaults, and the CLI reads ``image``'s two bounds
+    from them without an instance."""
 
-    word_alphabet = DEFAULT_WORD_ALPHABET
+    word_alphabet = ("a", "b")
     max_word_len = 4
     max_tree_size = 7
     num_automata = 100
@@ -35,7 +34,7 @@ class TheoremCheckConfig:
         if tree_alphabet is None:
             from .trees import RankedAlphabet
 
-            tree_alphabet = RankedAlphabet(dict(DEFAULT_TREE_ALPHABET))
+            tree_alphabet = RankedAlphabet({"alpha": 0, "sigma": 2})
         if min(max_word_len, max_tree_size, num_automata, max_states) < 1:
             raise ValueError("bounds and trial counts must be >= 1")
         # the fields in parameter order, which __eq__ and __repr__ read

@@ -1,7 +1,9 @@
 """JSON file formats for algebras and automata, and nothing else: the text
 of an input is read by the module of its structure (``words.parse``,
-``trees.parse``). Every defect in a file is a :class:`FileFormatError` that
-names the file.
+``trees.parse``). Files are read as UTF-8, as RFC 8259 requires of JSON.
+Every defect in a file, bytes that are not UTF-8 included, is a
+:class:`FileFormatError` that names the file. ``load_algebra`` takes a file
+path or a builtin name.
 
 Algebra file: ``names`` (array), ``add``/``mul`` (n x n arrays of names),
 ``zero``/``one`` (names). Automaton file: ``algebra`` (builtin name or inline
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Union
 
 from .algebra import FiniteTableAlgebra, MalformedTableError, WeightAlgebra, _is_int, builtin, validate_axioms
 
@@ -50,10 +51,12 @@ def _read_json(path: str, kind: str):
     """The JSON value in the ``kind`` file at ``path``; one nested more than
     ``_MAX_NESTING`` levels deep is refused, at any depth of the caller's stack."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON text is UTF-8
             text = fh.read()
     except OSError as exc:
         raise FileFormatError(path, f"cannot read {kind} file: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FileFormatError(path, f"{kind} file is not UTF-8 text") from None
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -127,11 +130,9 @@ def algebra_to_dict(alg: FiniteTableAlgebra) -> dict:
     }
 
 
-def load_algebra(source: Union[str, dict], allow_invalid: bool = False) -> WeightAlgebra:
-    """Resolve an algebra from an inline dict, a JSON file path, or a builtin
-    name; an existing file wins over a builtin of the same name."""
-    if isinstance(source, dict):
-        return algebra_from_dict(source, allow_invalid=allow_invalid)
+def load_algebra(source: str, allow_invalid: bool = False) -> WeightAlgebra:
+    """Resolve an algebra from a JSON file path or a builtin name; an existing
+    file wins over a builtin of the same name."""
     if not os.path.isfile(source):
         try:
             return builtin(source)

@@ -207,10 +207,9 @@ def _sweep_words(theorem, config, hypothesis, compare, cycle) -> CheckReport:
     )
 
 
-def _sweep_trees(theorem, config, hypothesis, compare, cycle=None, max_size=None) -> CheckReport:
-    """``_sweep`` over every tree of at most ``max_size`` nodes, by default
-    ``config.max_tree_size``."""
-    alphabet, max_size = config.tree_alphabet, max_size or config.max_tree_size
+def _sweep_trees(theorem, config, hypothesis, compare, cycle=None) -> CheckReport:
+    """``_sweep`` over every tree of at most ``config.max_tree_size`` nodes."""
+    alphabet, max_size = config.tree_alphabet, config.max_tree_size
     test_trees = list(T.enumerate_trees(alphabet, max_size))
     # a symbol of rank max_size or more occurs in no tree of max_size
     # nodes, so the automata draw no weights for it
@@ -291,7 +290,7 @@ def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
     if cls.trivial:
         # every tree is a single leaf, on which the two semantics coincide;
         # no tables are built, so counts stay exact
-        return _sweep_trees("supports-trees", config, {"alphabet-class": "trivial"}, _values_differ, max_size=1)
+        return _sweep_trees("supports-trees", config, {"alphabet-class": "trivial"}, _values_differ)
 
     label, hypothesis_prop = (("monadic", BimonoidProperty.STRONGLY_ZSF) if cls.monadic
                               else ("branching", BimonoidProperty.BI_STRONGLY_ZSF))

@@ -322,6 +322,8 @@ def enumerate_trees(alphabet: RankedAlphabet, max_size: int) -> Iterator[Tree]:
         by_size[s] = found
         return found
 
+    if not alphabet.max_rank:  # over nullary symbols alone every tree is one leaf
+        max_size = min(max_size, 1)
     for s in range(1, max_size + 1):
         yield from of_size(s)
 

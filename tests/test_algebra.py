@@ -72,6 +72,21 @@ def test_malformed_table_is_a_structural_error():
         ba.FiniteTableAlgebra("bad", ("0", "1"), ((0, 1),), ((0, 0), (0, 1)), 0, 1)
     with pytest.raises(MalformedTableError):
         ba.FiniteTableAlgebra("bad", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 7)
+    with pytest.raises(MalformedTableError, match="^empty carrier$"):
+        ba.FiniteTableAlgebra("bad", (), (), (), 0, 0)
+
+
+@pytest.mark.parametrize("names, pairs, message", [
+    (("a", "b", "1"), [("a", "1"), ("b", "1")], "no unique meet for a, b"),
+    (("0", "a", "b", "c", "d", "1"),
+     [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+     "no unique join for a, b"),
+    # a finite order with every join and meet is bounded, unless it is empty
+    ((), [], "order is not bounded"),
+], ids=["no-meet", "no-join", "empty"])
+def test_lattice_algebra_refuses_an_order_that_is_not_a_bounded_lattice(names, pairs, message):
+    with pytest.raises(ValueError, match=f"^bad: {message}$"):
+        ba.lattice_algebra("bad", names, pairs)
 
 
 def test_builtin_lookup_and_unknown_name():

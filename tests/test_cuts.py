@@ -55,6 +55,12 @@ def test_invalid_rewrites_raise():
         T.validate_cut(t, ((2,), (1,)))  # wrong order
     with pytest.raises(ValueError):
         T.validate_cut(t, ((), (1,)))  # not independent
+    with pytest.raises(ValueError, match="^a cut is nonempty$"):
+        T.validate_cut(t, ())
+    with pytest.raises(ValueError, match="^cut index 9 out of range$"):
+        T.merge(t, lc, 9)
+    with pytest.raises(ValueError, match="^relation must be 'expand' or 'merge'$"):
+        T.is_normal_form(t, lc, "shrink")
 
 
 def test_rewrites_refuse_a_non_cut():

@@ -234,9 +234,10 @@ def test_cli_props_json(capsys):
     assert data["properties"]["right-distributive"]["holds"] is False
 
 
-def test_cli_props_rejects_infinite(capsys):
-    code, _, err = run_cli(["props", "--algebra", "NatPlusMin"], capsys)
-    assert code == 2 and "finite" in err
+def test_cli_props_and_check_refuse_an_infinite_carrier_alike(capsys):
+    # both tabulate the algebra, whose elements() refuses an infinite carrier
+    for argv in (["props", "--algebra", "NatPlusMin"], ["check", "supports-words", "--algebra", "NatPlusMin"]):
+        assert run_cli(argv, capsys) == (2, "", "error: cannot enumerate the infinite carrier of NatPlusMin\n")
 
 
 def test_cli_check_predicted_counterexample_exits_zero(capsys):
@@ -341,6 +342,8 @@ _MALFORMED_FILES = {
     "tree-alphabet-empty-object": {"alphabet": {}},
     "poly-monome-negative": {"algebra": "PolyMonome", "final": {"q": [-1]}},
     "poly-monome-dangling-exponent": {"algebra": "PolyMonome", "final": {"q": "2x^"}},
+    # bytes are the file's content: a UTF-16 byte order mark is no UTF-8 text
+    "not-utf-8": b"\xff\xfe{}",
 }
 _MALFORMED_ALPHABETS = {
     "word-alphabet-empty": ("supports-words", "--word-alphabet", ""),
@@ -362,6 +365,7 @@ _MALFORMED_MESSAGES = {
     "tree-alphabet-empty-object": "{path}: alphabet must be nonempty",
     "poly-monome-negative": "{path} final 'q': coefficients must be nonnegative",
     "poly-monome-dangling-exponent": "{path} final 'q': cannot parse polynomial term '2x^'",
+    "not-utf-8": "{path}: automaton file is not UTF-8 text",
     "tree-alphabet-inner": "--tree-alphabet 'alpha:0,,sigma:2' has an empty entry;"
                            " give symbol:rank entries separated by commas",
     "tree-alphabet-trailing": "--tree-alphabet 'alpha:0,sigma:2,' has an empty entry;"
@@ -381,14 +385,16 @@ def test_cli_malformed_input_exits_two(tmp_path, capsys, name, patch, alphabet):
         target, option, text = alphabet
         argv = ["check", target, "--algebra", "B4", option, text]
     else:
-        if not isinstance(patch, str):
+        if not isinstance(patch, (str, bytes)):
             patch = json.dumps({**_WORD_FILE, **patch} if isinstance(patch, dict) else patch)
-        path.write_text(patch)
+        path.write_bytes(patch if isinstance(patch, bytes) else patch.encode())
         argv = ["eval", "--automaton", str(path), "--input", "a"]
     code, _, err = run_cli(argv, capsys)
     assert code == 2 and err.startswith("error: ")
     if patch is not None:
         assert str(path) in err
+        with pytest.raises(fileio.FileFormatError):
+            fileio.load_automaton(str(path))
     if name in _MALFORMED_MESSAGES:
         assert err == f"error: {_MALFORMED_MESSAGES[name].format(path=path)}\n"
 
@@ -405,10 +411,11 @@ _TWO_ELEMENTS = {"names": ["0", "1"], "add": [["0", "1"], ["1", "1"]], "mul": [[
     (json.dumps({**_TWO_ELEMENTS, "name": {"x": [1, 2]}}), "'name' must be a string"),
     (json.dumps({**_TWO_ELEMENTS, "names": "N"}).replace('"N"', "1" * 5000),
      "invalid JSON: a number has too many digits"),
-], ids=["duplicate-name", "missing-row", "short-row", "name-object", "integer-too-long"])
+    (b"\xff\xfe{}", "algebra file is not UTF-8 text"),
+], ids=["duplicate-name", "missing-row", "short-row", "name-object", "integer-too-long", "not-utf-8"])
 def test_cli_props_names_a_malformed_algebra_file(text, message, tmp_path, capsys):
     path = tmp_path / "algebra.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_cli(["props", "--algebra", str(path), "--format", "json"], capsys)
     if message.startswith("invalid JSON") and not hasattr(sys, "set_int_max_str_digits"):
         message = "'names' must be an array of element names"  # before 3.10.7 any integer is read
@@ -434,13 +441,19 @@ def test_cli_refuses_out_of_range_arguments(argv, message, probe_file, tree_prob
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["props", "--algebra", "TruncFun(9)"],
-    ["check", "supports-words", "--algebra", "TruncFun(9)"],
-], ids=["props", "check"])
-def test_cli_refuses_a_carrier_too_large_to_tabulate(argv):
+_TRUNC_FUN_9 = "cannot tabulate TruncFun(9): it has more than 4096 elements"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["props", "--algebra", "TruncFun(9)"], _TRUNC_FUN_9),
+    (["check", "supports-words", "--algebra", "TruncFun(9)"], _TRUNC_FUN_9),
+    (["props", "--algebra", "NatPlusPlus[99999]"],
+     "NatPlusPlus[99999] has 100001 elements; a table holds at most 4096"),
+], ids=["props", "check", "nat-plus-plus-props"])
+def test_cli_refuses_a_carrier_too_large_to_tabulate(argv, message):
     # TruncFun(9) has 10^9 elements, and listing them takes all the memory
-    # there is: the command runs in a child capped at 1 GB of address space
+    # there is, as do the two 10^5 x 10^5 tables of NatPlusPlus[99999]: the
+    # command runs in a child capped at 1 GB of address space
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -449,8 +462,7 @@ def test_cli_refuses_a_carrier_too_large_to_tabulate(argv):
     result = subprocess.run([sys.executable, "-m", "bimonoid_automata", *argv], capture_output=True, text=True,
                             env=env, timeout=10, preexec_fn=cap_memory)
     assert time.perf_counter() - start < 2
-    assert (result.returncode, result.stdout, result.stderr) == (
-        2, "", "error: cannot tabulate TruncFun(9): it has more than 4096 elements\n")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_cli_convert_round_trip(probe_file, tmp_path, capsys):
@@ -493,7 +505,7 @@ def test_cli_convert_has_no_format_option(probe_file, capsys):
 
 
 def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsys):
-    # cmd_check builds its TheoremCheckConfig from the parsed defaults alone
+    # with no sweep option given, cmd_check builds TheoremCheckConfig's defaults
     built = []
     real = H.check_support_theorem_words
     monkeypatch.setattr(H, "check_support_theorem_words", lambda config: built.append(config) or real(config))
@@ -522,12 +534,21 @@ def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsy
         "supports-words-tree-alphabet", "supports-words-max-size",
         "supports-trees-word-alphabet", "supports-trees-max-len"])
 def test_cli_rejects_options_it_would_ignore(argv, probe_file, tree_probe_file, capsys):
+    def refused_by_the_parser(argv):
+        # a check target's parser declares only the options its target reads
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "") and f"unrecognized arguments: {argv[4]}" in err
+
     files = {"WORD": probe_file, "TREE": tree_probe_file}
-    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
-    assert code == 2 and out == "" and err.startswith("error: ")
-    # an option given at its default value is accepted
-    code, _, _ = run_cli(["check", "images-words", "--algebra", "B4", "--seed", "42"], capsys)
-    assert code == 0
+    if argv[0] == "check":
+        refused_by_the_parser(argv)
+    else:
+        code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+    # an option is refused at its default value too
+    refused_by_the_parser(["check", "images-words", "--algebra", "B4", "--seed", "42"])
 
 
 @pytest.mark.parametrize("depth", [1000, 100_000])
@@ -695,11 +716,6 @@ def test_cli_eval_works_over_infinite_algebras(tmp_path, capsys):
         ["support", "--automaton", str(path), "--input", "a", "--semantics", "run"], capsys
     )
     assert code == 0 and out.strip() == "true"
-
-
-def test_cli_check_rejects_infinite_algebra(capsys):
-    code, _, err = run_cli(["check", "supports-words", "--algebra", "NatPlusMin"], capsys)
-    assert code == 2 and "infinite" in err
 
 
 def test_cli_allow_invalid_flag(tmp_path, capsys):

@@ -117,6 +117,8 @@ def test_image_theorem_words():
     assert pent.witness is not None
     # the two recorded image sets genuinely differ
     assert pent.witness.run_value != pent.witness.init_value
+    with pytest.raises(ValueError, match="^mode must be 'words' or 'trees'$"):
+        H.check_image_theorem(ba.boole(), "graphs")
 
 
 def test_image_theorem_trees_matches_distributivity(finite_algebras):

@@ -168,6 +168,11 @@ def test_infinite_algebra_refused():
         check(ba.nat_plus_min(), P.ZERO_SUM_FREE)
 
 
+def test_check_refuses_an_unknown_condition():
+    with pytest.raises(ValueError, match="^unknown condition 'commutative'$"):
+        check(ba.boole(), "commutative")
+
+
 def test_report_formats():
     report = classify(ba.b4())
     text = str(report)

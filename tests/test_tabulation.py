@@ -299,6 +299,14 @@ def test_non_closed_carrier_is_a_named_error():
         check(Leaky(), P.ZERO_SUM_FREE)
     with pytest.raises(CarrierNotClosedError):
         ba.validate_axioms(Leaky())
+    # closed under both operations on {0}, which holds the zero but not the one
+    only_zero = Leaky()
+    only_zero.elements = lambda: iter((0,))
+    with pytest.raises(CarrierNotClosedError, match=r"^Leaky: one 1 is not in elements\(\)$"):
+        tabulate(only_zero)
+    only_zero.zero = 5
+    with pytest.raises(CarrierNotClosedError, match=r"^Leaky: zero 5 is not in elements\(\)$"):
+        tabulate(only_zero)
 
 
 class Crowded(WeightAlgebra):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,18 @@ def test_enumerate_trees_counts():
     seen = list(T.enumerate_trees(mixed, 9))
     assert len(seen) == sum(counts[s] for s in range(1, 10))
     assert len(set(seen)) == len(seen)
+
+
+def test_enumerate_trees_over_nullary_symbols_stops_after_one_node():
+    # the trivial-alphabet sweep passes --max-size as it is: the bound must
+    # cost nothing when every tree is a single leaf
+    tracemalloc.start()
+    try:
+        trees = list(T.enumerate_trees(T.RankedAlphabet({"alpha": 0, "beta": 0}), 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trees == [T.Tree("alpha"), T.Tree("beta")] and peak < 2**16
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +509,9 @@ def test_restriction_to_one_nullary_symbol():
             if T.in_support(part, t, Semantics.RUN):
                 support_parts.add(t)
     assert support_full == support_parts
+    for sym in ("gamma", "delta"):  # unary, and not in the alphabet
+        with pytest.raises(ValueError, match=f"^'{sym}' is not a nullary symbol of the alphabet$"):
+            T.restrict_to_nullary(automaton, sym)
     with pytest.raises(ValueError):
         T.restrict_to_nullary(
             H.random_tree_automaton(rng, alg, T.RankedAlphabet({"a": 0, "s": 2}), 2), "a"

@@ -433,7 +433,9 @@ def test_input_errors(b4_probe):
     with pytest.raises(ValueError):
         W.run_semantics(automaton, ("delta",))
     with pytest.raises(ValueError):
-        W.run_weight(automaton, ("gamma",), ("p",))  # too short
+        W.run_weight(automaton, ("gamma",), ("p",))  # a name, not an index
+    with pytest.raises(ValueError, match="^run has 1 states, expected 2$"):
+        W.run_weight(automaton, ("gamma",), (0,))
     with pytest.raises(ValueError):
         W.mixed_prefix_product(automaton, ("gamma",), (0, 2), 5)
     with pytest.raises(ValueError):
@@ -448,3 +450,9 @@ def test_word_automaton_construction_validation():
         W.WordAutomaton(alg, ("a",), ("q", "q"), (1, 1), (1, 1), [])
     with pytest.raises(ValueError):
         W.WordAutomaton(alg, ("a",), ("q",), (1,), (1,), [("q", "b", "q", 1)])
+    with pytest.raises(ValueError, match="^weight vector has 2 entries, expected 1$"):
+        W.WordAutomaton(alg, ("a",), ("q",), (1, 1), (1,), [])
+    with pytest.raises(ValueError, match="^unknown symbol 'b'$"):
+        W.WordAutomaton(alg, ("a",), ("q",), (1,), (1,), {"b": ((1,),)})
+    with pytest.raises(ValueError, match="^matrix for 'a' is not 1x1$"):
+        W.WordAutomaton(alg, ("a",), ("q",), (1,), (1,), {"a": ((1, 1),)})
