@@ -653,6 +653,9 @@ def lattice_algebra(name, names, leq_pairs) -> FiniteTableAlgebra:
     idx = {x: i for i, x in enumerate(names)}
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a, b in leq_pairs:
+        for x in (a, b):
+            if x not in idx:
+                raise ValueError(f"{name}: order pair ({a!r}, {b!r}) names {x!r}, which is not an element")
         leq[idx[a]][idx[b]] = True
     for k in range(n):  # transitive closure
         for i in range(n):

@@ -52,7 +52,11 @@ def _parse_ranked_alphabet(text: str):
         sym, rank = (x.strip() for x in part.split(":", 1))
         if sym in ranks:
             raise ValueError(f"--tree-alphabet {text!r} repeats the symbol {sym!r}")
-        ranks[sym] = int(rank)
+        try:
+            ranks[sym] = int(rank)
+        except ValueError:
+            raise ValueError(f"--tree-alphabet {text!r} has the entry {part!r}, whose rank is not"
+                             " a natural number") from None
     return RankedAlphabet(ranks)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
 from .algebra import _configuration, _cost_profile, _Frozen, _images, _init_memo, _is_int, _run_total
@@ -393,7 +393,7 @@ class TreeAutomaton(WeightedAutomaton):
 
     def check_tree(self, t: Tree) -> Tree:
         """``t``, once every distinct subtree is checked against the ranks."""
-        _bottom_up(self, t, {}, lambda symbol, children: None)
+        _bottom_up(self.alphabet, t, {}, lambda symbol, children: None)
         return t
 
     def with_algebra(self, algebra: WeightAlgebra) -> "TreeAutomaton":
@@ -495,15 +495,15 @@ def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
         root = automaton.root_weights
         runs = itertools.product(range(len(automaton.states)), repeat=len(nodes))
         return alg.sum(alg.mul(_run_weight(automaton, nodes, run), root[run[0]]) for run in runs)
-    runs = _bottom_up(automaton, t, {}, lambda symbol, runs: _run_node(automaton, symbol, runs))
+    runs = _bottom_up(automaton.alphabet, t, {}, lambda symbol, runs: _run_node(automaton, symbol, runs))
     return _run_total(alg, runs, automaton.root_weights)
 
 
-def _bottom_up(automaton: TreeAutomaton, t: Tree, memo: dict, step):
+def _bottom_up(alphabet: RankedAlphabet, t: Tree, memo: dict, step):
     """``memo[t]``, after filling ``memo[u] = step(u's symbol, tuple of
     memo[c] for c in u.children)`` for every subtree u of t not yet in it,
-    children first. Ranks are checked on the way; an explicit stack keeps
-    the depth unbounded."""
+    children first. Ranks are checked against ``alphabet`` on the way; an
+    explicit stack keeps the depth unbounded."""
     stack = [(t, False)]
     while stack:
         node, children_done = stack.pop()
@@ -514,13 +514,15 @@ def _bottom_up(automaton: TreeAutomaton, t: Tree, memo: dict, step):
                 stack.append((node, True))
                 stack.extend([(c, False) for c in node.children if c not in memo])
             continue
-        k = automaton.alphabet.rank(node.symbol)
-        if k != len(node.children):
-            raise ValueError(
-                f"symbol {node.symbol!r} has rank {k} but {len(node.children)} children"
-            )
+        _check_rank(alphabet, node.symbol, len(node.children))
         memo[node] = step(node.symbol, tuple([memo[c] for c in node.children]))
     return memo[t]
+
+
+def _check_rank(alphabet: RankedAlphabet, symbol: str, n_children: int) -> None:
+    k = alphabet.rank(symbol)
+    if k != n_children:
+        raise ValueError(f"symbol {symbol!r} has rank {k} but {n_children} children")
 
 
 def _init_node(automaton: TreeAutomaton, symbol: str, child_vecs: tuple) -> tuple:
@@ -587,7 +589,7 @@ def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
     ``algebra.MEMO_MISS_LIMIT`` misses in a row; from then on, and under the
     counting wrapper throughout, every distinct subtree does its own step.
     """
-    return _bottom_up(automaton, t, {}, _init_nodes(automaton))
+    return _bottom_up(automaton.alphabet, t, {}, _init_nodes(automaton))
 
 
 def initial_semantics(automaton: TreeAutomaton, t: Tree):
@@ -595,39 +597,91 @@ def initial_semantics(automaton: TreeAutomaton, t: Tree):
     return alg.sum(map(alg.mul, state_vector(automaton, t), automaton.root_weights))
 
 
-def explore(automaton: TreeAutomaton, trees: Iterable[Tree], cycle: Optional[tuple] = None) -> Iterator[tuple]:
+class NodeTable:
+    """The distinct subtrees of a tree listing, each once, children first.
+
+    ``nodes[i]`` is ``(symbol, child node indices)``, ``trees[j]`` the j-th
+    listed tree and ``roots[j]`` its node. A tree's new nodes come right
+    before its root, in the order :func:`_bottom_up` finishes them, so
+    stepping the nodes in index order up to each root walks the trees in
+    listing order. Ranks are checked against ``alphabet``. The table lists
+    trees from its source only as far as a walk asks, so the trees before a
+    malformed one are walked before its ``ValueError``, and a walk that
+    reaches it again raises again. Automata that walk one table share its
+    listing; :func:`explore` walks it per automaton.
+    """
+
+    __slots__ = ("alphabet", "nodes", "trees", "roots", "_source", "_next", "_memo")
+
+    def __init__(self, alphabet: RankedAlphabet, trees: Iterable[Tree]):
+        self.alphabet = alphabet
+        self.nodes: list = []
+        self.trees: list = []
+        self.roots: list = []
+        self._source = iter(trees)
+        self._next: Optional[Tree] = None  # pulled from the source, not yet listed
+        self._memo: dict = {}  # subtree -> node index
+
+    def _add(self, symbol: str, children: tuple) -> int:
+        self.nodes.append((symbol, children))
+        return len(self.nodes) - 1
+
+    def grow(self) -> bool:
+        """List the source's next tree; False once the source is done."""
+        if self._next is None:
+            self._next = next(self._source, None)
+            if self._next is None:
+                return False
+        self.roots.append(_bottom_up(self.alphabet, self._next, self._memo, self._add))
+        self.trees.append(self._next)
+        self._next = None
+        return True
+
+
+def explore(
+    automaton: TreeAutomaton, trees: Union[NodeTable, Iterable[Tree]], cycle: Optional[tuple] = None
+) -> Iterator[tuple]:
     """``(index, tree, run value, init value)`` for the first of ``trees``
     to reach each configuration (``algebra._configuration`` under
-    ``cycle``). Children first, each subtree's configuration is interned
-    under its symbol and its children's configuration ids, so a node step
-    (init memoised as in :func:`state_vector`) runs once per distinct
-    (symbol, child ids), and each configuration's values are folded once.
-    Run values are the pruned ones.
+    ``cycle``). ``trees`` is a :class:`NodeTable`, which many automata can
+    share, or an iterable of trees, listed in a table of its own. Node by
+    node, children first, each subtree's configuration is interned under
+    its symbol and its children's configuration ids, so a node step (init
+    memoised as in :func:`state_vector`) runs once per distinct (symbol,
+    child ids), and each configuration's values are folded once. The
+    automaton's alphabet is checked on each such step. Run values are the
+    pruned ones.
     """
-    alg, root = automaton.algebra, automaton.root_weights
+    table = trees if isinstance(trees, NodeTable) else NodeTable(automaton.alphabet, trees)
+    alg, root, alphabet = automaton.algebra, automaton.root_weights, automaton.alphabet
     init_step = _init_nodes(automaton)
     ids: dict = {}  # configuration -> id
     reached: list = []  # id -> (vector, counted runs)
     interned: dict = {}  # (symbol, child ids) -> id
-
-    def step(symbol, children):
-        key = (symbol, children)
-        if key not in interned:
-            vec = init_step(symbol, tuple([reached[c][0] for c in children]))
-            runs = _run_node(automaton, symbol, [reached[c][1] for c in children])
-            interned[key] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
-            if interned[key] == len(reached):
-                reached.append((vec, runs))
-        return interned[key]
-
-    memo: dict = {}
+    at: list = []  # node -> configuration id
     yielded: set = set()
-    for index, t in enumerate(trees):
-        c = _bottom_up(automaton, t, memo, step)
+    nodes, listed, roots = table.nodes, table.trees, table.roots
+    index = 0
+    while index < len(roots) or table.grow():
+        node = roots[index]
+        while len(at) <= node:
+            symbol, children = nodes[len(at)]
+            child_ids = tuple([at[i] for i in children])
+            c = interned.get((symbol, child_ids))
+            if c is None:
+                _check_rank(alphabet, symbol, len(children))
+                vec = init_step(symbol, tuple([reached[i][0] for i in child_ids]))
+                runs = _run_node(automaton, symbol, [reached[i][1] for i in child_ids])
+                c = interned[symbol, child_ids] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
+                if c == len(reached):
+                    reached.append((vec, runs))
+            at.append(c)
+        c = at[node]
         if c not in yielded:
             yielded.add(c)
             vec, runs = reached[c]
-            yield index, t, _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
+            yield index, listed[index], _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
+        index += 1
 
 
 def evaluate(automaton: TreeAutomaton, t: Tree, semantics: Semantics, prune: bool = False):

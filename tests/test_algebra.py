@@ -89,6 +89,12 @@ def test_lattice_algebra_refuses_an_order_that_is_not_a_bounded_lattice(names, p
         ba.lattice_algebra("bad", names, pairs)
 
 
+@pytest.mark.parametrize("pairs, element", [([("a", "b")], "b"), ([("c", "a")], "c")])
+def test_lattice_algebra_refuses_an_order_pair_outside_the_elements(pairs, element):
+    with pytest.raises(ValueError, match=f"^x: order pair .* names '{element}', which is not an element$"):
+        ba.lattice_algebra("x", ("a",), pairs)
+
+
 def test_builtin_lookup_and_unknown_name():
     assert ba.builtin("Boole").name == "Boole"
     assert ba.builtin("pentagon").name == "PentagonN5"

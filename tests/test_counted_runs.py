@@ -117,6 +117,54 @@ def test_tree_values_match_enumerator(alg):
         assert set(assert_tree_rows(automaton, trees, cycle)) <= set(rows)
 
 
+SWEEP_ALPHABET = T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
+
+
+@pytest.mark.parametrize("alg", FINITE, ids=_names)
+def test_automata_sharing_a_node_table_get_their_own_rows(alg):
+    # the two walks take turns, so each steps nodes that the other listed
+    rng = random.Random(37)
+    cycle = _count_cycle(ba.tabulate(alg))
+    trees = list(T.enumerate_trees(SWEEP_ALPHABET, 7))
+    table = T.NodeTable(SWEEP_ALPHABET, iter(trees))
+    automata = [H.random_tree_automaton(rng, alg, SWEEP_ALPHABET, 3) for _ in range(2)]
+    walks = [T.explore(automaton, table, cycle) for automaton in automata]
+    shared: list = [[], []]
+    while walks:
+        for walk, rows in list(zip(walks, shared)):
+            row = next(walk, None)
+            if row is None:
+                walks.remove(walk)
+            else:
+                rows.append(row)
+    for automaton, rows in zip(automata, shared):
+        assert rows == list(T.explore(automaton, list(trees), cycle))
+    # every subtree of a listed tree is listed before it: one node per tree
+    assert len(table.nodes) == len(table.trees) == len(trees)
+
+
+def test_a_node_table_checks_each_automatons_alphabet():
+    # the table's alphabet has delta and the automaton's has not: the walk
+    # refuses it as a walk over a plain list does, after the rows before it
+    trees = [T.parse("alpha"), T.parse("sigma(alpha,gamma(delta))")]
+    table = T.NodeTable(T.RankedAlphabet({**TREE_ALPHABET.to_dict(), "delta": 0}), trees)
+    automaton = H.random_tree_automaton(random.Random(41), ba.b4(), TREE_ALPHABET, 2)
+    for source in (trees, table, table):
+        rows = T.explore(automaton, source)
+        assert next(rows)[:2] == (0, trees[0])
+        with pytest.raises(ValueError, match=r"^unknown symbol 'delta' \(alphabet: alpha, beta, gamma, sigma\)$"):
+            next(rows)
+    # a tree malformed under the table's own alphabet raises on every walk
+    # that reaches it, and is never listed
+    table = T.NodeTable(TREE_ALPHABET, [trees[0], T.parse("sigma(alpha)"), trees[0]])
+    for _ in range(2):
+        rows = T.explore(automaton, table)
+        assert next(rows)[:2] == (0, trees[0])
+        with pytest.raises(ValueError, match="rank 2 but 1 children"):
+            next(rows)
+    assert table.trees == [trees[0]]
+
+
 @pytest.mark.parametrize("alg", [*FINITE, ba.nat_plus_min()], ids=_names)
 def test_images_match_the_per_input_path(alg):
     rng = random.Random(29)

@@ -361,6 +361,7 @@ _MALFORMED_ALPHABETS = {
     "tree-alphabet-inner": ("supports-trees", "--tree-alphabet", "alpha:0,,sigma:2"),
     "tree-alphabet-trailing": ("supports-trees", "--tree-alphabet", "alpha:0,sigma:2,"),
     "tree-alphabet-no-rank": ("supports-trees", "--tree-alphabet", "alpha"),
+    "tree-alphabet-rank-not-a-number": ("supports-trees", "--tree-alphabet", "alpha:x"),
 }
 # The whole stderr of some cases, {path} standing for the file's path.
 _MALFORMED_MESSAGES = {
@@ -379,6 +380,8 @@ _MALFORMED_MESSAGES = {
     "tree-alphabet-trailing": "--tree-alphabet 'alpha:0,sigma:2,' has an empty entry;"
                               " give symbol:rank entries separated by commas",
     "tree-alphabet-no-rank": "alphabet entry 'alpha' must look like symbol:rank",
+    "tree-alphabet-rank-not-a-number": "--tree-alphabet 'alpha:x' has the entry 'alpha:x', whose rank"
+                                       " is not a natural number",
 }
 
 
