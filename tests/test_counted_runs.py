@@ -21,6 +21,7 @@ from conftest import (
     plain_tree_init,
     pool_tree_automaton,
     pool_word_automaton,
+    small_strong_bimonoids,
 )
 
 FINITE = ba.bundled_finite_algebras()
@@ -115,6 +116,20 @@ def test_tree_values_match_enumerator(alg):
         automaton = H.random_tree_automaton(rng, alg, TREE_ALPHABET, 3)
         rows = assert_tree_rows(automaton, trees)
         assert set(assert_tree_rows(automaton, trees, cycle)) <= set(rows)
+
+
+ATLAS = small_strong_bimonoids(2) + small_strong_bimonoids(3)
+
+
+@pytest.mark.parametrize("alg", ATLAS, ids=_names)
+def test_walks_match_the_literal_semantics_on_the_atlas(alg):
+    # the atlas has non-commutative and cancelling carriers that no bundled
+    # algebra has
+    rng = random.Random(43)
+    trees = list(T.enumerate_trees(TREE_ALPHABET, 5))
+    for _ in range(3):
+        assert_word_rows(H.random_word_automaton(rng, alg, ("a", "b"), 3), 4)
+        assert_tree_rows(H.random_tree_automaton(rng, alg, TREE_ALPHABET, 3), trees)
 
 
 SWEEP_ALPHABET = T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})

@@ -159,7 +159,7 @@ def test_classify_raises_on_the_first_broken_rule():
     # zero-sum-freeness holds vacuously while plain zero-sum-freeness fails
     alg = ba.FiniteTableAlgebra("degenerate", ["0", "1"], [[1, 1], [1, 1]], [[0, 0], [0, 0]], 0, 1)
     with pytest.raises(HierarchyInconsistencyError,
-                       match="^degenerate: strongly-zero-sum-free hold but zero-sum-free fails$"):
+                       match="^degenerate: strongly-zero-sum-free holds but zero-sum-free fails$"):
         classify(alg)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimonoid_automata as ba
-from bimonoid_automata import cli, properties
+from bimonoid_automata import algebra, cli, properties
 from bimonoid_automata.algebra import (
     CarrierNotClosedError,
     MalformedTableError,
@@ -121,6 +121,80 @@ def test_six_to_ten_element_tables_match_literal_checker():
                  check(alg, H.TREE_INIT_TO_RUN))
         first_a |= {v.witness[0] for v in quads if not v.holds}
     assert first_a & {4, 5, 6, 7} and first_a & {8, 9}, first_a
+
+
+def _route(op, law, *premises):
+    """The path ``algebra._first_law_difference`` takes: "scan" where op has
+    no generating set G with 2|G| < n, "law" where the law's slab fails at a
+    generator, "light" where a premise's does, "proved" where all hold."""
+    gens = algebra._generators(op)
+    if gens is None:
+        return "scan"
+    for name, (rows, rhs) in (("law", law), *(("light", p) for p in premises)):
+        if algebra._first_slab_difference(op, rows, rhs, gens) is not None:
+            return name
+    return "proved"
+
+
+def _routes(alg):
+    t = tabulate(alg)
+    add, mul = t.add, t.mul
+    cols = [list(col) for col in zip(*mul)]
+    light = algebra._associativity(add)
+    return {
+        "right-distributive": _route(add, properties._split_law(mul, add, mul), light),
+        "left-distributive": _route(add, properties._split_law(cols, add, cols), light),
+        "add-associativity": _route(add, light),
+        "mul-associativity": _route(mul, algebra._associativity(mul)),
+    }
+
+
+def _table_algebra(name, add, mul):
+    n = len(add)
+    return ba.FiniteTableAlgebra(name, [f"e{i}" for i in range(n)], add, mul, 0, 1)
+
+
+def _generated_route_tables():
+    """Tables on which the laws are decided on generators. A sum mod n
+    (5 <= n <= 12) is generated by 0 and 1, in carrier order and relabelled;
+    under the product mod n every law holds, under a random product most
+    fail at a generator. Two non-associative sums pass the right-distributive
+    slabs of both generators, so Light's test sends the decision back to the
+    scan, which finds the law holding in one and failing in the other. Then
+    arbitrary tables of order 2 to 4, whose laws may hold by accident."""
+    rng = random.Random(23)
+    for n in range(5, 13):
+        mod = lambda op: [[op(i, j) % n for j in range(n)] for i in range(n)]
+        yield _table_algebra(f"Z{n}", mod(int.__add__), mod(int.__mul__))
+        random_mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        alg = _table_algebra(f"Z{n}+random", mod(int.__add__), random_mul)
+        yield alg
+        yield Relabelled(alg, rng.sample(range(n), n))
+    # x*c = x at c = 1 and 0 elsewhere: right-distributive over any sum with 0+0 = 0
+    add = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    add[2][3] = add[3][2] = 0
+    yield _table_algebra("Z6-skewed", add, [[x if c == 1 else 0 for c in range(6)] for x in range(6)])
+    # the saturating semiring on 0..4, but 2+3 = 1: right-distributivity
+    # holds at 0 and 1 and fails at (2, 3, 2)
+    add = [[min(i + j, 4) for j in range(5)] for i in range(5)]
+    add[2][3] = add[3][2] = 1
+    yield _table_algebra("sat5-skewed", add, [[min(i * j, 4) for j in range(5)] for i in range(5)])
+    for _ in range(40):
+        yield _random_table(rng, rng.randint(2, 4))
+
+
+def test_laws_on_generators_match_literal_checker():
+    seen = {}
+    for alg in _generated_route_tables():
+        assert_same_as_literal(alg)
+        for law, route in _routes(alg).items():
+            seen.setdefault(law, set()).add(route)
+    assert seen == {
+        "right-distributive": {"scan", "law", "light", "proved"},
+        "left-distributive": {"scan", "law", "light", "proved"},
+        "add-associativity": {"scan", "law", "proved"},
+        "mul-associativity": {"scan", "law", "proved"},
+    }
 
 
 def test_quad_decisions_cost_n_squared_per_block(monkeypatch):
@@ -231,6 +305,39 @@ def _witnesses(report_dict):
 
 def test_trunc_fun_3_pinned_witnesses():
     assert _witnesses(classify(ba.trunc_fun(3)).to_dict()) == TRUNC_FUN_3_WITNESSES
+
+
+# TruncFun(4)'s witnesses, computed once with the full scans (about 16 s of
+# classify and 14 s of validate_axioms on a 2-core VM). Right-distributivity
+# and both associativities hold, proved on generators: 5 of (B, +) and 152
+# of (B, *) among 625 elements.
+TRUNC_FUN_4_WITNESSES = {
+    "zero-sum-free": None,
+    "strongly-zero-sum-free": None,
+    "bi-strongly-zero-sum-free": ["[0,0,0,0,1]", "[0,0,0,0,1]", "[0,0,0,0,3]", "[0,0,0,0,4]"],
+    "zero-divisor-free": ["[0,0,0,0,1]", "[0,0,0,0,1]"],
+    "positive": ["[0,0,0,0,1]", "[0,0,0,0,1]"],
+    "zero-right-distributive": None,
+    "right-distributive": None,
+    "left-distributive": ["[0,0,0,0,1]", "[0,0,0,0,1]", "[0,0,1,0,0]"],
+    "distributive": ["[0,0,0,0,1]", "[0,0,0,0,1]", "[0,0,1,0,0]"],
+    "commutative": ["[0,0,0,0,1]", "[0,0,0,0,4]"],
+    "run-to-init": None,
+    "init-to-run": None,
+    "tree-run-to-init": ["[0,0,0,1,0]", "[0,0,0,0,3]", "[0,0,0,0,1]", "[0,0,0,0,4]"],
+    "tree-init-to-run": ["[0,0,0,0,1]", "[0,0,0,0,1]", "[0,0,0,0,3]", "[0,0,0,0,4]"],
+}
+
+
+def test_trunc_fun_4_pinned_witnesses_and_axioms():
+    alg = ba.trunc_fun(4)
+    assert _witnesses(classify(alg).to_dict()) == TRUNC_FUN_4_WITNESSES
+    report = ba.validate_axioms(alg)
+    assert report.ok and all(c.holds and c.witness is None for c in report.checks)
+    assert [c.axiom for c in report.checks] == [
+        "add-associativity", "add-commutativity", "add-identity",
+        "mul-associativity", "mul-identity", "zero-annihilation",
+    ]
 
 
 def test_trunc_fun_3_costs_one_tabulation():
