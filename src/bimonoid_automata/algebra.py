@@ -429,6 +429,10 @@ def _images(rows) -> dict:
 # and a memo would keep every vector where the plain recursion keeps one.
 MEMO_MISS_LIMIT = 1024
 
+# Entries after which the memo of an unpruned word run fold stops growing
+# (``words._run_fold``); a finite carrier needs a few per symbol of the word.
+RUN_MEMO_LIMIT = 2**16
+
 
 def _init_memo(alg: WeightAlgebra, step: Callable) -> Callable:
     """An init step ``step(x, y)``, memoised on (x, y) for as long as the

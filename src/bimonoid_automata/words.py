@@ -15,6 +15,7 @@ from collections import deque
 from functools import reduce
 from typing import Iterator, Optional, Sequence
 
+from . import algebra as A
 from .algebra import CostProfile, CountingAlgebra, Semantics, WeightAlgebra, WeightedAutomaton
 from .algebra import _configuration, _cost_profile, _images, _init_memo, _run_total
 
@@ -158,61 +159,71 @@ def enumerate_runs(automaton: WordAutomaton, word: Word) -> Iterator[tuple]:
 def run_semantics(automaton: WordAutomaton, word: Word, prune: bool = False):
     """Sum of run weights over every run.
 
-    By default every run is enumerated in lexicographic order, each weighed
-    as :func:`run_weight` multiplies it, and the weights are summed left to
-    right (this is the cost baseline); the word is checked and its matrices
-    looked up once per call, not once per run. A run shares with the one
-    before it every prefix product up to where the enumeration carried, so
-    only the rest is multiplied again (see :func:`_run_weights`); under the
-    counting wrapper every run is multiplied out in full, so the counts are
-    :func:`word_run_cost` exactly. With ``prune`` the
-    runs are counted instead of listed: a left-to-right sweep keeps, per
-    state, how many runs reach it with each nonzero prefix weight, and the
-    total folds each final value times its count. The value is the same
-    because zero annihilates products and add is commutative and associative.
+    By default this is the literal definition, as the tests' oracle
+    ``conftest.literal_word_runs`` writes it out: runs in lexicographic
+    order, each weighed as :func:`run_weight` multiplies it, the weights
+    summed left to right. Outside the counting wrapper :func:`_run_fold`
+    memoises that sum: about n·|B|²·|Q|² steps on a finite carrier B, up to
+    ``algebra.RUN_MEMO_LIMIT`` memo entries. Under the wrapper every run is
+    still multiplied out in full, so the counts are :func:`word_run_cost`
+    exactly (the cost baseline). With ``prune`` the runs are counted instead
+    of listed: a left-to-right sweep keeps, per state, how many runs reach
+    it with each nonzero prefix weight, and the total folds each final value
+    times its count. The value is the same because zero annihilates products
+    and add is commutative and associative.
     """
     alg = automaton.algebra
     if not prune:
-        word = tuple(word)
-        runs = enumerate_runs(automaton, word)  # checks the word
+        word = automaton.check_word(word)
         matrices = [automaton.transitions[a] for a in word]
-        return alg.sum(_run_weights(automaton, matrices, runs))
+        if isinstance(alg, CountingAlgebra):
+            runs = enumerate_runs(automaton, word)
+            return alg.sum(_run_weight(automaton, automaton.initial, matrices, run) for run in runs)
+        return _run_fold(automaton, matrices)
     runs = _run_start(automaton)
     for a in word:
         runs = _run_step(alg, runs, automaton._step(a)[1])
     return _run_total(alg, runs, automaton.final)
 
 
-def _run_weights(automaton: WordAutomaton, matrices: list, runs) -> Iterator:
-    """The weight of each run of ``runs``, which come in lexicographic
-    order, as :func:`_run_weight` multiplies it: the same left-nested
-    products, so the values are the same on any table.
+def _run_fold(automaton: WordAutomaton, matrices: list):
+    """The literal run sum, folded depth first over the tree of run prefixes.
 
-    ``prefix[i]`` holds the product of the last run's factors up to position
-    i. A run differs from the one before it from its last nonzero position
-    on, where the enumeration carried, and is multiplied from there; the
-    first run, and every run under the counting wrapper, from position 0.
+    A node at position i carries its prefix product and state p; its
+    children multiply the prefix by row p of the next matrix, its leaves
+    (i = n) by the final weight, and each leaf's weight is added to the
+    running total. What a subtree adds depends only on (i, prefix, p, total
+    on entry), so each such key is folded once per call and then looked up.
+    Every add and mul takes the values the literal sum gives it, in its
+    order, so the sum is the literal one on any table. The memo stops
+    growing at ``algebra.RUN_MEMO_LIMIT`` entries, and the walk goes on as
+    the plain enumeration with the lookups it has. It does not recurse.
     """
-    mul = automaton.algebra.mul
-    initial, final = automaton.initial, automaton.final
-    n = len(matrices)
-    shared = not isinstance(automaton.algebra, CountingAlgebra)
-    prefix: list = [None] * (n + 1)
-    for run in runs:
-        k = n if shared else 0
-        while k and not run[k]:
-            k -= 1
-        if k:
-            acc = prefix[k - 1]
+    alg = automaton.algebra
+    add, mul, final = alg.add, alg.mul, automaton.final
+    n, limit = len(matrices), A.RUN_MEMO_LIMIT
+    memo: dict = {}
+    total = None
+    # (memo key, position of the children, (state, prefix) of each child left)
+    stack = [(None, 0, enumerate(automaton.initial))]
+    while stack:
+        key, i, children = stack[-1]
+        for q, prefix in children:
+            if i == n:
+                x = mul(prefix, final[q])
+                total = x if total is None else add(total, x)
+                continue
+            child = (i, prefix, q, total)
+            done = memo.get(child)
+            if done is None:
+                stack.append((child, i + 1, enumerate(map(mul, itertools.repeat(prefix), matrices[i][q]))))
+                break
+            total = done
         else:
-            acc = prefix[0] = initial[run[0]]
-            k = 1
-        p = run[k - 1]
-        for i in range(k, n + 1):
-            q = run[i]
-            acc = prefix[i] = mul(acc, matrices[i - 1][p][q])
-            p = q
-        yield mul(acc, final[p])
+            stack.pop()
+            if key is not None and len(memo) < limit:
+                memo[key] = total
+    return alg.zero if total is None else total
 
 
 def _run_start(automaton: WordAutomaton) -> list:

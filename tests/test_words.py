@@ -205,8 +205,9 @@ def _skew_table(draw, n):
 def skew_automata(draw):
     """A word automaton with |Q| <= 3 over a random 2-4 element table whose
     add and mul are neither commutative nor associative, a word of at most 4
-    symbols, and one of 130-200 symbols: past 2 * 4^3 = 128 steps some
-    (vector, symbol) pair repeats, so the init memo hits."""
+    symbols, one of 5-6 symbols, whose run tree (up to 3^7 leaves) the
+    unpruned fold's memo cuts, and one of 130-200 symbols: past 2 * 4^3 =
+    128 steps some (vector, symbol) pair repeats, so the init memo hits."""
     n = draw(st.integers(2, 4))
     alg = ba.FiniteTableAlgebra(
         "skew", [f"e{i}" for i in range(n)], _skew_table(draw, n), _skew_table(draw, n), 0, 1
@@ -215,11 +216,11 @@ def skew_automata(draw):
     vec = st.lists(st.integers(0, n - 1), min_size=nq, max_size=nq)
     matrices = {a: draw(st.lists(vec, min_size=nq, max_size=nq)) for a in "ab"}
     automaton = W.WordAutomaton(alg, "ab", [f"q{i}" for i in range(nq)], draw(vec), draw(vec), matrices)
-    word, long_word = (
+    word, mid_word, long_word = (
         tuple(draw(st.lists(st.sampled_from("ab"), min_size=lo, max_size=hi)))
-        for lo, hi in ((0, 4), (130, 200))
+        for lo, hi in ((0, 4), (5, 6), (130, 200))
     )
-    return automaton, word, long_word
+    return automaton, word, mid_word, long_word
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,8 +229,9 @@ def test_literal_order_on_tables_that_break_the_axioms(case):
     # the enumerator sums runs in lexicographic order and multiplies each
     # left to right; init sums each column from the first state on, also
     # when its steps come from the memo
-    automaton, word, long_word = case
+    automaton, word, mid_word, long_word = case
     assert W.run_semantics(automaton, word) == literal_word_runs(automaton, word)
+    assert W.run_semantics(automaton, mid_word) == literal_word_runs(automaton, mid_word)
     assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
     assert W.initial_semantics(automaton, long_word) == literal_word_init(automaton, long_word)
 
@@ -372,7 +374,7 @@ def test_deterministic_evaluation(b4_probe):
 def test_exact_cost_counts():
     # criterion 11 on every bundled carrier: under the counting wrapper the
     # enumerator multiplies every run out in full and init takes every step;
-    # the shared-prefix enumerator outside it gives the literal value
+    # the memoised fold outside it gives the literal value
     rng = random.Random(3)
     for alg, pool in bundled_carriers():
         pool = [x for x in pool if x != alg.zero]
@@ -396,6 +398,55 @@ def test_literal_enumerator_on_one_run_of_a_long_word():
     rng = random.Random(29)
     word = tuple(rng.choice("ab") for _ in range(10**5))
     assert W.run_semantics(automaton, word) == literal_word_runs(automaton, word) == 7
+
+
+@pytest.mark.parametrize("alg, pool", [
+    *(pytest.param(alg, None, id=alg.name) for alg in ba.bundled_finite_algebras()),
+    *(pytest.param(alg, pool, id=alg.name) for alg, pool in infinite_pools()),
+])
+def test_bounded_run_memo_keeps_literal_values(alg, pool, monkeypatch):
+    # the unpruned fold stops storing subtree totals at RUN_MEMO_LIMIT
+    # entries and walks on as the plain enumeration, with the lookups it has
+    monkeypatch.setattr(algebra, "RUN_MEMO_LIMIT", 3)
+    rng = random.Random(37)
+    for n_states in (1, 2, 3):
+        if pool is None:
+            automaton = H.random_word_automaton(rng, alg, ("a", "b"), n_states)
+        else:
+            automaton = pool_word_automaton(rng, alg, pool, n_states)
+        for n in range(7):
+            word = tuple(rng.choice("ab") for _ in range(n))
+            assert W.run_semantics(automaton, word) == literal_word_runs(automaton, word), (alg.name, word)
+
+
+def test_run_fold_without_memo_is_the_plain_walk(monkeypatch):
+    # at a bound of 0 the fold multiplies each node of the run tree once, as
+    # the plain depth-first enumeration does: 3^2 + ... + 3^5 prefix products
+    # on a 4-symbol word, then 3^5 final ones; with the memo it does fewer
+    alg = ba.pentagon()
+    automaton = W.WordAutomaton(alg, "a", "pqr", [2, 3, 4], [2, 3, 4], {"a": [[2, 3, 4], [3, 4, 2], [4, 2, 3]]})
+    word = ("a",) * 4
+    calls = []
+    plain = alg.mul
+    monkeypatch.setattr(alg, "mul", lambda x, y: calls.append(1) or plain(x, y))
+    memoised = W.run_semantics(automaton, word)
+    memoised_muls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(algebra, "RUN_MEMO_LIMIT", 0)
+    assert W.run_semantics(automaton, word) == memoised
+    assert len(calls) == 9 + 27 + 81 + 243 + 243 > memoised_muls
+    assert memoised == literal_word_runs(automaton, word)
+
+
+@pytest.mark.parametrize("alg", [pytest.param(alg, id=alg.name) for alg in ba.bundled_finite_algebras()])
+def test_unpruned_run_fold_scales_with_the_word(alg):
+    # 3^201 runs: the memoised fold takes each (position, prefix, state,
+    # total) once, so a finite carrier gives the pruned value in milliseconds
+    rng = random.Random(41)
+    pool = [x for x in alg.elements() if x != alg.zero]
+    automaton = pool_word_automaton(rng, alg, pool, 3)
+    word = tuple(rng.choice("ab") for _ in range(200))
+    assert W.run_semantics(automaton, word) == W.run_semantics(automaton, word, prune=True)
 
 
 def test_mixed_prefix_product_boundaries():
