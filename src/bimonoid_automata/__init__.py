@@ -43,8 +43,8 @@ _EXPORTS = {
     "words": ("WordAutomaton", "all_words", "mixed_prefix_product", "probe_automaton"),
     "config": ("TheoremCheckConfig",),
     "harness": (
-        "CheckReport", "check_image_theorem",
-        "check_support_theorem_trees", "check_support_theorem_words", "cost_profile",
+        "CheckReport", "check_image_theorem", "check_support_theorem_trees",
+        "check_support_theorem_words", "check_theorem", "cost_profile",
         "random_tree_automaton", "random_word_automaton",
     ),
 }

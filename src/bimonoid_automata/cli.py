@@ -32,10 +32,13 @@ _MESSAGE_LIMIT = 300
 
 
 def _parse_word_alphabet(text: str) -> tuple:
-    alphabet = tuple(text.split(","))
+    alphabet = tuple(part.strip() for part in text.split(","))
     if not all(alphabet):
         raise ValueError(f"--word-alphabet {text!r} has an empty symbol;"
                          " give nonempty symbols separated by commas")
+    repeated = next((sym for i, sym in enumerate(alphabet) if sym in alphabet[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"--word-alphabet {text!r} repeats the symbol {repeated!r}")
     return alphabet
 
 
@@ -113,18 +116,12 @@ def cmd_props(args):
 
 
 def cmd_check(args):
-    from .harness import check_image_theorem, check_support_theorem_trees, check_support_theorem_words
+    from .harness import check_theorem
     alg = load_algebra(args.algebra, allow_invalid=args.allow_invalid)
-    if args.target.startswith("images-"):
-        report = check_image_theorem(alg, args.target[len("images-"):])
-    else:
-        # only the options given reach the config, which holds every default
-        given = {field: getattr(args, field) for field in args.fields if field in args}
-        for field, parse in (("word_alphabet", _parse_word_alphabet), ("tree_alphabet", _parse_ranked_alphabet)):
-            if field in given:
-                given[field] = parse(given[field])
-        check = check_support_theorem_words if args.target == "supports-words" else check_support_theorem_trees
-        report = check(TheoremCheckConfig(algebra=alg, **given))
+    # only the options given reach the config, which holds every default
+    parse = {"word_alphabet": _parse_word_alphabet, "tree_alphabet": _parse_ranked_alphabet}
+    given = {field: parse.get(field, int)(getattr(args, field)) for field in args.fields if field in args}
+    report = check_theorem(args.target, TheoremCheckConfig(algebra=alg, **given))
     _emit(args, report.to_dict(), str(report))
     return 0 if report.as_predicted else UNEXPECTED_COUNTEREXAMPLE
 

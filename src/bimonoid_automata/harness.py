@@ -1,8 +1,10 @@
 """Desk-scale verification of the support and image theorems.
 
-Each check decides the algebra-side hypothesis exhaustively, then either
-sweeps seeded random automata over bounded inputs expecting agreement, or
-builds one probe from the first failing condition's witness and confirms the
+Each theorem is a row of ``_THEOREMS``: a sweep, a comparison, hypothesis
+conditions, and a ladder of (condition, probe builder) pairs.
+:func:`check_theorem` decides the hypothesis exhaustively, then either sweeps
+seeded random automata over bounded inputs expecting agreement, or builds one
+probe from the first failing ladder condition's witness and confirms the
 predicted difference: one-sided supports for a half-condition, different
 values for a distributive law. A check never concludes that a theorem is
 false: an unexpected outcome is reported as inconsistent and treated as an
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import trees as T
 from . import words as W
@@ -152,7 +154,7 @@ def random_tree_automaton(
 
 
 # --------------------------------------------------------------------------
-# Support theorems
+# Theorem checks: sweeps, probes, and the theorems as data
 
 
 def _supports_differ(alg, run_val, init_val) -> Optional[str]:
@@ -225,18 +227,6 @@ def _sweep_trees(theorem, config, hypothesis, compare, cycle=None) -> CheckRepor
     )
 
 
-def _first_failing_half(tables, hypothesis):
-    """Verdict of the first failing half of a support hypothesis, run-to-init first."""
-    for half in _HALVES[hypothesis]:
-        verdict = check(tables, half)
-        if not verdict.holds:
-            return verdict
-    # a hypothesis fails only through one of its halves in a strong bimonoid
-    raise HierarchyInconsistencyError(
-        f"{tables.algebra.name}: a support hypothesis fails but neither of its halves does"
-    )
-
-
 def _probe(theorem, config, hypothesis, verdict, automaton, inp) -> CheckReport:
     """Evaluate the probe built from a failing verdict's witness and confirm
     what it predicts: a failing half, the one-sided support difference of
@@ -262,91 +252,101 @@ def _probe(theorem, config, hypothesis, verdict, automaton, inp) -> CheckReport:
     )
 
 
+def _word_probe(config, witness):
+    """The word probe from (a, b, c) on the alphabet's first symbol."""
+    gamma = config.word_alphabet[0]
+    return W.probe_automaton(config.algebra, *witness, gamma, config.word_alphabet), (gamma,)
+
+
+def _monadic_probe(config, witness):
+    """The word probe from (a, b, c) lifted through the unary spine."""
+    unary, alpha = config.tree_alphabet.of_rank(1), config.tree_alphabet.of_rank(0)[0]
+    automaton = wsa_to_wta(W.probe_automaton(config.algebra, *witness, unary[0], unary), alpha)
+    return automaton, word_to_tree((unary[0],), alpha)
+
+
+def _branching_probe(config, witness):
+    """The doubled-tree probe from (a, b, b', c)."""
+    alphabet = config.tree_alphabet
+    return T.branching_probe_automaton(config.algebra, *witness, alphabet), T.doubled_probe_tree(alphabet)
+
+
+class _Theorem(NamedTuple):
+    sweep: Callable  # _sweep_words or _sweep_trees
+    compare: Callable  # _supports_differ or _values_differ
+    hypothesis: tuple  # the conditions that must all hold for a sweep
+    ladder: tuple  # (condition, probe builder): the first failing condition is probed
+
+
+def _support(sweep, hypothesis, probe) -> _Theorem:
+    """A support theorem, whose ladder is its hypothesis's halves."""
+    return _Theorem(sweep, _supports_differ, (hypothesis,), tuple((half, probe) for half in _HALVES[hypothesis]))
+
+
+_RIGHT, _LEFT = BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE
+
+# Each theorem under its ``bimaut check`` target. The alphabet class picks
+# the row of supports-trees: a trivial alphabet's trees are single leaves,
+# where the two semantics coincide, so its row decides nothing and builds no
+# tables (counts stay exact). The image tree probe, x*y*z + x*y'*z against
+# x*(y+y')*z, takes (one, a, b, c) for the right law and (c, a, b, one) for the left.
+_THEOREMS = {
+    "supports-words": _support(_sweep_words, BimonoidProperty.STRONGLY_ZSF, _word_probe),
+    "supports-trees": {
+        "trivial": _Theorem(_sweep_trees, _values_differ, (), ()),
+        "monadic": _support(_sweep_trees, BimonoidProperty.STRONGLY_ZSF, _monadic_probe),
+        "branching": _support(_sweep_trees, BimonoidProperty.BI_STRONGLY_ZSF, _branching_probe),
+    },
+    "images-words": _Theorem(_sweep_words, _values_differ, (_RIGHT,), (
+        (_RIGHT, lambda config, w: (W.probe_automaton(config.algebra, *w), ("gamma",))),
+    )),
+    "images-trees": _Theorem(_sweep_trees, _values_differ, (_RIGHT, _LEFT), (
+        (_RIGHT, lambda config, w: _branching_probe(config, (config.algebra.one, *w))),
+        (_LEFT, lambda config, w: _branching_probe(config, (w[2], w[0], w[1], config.algebra.one))),
+    )),
+}
+
+
+def check_theorem(name: str, config: TheoremCheckConfig) -> CheckReport:
+    """Check the theorem ``name`` of ``_THEOREMS`` on ``config``: tabulate once,
+    decide each condition at most once, then sweep or probe."""
+    if name not in _THEOREMS:
+        raise ValueError(f"unknown theorem {name!r}; expected one of {', '.join(_THEOREMS)}")
+    theorem, hypothesis = _THEOREMS[name], {}
+    if isinstance(theorem, dict):
+        cls = classify_alphabet(config.tree_alphabet)
+        label = "trivial" if cls.trivial else "monadic" if cls.monadic else "branching"
+        theorem, hypothesis = theorem[label], {"alphabet-class": label}
+    tables = tabulate(config.algebra) if theorem.hypothesis else None
+    verdicts = {cond: check(tables, cond) for cond in theorem.hypothesis}
+    hypothesis.update((cond.value, verdict.holds) for cond, verdict in verdicts.items())
+    if all(verdict.holds for verdict in verdicts.values()):
+        return theorem.sweep(name, config, hypothesis, theorem.compare, tables and _count_cycle(tables))
+    for cond, build in theorem.ladder:
+        verdict = verdicts.get(cond) or check(tables, cond)
+        if not verdict.holds:
+            return _probe(name, config, hypothesis, verdict, *build(config, verdict.witness))
+    # a hypothesis fails only through one of its halves in a strong bimonoid
+    raise HierarchyInconsistencyError(
+        f"{config.algebra.name}: a support hypothesis fails but neither of its halves does")
+
+
 def check_support_theorem_words(config: TheoremCheckConfig) -> CheckReport:
-    """Supports of the two word semantics coincide iff the algebra is strongly
-    zero-sum-free: sweep when the hypothesis holds, probe when it fails."""
-    alg = config.algebra
-    alphabet = config.word_alphabet
-    tables = tabulate(alg)
-    strongly = check(tables, BimonoidProperty.STRONGLY_ZSF)
-    hypothesis = {"strongly-zero-sum-free": strongly.holds}
-
-    if strongly.holds:
-        return _sweep_words("supports-words", config, hypothesis, _supports_differ, _count_cycle(tables))
-
-    verdict = _first_failing_half(tables, BimonoidProperty.STRONGLY_ZSF)
-    a, b, c = verdict.witness
-    gamma = alphabet[0]
-    automaton = W.probe_automaton(alg, a, b, c, gamma, alphabet)
-    return _probe("supports-words", config, hypothesis, verdict, automaton, (gamma,))
+    """Supports of the two word semantics coincide iff the algebra is strongly zero-sum-free."""
+    return check_theorem("supports-words", config)
 
 
 def check_support_theorem_trees(config: TheoremCheckConfig) -> CheckReport:
-    """Tree-support analogue, sensitive to the alphabet class: trivial
-    alphabets are always consistent, monadic ones test the word condition,
-    branching ones test bi-strong zero-sum-freeness."""
-    alg = config.algebra
-    alphabet = config.tree_alphabet
-    cls = classify_alphabet(alphabet)
-
-    if cls.trivial:
-        # every tree is a single leaf, on which the two semantics coincide;
-        # no tables are built, so counts stay exact
-        return _sweep_trees("supports-trees", config, {"alphabet-class": "trivial"}, _values_differ)
-
-    label, hypothesis_prop = (("monadic", BimonoidProperty.STRONGLY_ZSF) if cls.monadic
-                              else ("branching", BimonoidProperty.BI_STRONGLY_ZSF))
-    tables = tabulate(alg)
-    hyp = check(tables, hypothesis_prop)
-    hypothesis = {"alphabet-class": label, hypothesis_prop.value: hyp.holds}
-
-    if hyp.holds:
-        return _sweep_trees("supports-trees", config, hypothesis, _supports_differ, _count_cycle(tables))
-
-    verdict = _first_failing_half(tables, hypothesis_prop)
-    if cls.monadic:
-        # word-style failure lifted through the unary spine
-        a, b, c = verdict.witness
-        unary, alpha = alphabet.of_rank(1), alphabet.of_rank(0)[0]
-        automaton = wsa_to_wta(W.probe_automaton(alg, a, b, c, unary[0], unary), alpha)
-        t = word_to_tree((unary[0],), alpha)
-    else:
-        a, b, bp, c = verdict.witness
-        automaton = T.branching_probe_automaton(alg, a, b, bp, c, alphabet)
-        t = T.doubled_probe_tree(alphabet)
-    return _probe("supports-trees", config, hypothesis, verdict, automaton, t)
-
-
-# --------------------------------------------------------------------------
-# Image theorem
+    """Supports of the two tree semantics coincide iff the algebra meets its alphabet class's condition."""
+    return check_theorem("supports-trees", config)
 
 
 def check_image_theorem(alg: WeightAlgebra, mode: str) -> CheckReport:
-    """Images of the two semantics agree for every automaton iff the algebra
-    is right-distributive (words), or right- and left-distributive (trees).
-    Decide the laws, then sweep as the support checks do, at
-    :class:`TheoremCheckConfig`'s defaults, or probe the first failing law's
-    witness (a, b, c) on the probe's one input of nonzero value, where
-    different values are different images. The tree probe, x*y*z + x*y'*z
-    against x*(y+y')*z, takes (one, a, b, c) for the right law and
-    (c, a, b, one) for the left."""
+    """Images of the two semantics agree iff the algebra is right-distributive
+    (words), or right- and left-distributive (trees); at the config defaults."""
     if mode not in ("words", "trees"):
         raise ValueError("mode must be 'words' or 'trees'")
-    config, tables, theorem = TheoremCheckConfig(algebra=alg), tabulate(alg), f"images-{mode}"
-    laws = (BimonoidProperty.RIGHT_DISTRIBUTIVE, BimonoidProperty.LEFT_DISTRIBUTIVE)
-    verdicts = [check(tables, law) for law in laws[: 1 if mode == "words" else 2]]
-    hypothesis = {v.property.value: v.holds for v in verdicts}
-    failing = next((v for v in verdicts if not v.holds), None)
-    if failing is None:
-        sweep = _sweep_words if mode == "words" else _sweep_trees
-        return sweep(theorem, config, hypothesis, _values_differ, _count_cycle(tables))
-
-    a, b, c = failing.witness
-    if mode == "words":
-        return _probe(theorem, config, hypothesis, failing, W.probe_automaton(alg, a, b, c), ("gamma",))
-    x, z = (alg.one, c) if failing.property is laws[0] else (c, alg.one)
-    automaton = T.branching_probe_automaton(alg, x, a, b, z, config.tree_alphabet)
-    return _probe(theorem, config, hypothesis, failing, automaton, T.doubled_probe_tree(config.tree_alphabet))
+    return check_theorem(f"images-{mode}", TheoremCheckConfig(algebra=alg))
 
 
 # --------------------------------------------------------------------------

@@ -45,3 +45,12 @@ def test_atlas_order_4_decisions_match_the_literal_checker():
             assert report.verdicts[prop] == literal_check(alg, prop), (alg.name, prop)
         for half in HalfCondition:
             assert report.verdicts[half] == literal_check_half(alg, half), (alg.name, half)
+
+
+def test_atlas_order_4_image_checks_as_predicted():
+    # 2,380 checks: each sweeps at the defaults where its laws hold and
+    # probes the first failing law's witness where one fails
+    algebras = small_strong_bimonoids(4)
+    for alg in algebras:
+        for mode in ("words", "trees"):
+            assert H.check_image_theorem(alg, mode).as_predicted, (alg.name, mode)

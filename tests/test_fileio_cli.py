@@ -410,6 +410,23 @@ def test_cli_malformed_input_exits_two(tmp_path, capsys, name, patch, alphabet):
         assert err == f"error: {_MALFORMED_MESSAGES[name].format(path=path)}\n"
 
 
+@pytest.mark.parametrize("text", ["a, a", "a,b,a", " a , a"])
+def test_cli_word_alphabet_refuses_a_repeated_symbol(capsys, text):
+    code, out, err = run_cli(["check", "supports-words", "--algebra", "B4", "--word-alphabet", text], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --word-alphabet {text!r} repeats the symbol 'a'\n"
+
+
+def test_cli_word_alphabet_strips_its_symbols(capsys):
+    # spaces around a symbol are no part of it, as in --tree-alphabet: the
+    # probe's witness is the word "a", which words.parse reads back
+    runs = [run_cli(["check", "supports-words", "--algebra", "B4", "--word-alphabet", text,
+                     "--trials", "2", "--format", "json"], capsys) for text in (" a, b", "a,b")]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0 and json.loads(out)["witness"]["input"] == "a"
+
+
 _TWO_ELEMENTS = {"names": ["0", "1"], "add": [["0", "1"], ["1", "1"]], "mul": [["0", "0"], ["0", "1"]],
                  "zero": "0", "one": "1"}
 
@@ -518,8 +535,8 @@ def test_cli_convert_has_no_format_option(probe_file, capsys):
 def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsys):
     # with no sweep option given, cmd_check builds TheoremCheckConfig's defaults
     built = []
-    real = H.check_support_theorem_words
-    monkeypatch.setattr(H, "check_support_theorem_words", lambda config: built.append(config) or real(config))
+    real = H.check_theorem
+    monkeypatch.setattr(H, "check_theorem", lambda name, config: built.append(config) or real(name, config))
     code, _, _ = run_cli(["check", "supports-words", "--algebra", "B4"], capsys)
     assert code == 0
     [config] = built
@@ -774,6 +791,25 @@ def test_cli_check_survives_hypothesis_failing_without_a_half(tmp_path, capsys):
         ["check", "supports-words", "--algebra", str(path), "--allow-invalid"], capsys
     )
     assert code == 2 and "axioms" in err
+
+
+# + is not commutative (1+a = 1, a+1 = a), which --allow-invalid lets
+# through: strong zero-sum-freeness fails at (a, 1, a), as (a+1)*a = 0 but
+# 1*a != 0, and its tree form at (1, a, 1, a), yet neither hypothesis has a
+# failing half, which the axioms rule out
+_NONCOMMUTATIVE_SUM = {"names": ["0", "1", "a"], "zero": "0", "one": "1",
+                       "add": [["0", "1", "a"], ["1", "1", "1"], ["a", "a", "a"]],
+                       "mul": [["0", "0", "0"], ["0", "1", "a"], ["0", "a", "0"]]}
+
+
+@pytest.mark.parametrize("target", ["supports-words", "supports-trees"])
+def test_cli_check_reports_a_ladder_with_no_failing_half(tmp_path, capsys, target):
+    path = tmp_path / "noncommutative.json"
+    path.write_text(json.dumps(_NONCOMMUTATIVE_SUM))
+    code, out, err = run_cli(["check", target, "--algebra", str(path), "--allow-invalid"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: a support hypothesis fails but neither of its halves does"
+                   " (the loaded tables violate the axioms)\n")
 
 
 def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -294,3 +295,49 @@ def test_sweep_reports_match_the_per_input_oracle(alg):
         assert ("supports-trees", "_supports_differ") in counterexamples
     if alg.name in ("B4", "B3prime"):
         assert ("supports-words", "_supports_differ") in counterexamples
+
+
+MONADIC = T.RankedAlphabet({"alpha": 0, "gamma": 1})
+TRIVIAL = T.RankedAlphabet({"alpha": 0, "beta": 0})
+# The halves a support check decides after its hypothesis fails, word form
+# and tree form, on the bundled algebras that fail one: up to the first
+# failing half. On the others the hypothesis holds and no half is decided.
+HALVES_DECIDED = {
+    "B4": (("run-to-init", "init-to-run"), ("tree-run-to-init", "tree-init-to-run")),
+    "B3prime": (("run-to-init",), ("tree-run-to-init",)),
+    "TruncFun(2)": ((), ("tree-run-to-init",)),
+}
+
+
+@pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
+def test_check_theorem_decides_each_condition_once(monkeypatch, alg):
+    # the image checks decide both laws as their hypothesis and probe from
+    # those verdicts; a trivial tree alphabet decides nothing
+    decided = []
+    real = H.check
+    monkeypatch.setattr(H, "check", lambda tables, cond: decided.append(cond.value) or real(tables, cond))
+    word_halves, tree_halves = HALVES_DECIDED.get(alg.name, ((), ()))
+    for name, tree_alphabet, expected in (
+        ("supports-words", None, ("strongly-zero-sum-free", *word_halves)),
+        ("supports-trees", None, ("bi-strongly-zero-sum-free", *tree_halves)),
+        ("supports-trees", MONADIC, ("strongly-zero-sum-free", *word_halves)),
+        ("supports-trees", TRIVIAL, ()),
+        ("images-words", None, ("right-distributive",)),
+        ("images-trees", None, ("right-distributive", "left-distributive")),
+    ):
+        decided.clear()
+        report = H.check_theorem(name, config(alg, tree_alphabet=tree_alphabet, num_automata=1))
+        assert report.as_predicted, (name, str(report))
+        assert tuple(decided) == expected, (name, tree_alphabet)
+
+
+def test_check_theorem_takes_exactly_the_cli_targets(capsys):
+    from bimonoid_automata import cli
+
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["check", "--help"])
+    targets = re.search(r"{([^}]*)}", capsys.readouterr().out).group(1).split(",")
+    assert targets == list(H._THEOREMS) == ["supports-words", "supports-trees", "images-words", "images-trees"]
+    with pytest.raises(ValueError, match="^unknown theorem 'supports-graphs'; expected one of supports-words,"
+                                         " supports-trees, images-words, images-trees$"):
+        H.check_theorem("supports-graphs", config(ba.boole()))

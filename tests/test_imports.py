@@ -48,7 +48,7 @@ PUBLIC_NAMES = (
     "WordAutomaton", "algebra", "all_cuts", "all_words", "b3prime", "b4", "boole",
     "branching_probe_automaton", "bridge", "builtin", "bundled_finite_algebras", "check",
     "check_image_theorem", "check_support_theorem_trees",
-    "check_support_theorem_words", "classify", "classify_alphabet", "cost_profile",
+    "check_support_theorem_words", "check_theorem", "classify", "classify_alphabet", "cost_profile",
     "cut_partial_product", "diamond", "doubled_probe_tree", "enumerate_trees", "expand",
     "harness", "hexagon", "is_normal_form", "lattice_algebra", "leaves_cut", "merge",
     "mixed_prefix_product", "nat_plus_min", "nat_plus_plus", "nat_plus_plus_table", "parse",
