@@ -488,7 +488,9 @@ class Tabulation(NamedTuple):
     ``mul[i][j]`` are the indices of ``elements[i] + elements[j]`` and of
     ``elements[i] * elements[j]``; ``zero`` and ``one`` are indices too.
     Rows are lists. A tuple of indices maps back to the algebra's own values
-    (``values``) and labels (``labels``).
+    (``values``) and labels (``labels``). The tables are read-only after
+    :func:`tabulate`; ``verdicts`` holds the property verdicts decided on
+    them, which only :func:`~.properties.check` writes.
     """
 
     algebra: WeightAlgebra
@@ -497,6 +499,7 @@ class Tabulation(NamedTuple):
     mul: list
     zero: int
     one: int
+    verdicts: dict
 
     def values(self, indices) -> tuple:
         return tuple(self.elements[i] for i in indices)
@@ -538,7 +541,7 @@ def tabulate(alg: WeightAlgebra) -> Tabulation:
         return index[x]
 
     add, mul = table(alg.add, "+"), table(alg.mul, "*")
-    return Tabulation(alg, elements, add, mul, position(alg.zero, "zero"), position(alg.one, "one"))
+    return Tabulation(alg, elements, add, mul, position(alg.zero, "zero"), position(alg.one, "one"), {})
 
 
 def _first_difference(xs: list, ys: list) -> int:

@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-# Loaded for every command: main catches fileio's error and build_parser
-# reads image's bounds from config. Each command imports the other layers it
+# Loaded for every command: main catches fileio's error and cmd_image reads
+# its default bounds from config. Each command imports the other layers it
 # runs, so it loads no module it does not use.
 from .algebra import HierarchyInconsistencyError, Semantics, UnknownAlgebraError
 from .fileio import FileFormatError, automaton_to_dict, load_algebra, load_automaton, save_automaton
@@ -158,13 +158,13 @@ def cmd_image(args):
     alg = automaton.algebra
     mod = _module(automaton)
     if automaton.kind == "tree":
-        bound, label = args.max_size, f"trees of size <= {args.max_size}"
-        unused = args.max_len != TheoremCheckConfig.max_word_len and "--max-len"
+        bound, unused = getattr(args, "max_size", TheoremCheckConfig.max_tree_size), "max_len"
+        label = f"trees of size <= {bound}"
     else:
-        bound, label = args.max_len, f"words of length <= {args.max_len}"
-        unused = args.max_size != TheoremCheckConfig.max_tree_size and "--max-size"
-    if unused:
-        raise ValueError(f"{unused} does not apply to a {type(automaton).__name__}")
+        bound, unused = getattr(args, "max_len", TheoremCheckConfig.max_word_len), "max_size"
+        label = f"words of length <= {bound}"
+    if unused in args:
+        raise ValueError(f"--{unused.replace('_', '-')} does not apply to a {type(automaton).__name__}")
     images = {
         sem.value: [alg.describe(v) for v in vals]
         for sem, vals in mod.images_up_to(automaton, bound).items()
@@ -243,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="image sets of both semantics on bounded inputs")
     common(p, automaton=True)
-    # the defaults are TheoremCheckConfig's, which its class attributes hold
-    p.add_argument("--max-len", type=int, default=TheoremCheckConfig.max_word_len)
-    p.add_argument("--max-size", type=int, default=TheoremCheckConfig.max_tree_size)
+    # no parser default: cmd_image takes a bound not given from
+    # TheoremCheckConfig and refuses the other kind's bound at any value
+    p.add_argument("--max-len", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-size", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_image)
     return parser
 

@@ -318,12 +318,11 @@ def check_theorem(name: str, config: TheoremCheckConfig) -> CheckReport:
         label = "trivial" if cls.trivial else "monadic" if cls.monadic else "branching"
         theorem, hypothesis = theorem[label], {"alphabet-class": label}
     tables = tabulate(config.algebra) if theorem.hypothesis else None
-    verdicts = {cond: check(tables, cond) for cond in theorem.hypothesis}
-    hypothesis.update((cond.value, verdict.holds) for cond, verdict in verdicts.items())
-    if all(verdict.holds for verdict in verdicts.values()):
+    hypothesis.update((cond.value, check(tables, cond).holds) for cond in theorem.hypothesis)
+    if all(hypothesis[cond.value] for cond in theorem.hypothesis):
         return theorem.sweep(name, config, hypothesis, theorem.compare, tables and _count_cycle(tables))
     for cond, build in theorem.ladder:
-        verdict = verdicts.get(cond) or check(tables, cond)
+        verdict = check(tables, cond)
         if not verdict.holds:
             return _probe(name, config, hypothesis, verdict, *build(config, verdict.witness))
     # a hypothesis fails only through one of its halves in a strong bimonoid

@@ -6,28 +6,29 @@ conditions, the two directions of strong and of bi-strong zero-sum-freeness
 and checks it against the hierarchy, a list of rules (``_IMPLICATIONS``).
 Each property is the universally quantified "iff" from its definition, and
 both directions are checked. Two arguments skip a scan, and each holds on
-any tables, axioms or not: :func:`classify` takes a condition as holding
-where one that implies it holds (``_IMPLIED_BY``), and a distributive law
-that holds is proved on a generating set of (B, +) where that takes fewer
-slabs (:func:`~.algebra._first_law_difference`). A failing verdict always
-comes from a scan and carries the first violating tuple in carrier
-enumeration order, so reports are reproducible.
+any tables, axioms or not: :func:`check` takes a condition as holding where
+one that implies it holds (``_IMPLIED_BY``), and a distributive law that
+holds is proved on a generating set of (B, +) where that takes fewer slabs
+(:func:`~.algebra._first_law_difference`). A failing verdict always comes
+from a scan and carries the first violating tuple in carrier enumeration
+order, so reports are reproducible.
 
 The algebra is tabulated once (:func:`~.algebra.tabulate`: n^2 calls of add
-and of mul) and every condition is decided on the integer tables. Where the
-last quantified variable c only meets zero tests, the condition for all c at
-once is a bitmask: with Z[x] = {c : x*c = 0}, strong zero-sum-freeness
-compares Z[a+b] with Z[a] & Z[b], and the lowest set bit of the violation
-mask is the first witness c. The 4-ary tree forms also pack a: for a block
-of a's [lo, hi), Y[x] holds Z[a*x] at bit offset (a - lo)*n, so one mask
-operation per (b, b') decides the whole block. The blocks double in size
-(1, 1, 2, 4, ...), so a full scan costs about (log2 n + 1)*n^2 mask
-operations instead of n^4 algebra calls, and a witness at a small a is found
-after few. The distributive and associative laws compare, per a, the slab of
-every b's row at once, gathered with ``operator.itemgetter``. Measured on a
-2-core Xeon VM (CPython 3.11): a full 4-ary scan of a 16-element lattice takes
-about 0.4 ms, and :func:`classify` of TruncFun(3) (64 elements) about 15 ms
-and of TruncFun(4) (625 elements) about 2 s.
+and of mul), every condition is decided on the integer tables, and the
+tabulation keeps each verdict. Where the last quantified variable c only
+meets zero tests, the condition for all c at once is a bitmask: with
+Z[x] = {c : x*c = 0}, strong zero-sum-freeness compares Z[a+b] with
+Z[a] & Z[b], and the lowest set bit of the violation mask is the first
+witness c. The 4-ary tree forms also pack a: for a block of a's [lo, hi),
+Y[x] holds Z[a*x] at bit offset (a - lo)*n, so one mask operation per
+(b, b') decides the whole block. The blocks double in size (1, 1, 2, 4,
+...), so a full scan costs about (log2 n + 1)*n^2 mask operations instead of
+n^4 algebra calls, and a witness at a small a is found after few. The
+distributive and associative laws compare, per a, the slab of every b's row
+at once, gathered with ``operator.itemgetter``. Measured on a 2-core Xeon VM
+(CPython 3.11): a full 4-ary scan of a 16-element lattice takes about
+0.4 ms, and :func:`classify` of TruncFun(3) (64 elements) about 15 ms and of
+TruncFun(4) (625 elements) about 2 s.
 """
 
 from __future__ import annotations
@@ -222,11 +223,25 @@ def check(alg: WeightAlgebra | Tabulation, cond: BimonoidProperty | HalfConditio
     search; witness on failure (for a half condition, a tuple that violates
     its implication).
 
-    ``alg`` is a finite algebra or its :func:`tabulate` tables.
+    ``alg`` is a finite algebra, tabulated afresh, or its :func:`tabulate`
+    tables, which keep each verdict decided on them: a condition is decided
+    once per tabulation, by :func:`_decide`.
     """
     t = _tables(alg)
-    add, mul, zero = t.add, t.mul, t.zero
+    if cond not in t.verdicts:
+        t.verdicts[cond] = _decide(t, cond)
+    return t.verdicts[cond]
 
+
+def _decide(t: Tabulation, cond) -> PropertyVerdict:
+    """The verdict :func:`check` has not kept: a composite's from its parts;
+    a condition of ``_IMPLIED_BY`` holds, with no scan, where its implier
+    does; any other comes from a scan, so a failing one has the first witness."""
+    if cond in _COMPOSITES:
+        return _composite(cond, (check(t, part) for part in _COMPOSITES[cond]))
+    if cond in _IMPLIED_BY and check(t, _IMPLIED_BY[cond]).holds:
+        return PropertyVerdict(cond, True)
+    add, mul, zero = t.add, t.mul, t.zero
     if cond is BimonoidProperty.ZERO_SUM_FREE:
         witness = _first_pair(t, lambda a, b: (add[a][b] == zero) != (a == zero and b == zero))
     elif cond in _WORD_FORMS:
@@ -235,8 +250,6 @@ def check(alg: WeightAlgebra | Tabulation, cond: BimonoidProperty | HalfConditio
         witness = _first_quad(t, _TREE_FORMS[cond])
     elif cond is BimonoidProperty.ZERO_DIVISOR_FREE:
         witness = _first_pair(t, lambda a, b: (mul[a][b] == zero) != (a == zero or b == zero))
-    elif cond in _COMPOSITES:
-        return _composite(cond, (check(t, part) for part in _COMPOSITES[cond]))
     elif cond is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
         sum_is_zero = [[v == zero for v in row] for row in add]
         product_is_zero = [[v == zero for v in row] for row in mul]
@@ -287,31 +300,13 @@ class PropertyReport(NamedTuple):
 
 
 def classify(alg: WeightAlgebra) -> PropertyReport:
-    """Every condition's verdict, checked against the hierarchy.
-
-    A composite is decided from its parts. A condition of ``_IMPLIED_BY``
-    holds without a scan where the condition implying it holds:
-    zero-right-distributivity where right-distributivity does, and each half
-    where its hypothesis does. Every other condition goes to :func:`check`,
-    so a failing verdict has the first witness. A rule of ``_IMPLICATIONS``
-    broken by the verdicts can only come from an implementation bug, so it
-    raises instead of being reported as a result.
+    """Every condition's verdict from :func:`check` on one tabulation,
+    checked against the hierarchy. A rule of ``_IMPLICATIONS`` broken by the
+    verdicts can only come from an implementation bug, so it raises instead
+    of being reported as a result.
     """
     t = tabulate(alg)
-    decided: dict = {}
-
-    def decide(cond):
-        if cond not in decided:
-            if cond in _COMPOSITES:
-                verdict = _composite(cond, (decide(part) for part in _COMPOSITES[cond]))
-            elif cond in _IMPLIED_BY and decide(_IMPLIED_BY[cond]).holds:
-                verdict = PropertyVerdict(cond, True)
-            else:
-                verdict = check(t, cond)
-            decided[cond] = verdict
-        return decided[cond]
-
-    report = PropertyReport(alg.name, {cond: decide(cond) for cond in (*BimonoidProperty, *HalfCondition)})
+    report = PropertyReport(alg.name, {cond: check(t, cond) for cond in (*BimonoidProperty, *HalfCondition)})
     for premises, conclusion in _IMPLICATIONS:
         if all(map(report.holds, premises)) and not report.holds(conclusion):
             names = " and ".join(p.value for p in premises)

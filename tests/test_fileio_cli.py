@@ -532,7 +532,7 @@ def test_cli_convert_has_no_format_option(probe_file, capsys):
     assert "--format" in capsys.readouterr().err
 
 
-def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsys):
+def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsys, probe_file, tree_probe_file):
     # with no sweep option given, cmd_check builds TheoremCheckConfig's defaults
     built = []
     real = H.check_theorem
@@ -541,8 +541,11 @@ def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsy
     assert code == 0
     [config] = built
     assert {**vars(config), "algebra": None} == vars(H.TheoremCheckConfig(algebra=None))
-    args = cli.build_parser().parse_args(["image", "--automaton", "a.json"])
-    assert (args.max_len, args.max_size) == (config.max_word_len, config.max_tree_size)
+    # image with no bound prints what it prints with the config's bound given
+    for path, bound in ((probe_file, ["--max-len", str(config.max_word_len)]),
+                        (tree_probe_file, ["--max-size", str(config.max_tree_size)])):
+        default = run_cli(["image", "--automaton", path], capsys)
+        assert default[0] == 0 and default == run_cli(["image", "--automaton", path, *bound], capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -553,12 +556,15 @@ def test_cli_check_and_image_defaults_are_the_config_defaults(monkeypatch, capsy
     ["check", "images-trees", "--algebra", "B4", "--states", "2"],
     ["image", "--automaton", "WORD", "--max-size", "3"],
     ["image", "--automaton", "TREE", "--max-len", "2"],
+    ["image", "--automaton", "WORD", "--max-size", "7"],
+    ["image", "--automaton", "TREE", "--max-len", "4"],
     ["check", "supports-words", "--algebra", "B4", "--tree-alphabet", "x:0", "--trials", "2"],
     ["check", "supports-words", "--algebra", "B4", "--max-size", "3", "--trials", "2"],
     ["check", "supports-trees", "--algebra", "B4", "--word-alphabet", "zz", "--trials", "2"],
     ["check", "supports-trees", "--algebra", "B4", "--max-len", "9", "--trials", "2"],
 ], ids=["images-trees-sweep", "images-words-max-len", "images-words-alphabet",
         "images-trees-states", "image-word-max-size", "image-tree-max-len",
+        "image-word-max-size-at-its-default", "image-tree-max-len-at-its-default",
         "supports-words-tree-alphabet", "supports-words-max-size",
         "supports-trees-word-alphabet", "supports-trees-max-len"])
 def test_cli_rejects_options_it_would_ignore(argv, probe_file, tree_probe_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 import bimonoid_automata as ba
 from bimonoid_automata import harness as H
+from bimonoid_automata import properties
 from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import _count_cycle
@@ -311,11 +312,12 @@ HALVES_DECIDED = {
 
 @pytest.mark.parametrize("alg", ba.bundled_finite_algebras(), ids=lambda alg: alg.name)
 def test_check_theorem_decides_each_condition_once(monkeypatch, alg):
-    # the image checks decide both laws as their hypothesis and probe from
-    # those verdicts; a trivial tree alphabet decides nothing
+    # recorded where check decides a verdict it has not kept: the image
+    # checks decide both laws as their hypothesis and probe from those
+    # verdicts; a trivial tree alphabet decides nothing
     decided = []
-    real = H.check
-    monkeypatch.setattr(H, "check", lambda tables, cond: decided.append(cond.value) or real(tables, cond))
+    real = properties._decide
+    monkeypatch.setattr(properties, "_decide", lambda tables, cond: decided.append(cond.value) or real(tables, cond))
     word_halves, tree_halves = HALVES_DECIDED.get(alg.name, ((), ()))
     for name, tree_alphabet, expected in (
         ("supports-words", None, ("strongly-zero-sum-free", *word_halves)),

@@ -1,10 +1,13 @@
 import pytest
 
 import bimonoid_automata as ba
-from bimonoid_automata.algebra import HierarchyInconsistencyError, InfiniteCarrierError
+from bimonoid_automata import properties
+from bimonoid_automata.algebra import HierarchyInconsistencyError, InfiniteCarrierError, tabulate
 from bimonoid_automata.properties import BimonoidProperty as P
 from bimonoid_automata.properties import HalfCondition as H
 from bimonoid_automata.properties import check, classify
+
+from conftest import small_strong_bimonoids
 
 
 def holds(alg, prop):
@@ -152,6 +155,27 @@ def test_hierarchy_is_monotone_on_bundled_algebras(finite_algebras):
             report.holds(P.ZERO_SUM_FREE) and report.holds(P.ZERO_RIGHT_DISTRIBUTIVE)
         )
         assert not report.holds(P.RIGHT_DISTRIBUTIVE) or report.holds(P.ZERO_RIGHT_DISTRIBUTIVE)
+
+
+def test_a_lone_check_gives_the_verdict_classify_reports():
+    # each check gets tables of its own, so no verdict decided for another
+    # condition is there to reuse: implied verdicts and composites come
+    # from deciding their impliers and parts on the spot
+    for alg in (*ba.bundled_finite_algebras(), *small_strong_bimonoids(2), *small_strong_bimonoids(3)):
+        report = classify(alg)
+        for cond in (*P, *H):
+            assert check(alg, cond) == report.verdicts[cond], (alg.name, cond)
+
+
+def test_a_lone_zero_right_distributivity_check_reads_right_distributivity(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("zero-right-distributivity was scanned")
+
+    monkeypatch.setattr(properties, "_first_slab_difference", no_scan)
+    for alg in (ba.boole(), ba.trunc_fun(2), ba.trunc_fun(3)):
+        t = tabulate(alg)
+        assert check(t, P.ZERO_RIGHT_DISTRIBUTIVE) == properties.PropertyVerdict(P.ZERO_RIGHT_DISTRIBUTIVE, True)
+        assert set(t.verdicts) == {P.RIGHT_DISTRIBUTIVE, P.ZERO_RIGHT_DISTRIBUTIVE}
 
 
 def test_classify_raises_on_the_first_broken_rule():
