@@ -213,16 +213,15 @@ def _sweep_trees(theorem, config, hypothesis, compare, cycle=None) -> CheckRepor
     """``_sweep`` over every tree of at most ``config.max_tree_size`` nodes,
     all automata walking one node table."""
     alphabet, max_size = config.tree_alphabet, config.max_tree_size
-    test_trees = list(T.enumerate_trees(alphabet, max_size))
     # a symbol of rank max_size or more occurs in no tree of max_size
     # nodes, so the automata draw no weights for it
     drawn = RankedAlphabet({s: k for s, k in alphabet.to_dict().items() if k < max_size})
-    table = T.NodeTable(drawn, test_trees)
+    table = T.NodeTable(drawn, max_size)
     return _sweep(
         theorem, config, hypothesis,
         lambda rng: random_tree_automaton(rng, config.algebra, drawn, config.max_states),
         lambda automaton: T.explore(automaton, table, cycle),
-        len(test_trees),
+        len(table.trees),
         compare,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
 from .algebra import _configuration, _cost_profile, _Frozen, _images, _init_memo, _is_int, _run_total
@@ -301,31 +301,8 @@ def left_of(p: Position, q: Position) -> bool:
 
 
 def enumerate_trees(alphabet: RankedAlphabet, max_size: int) -> Iterator[Tree]:
-    """All trees with at most max_size nodes, by size then symbol order."""
-    by_size: Dict[int, list] = {}
-
-    def of_size(s):
-        if s in by_size:
-            return by_size[s]
-        found = []
-        for sym in alphabet.symbols:
-            k = alphabet.rank(sym)
-            if k == 0:
-                if s == 1:
-                    found.append(Tree(sym))
-                continue
-            if s < k + 1:
-                continue
-            for parts in _compositions(s - 1, k):
-                for combo in itertools.product(*(of_size(p) for p in parts)):
-                    found.append(Tree(sym, combo))
-        by_size[s] = found
-        return found
-
-    if not alphabet.max_rank:  # over nullary symbols alone every tree is one leaf
-        max_size = min(max_size, 1)
-    for s in range(1, max_size + 1):
-        yield from of_size(s)
+    """All trees with at most max_size nodes, in :class:`NodeTable` order."""
+    yield from NodeTable(alphabet, max_size).trees
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:
@@ -598,90 +575,71 @@ def initial_semantics(automaton: TreeAutomaton, t: Tree):
 
 
 class NodeTable:
-    """The distinct subtrees of a tree listing, each once, children first.
+    """Every tree with at most ``max_size`` nodes, each listed once as a node.
 
-    ``nodes[i]`` is ``(symbol, child node indices)``, ``trees[j]`` the j-th
-    listed tree and ``roots[j]`` its node. A tree's new nodes come right
-    before its root, in the order :func:`_bottom_up` finishes them, so
-    stepping the nodes in index order up to each root walks the trees in
-    listing order. Ranks are checked against ``alphabet``. The table lists
-    trees from its source only as far as a walk asks, so the trees before a
-    malformed one are walked before its ``ValueError``, and a walk that
-    reaches it again raises again. Automata that walk one table share its
-    listing; :func:`explore` walks it per automaton.
+    ``trees[i]`` is the i-th tree by size, then symbol order, then the
+    sizes of its children (lexicographic compositions of size - 1), then
+    their own order; ``nodes[i]`` is ``(symbol, child indices)``. Every
+    child is a smaller tree, so it comes earlier: node i is tree i, and
+    stepping the nodes in index order walks the trees in listing order.
+    Automata that walk one table share its listing; :func:`explore` walks
+    it per automaton.
     """
 
-    __slots__ = ("alphabet", "nodes", "trees", "roots", "_source", "_next", "_memo")
+    __slots__ = ("alphabet", "nodes", "trees")
 
-    def __init__(self, alphabet: RankedAlphabet, trees: Iterable[Tree]):
+    def __init__(self, alphabet: RankedAlphabet, max_size: int):
         self.alphabet = alphabet
         self.nodes: list = []
         self.trees: list = []
-        self.roots: list = []
-        self._source = iter(trees)
-        self._next: Optional[Tree] = None  # pulled from the source, not yet listed
-        self._memo: dict = {}  # subtree -> node index
-
-    def _add(self, symbol: str, children: tuple) -> int:
-        self.nodes.append((symbol, children))
-        return len(self.nodes) - 1
-
-    def grow(self) -> bool:
-        """List the source's next tree; False once the source is done."""
-        if self._next is None:
-            self._next = next(self._source, None)
-            if self._next is None:
-                return False
-        self.roots.append(_bottom_up(self.alphabet, self._next, self._memo, self._add))
-        self.trees.append(self._next)
-        self._next = None
-        return True
+        nodes, trees = self.nodes, self.trees
+        if not alphabet.max_rank:  # over nullary symbols alone every tree is one leaf
+            max_size = min(max_size, 1)
+        by_size: list = [()]  # size -> the indices of its trees (no tree has 0 nodes)
+        for s in range(1, max_size + 1):
+            first = len(nodes)
+            for symbol in alphabet.symbols:
+                k = alphabet.rank(symbol)
+                if k == 0 and s == 1:
+                    nodes.append((symbol, ()))
+                    trees.append(Tree(symbol))
+                elif 0 < k < s:  # a rank-k symbol and k subtrees of s - 1 nodes in all
+                    for parts in _compositions(s - 1, k):
+                        for children in itertools.product(*[by_size[p] for p in parts]):
+                            nodes.append((symbol, children))
+                            trees.append(Tree(symbol, tuple([trees[c] for c in children])))
+            by_size.append(range(first, len(nodes)))
 
 
-def explore(
-    automaton: TreeAutomaton, trees: Union[NodeTable, Iterable[Tree]], cycle: Optional[tuple] = None
-) -> Iterator[tuple]:
-    """``(index, tree, run value, init value)`` for the first of ``trees``
-    to reach each configuration (``algebra._configuration`` under
-    ``cycle``). ``trees`` is a :class:`NodeTable`, which many automata can
-    share, or an iterable of trees, listed in a table of its own. Node by
-    node, children first, each subtree's configuration is interned under
-    its symbol and its children's configuration ids, so a node step (init
-    memoised as in :func:`state_vector`) runs once per distinct (symbol,
-    child ids), and each configuration's values are folded once. The
-    automaton's alphabet is checked on each such step. Run values are the
-    pruned ones.
+def explore(automaton: TreeAutomaton, table: NodeTable, cycle: Optional[tuple] = None) -> Iterator[tuple]:
+    """``(index, tree, run value, init value)`` for the first tree of
+    ``table`` to reach each configuration (``algebra._configuration`` under
+    ``cycle``); the table's alphabet must be the automaton's. Node by node,
+    children first, each tree's configuration is interned under its symbol
+    and its children's configuration ids, so a node step (init memoised as
+    in :func:`state_vector`) runs once per distinct (symbol, child ids), and
+    each configuration's values are folded once, when it is first reached.
+    Run values are the pruned ones.
     """
-    table = trees if isinstance(trees, NodeTable) else NodeTable(automaton.alphabet, trees)
-    alg, root, alphabet = automaton.algebra, automaton.root_weights, automaton.alphabet
+    if table.alphabet != automaton.alphabet:
+        raise ValueError(f"the node table is over {table.alphabet!r}, the automaton over {automaton.alphabet!r}")
+    alg, root = automaton.algebra, automaton.root_weights
     init_step = _init_nodes(automaton)
     ids: dict = {}  # configuration -> id
     reached: list = []  # id -> (vector, counted runs)
     interned: dict = {}  # (symbol, child ids) -> id
     at: list = []  # node -> configuration id
-    yielded: set = set()
-    nodes, listed, roots = table.nodes, table.trees, table.roots
-    index = 0
-    while index < len(roots) or table.grow():
-        node = roots[index]
-        while len(at) <= node:
-            symbol, children = nodes[len(at)]
-            child_ids = tuple([at[i] for i in children])
-            c = interned.get((symbol, child_ids))
-            if c is None:
-                _check_rank(alphabet, symbol, len(children))
-                vec = init_step(symbol, tuple([reached[i][0] for i in child_ids]))
-                runs = _run_node(automaton, symbol, [reached[i][1] for i in child_ids])
-                c = interned[symbol, child_ids] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
-                if c == len(reached):
-                    reached.append((vec, runs))
-            at.append(c)
-        c = at[node]
-        if c not in yielded:
-            yielded.add(c)
-            vec, runs = reached[c]
-            yield index, listed[index], _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
-        index += 1
+    for index, (symbol, children) in enumerate(table.nodes):
+        child_ids = tuple([at[i] for i in children])
+        c = interned.get((symbol, child_ids))
+        if c is None:
+            vec = init_step(symbol, tuple([reached[i][0] for i in child_ids]))
+            runs = _run_node(automaton, symbol, [reached[i][1] for i in child_ids])
+            c = interned[symbol, child_ids] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
+            if c == len(reached):
+                reached.append((vec, runs))
+                yield index, table.trees[index], _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
+        at.append(c)
 
 
 def evaluate(automaton: TreeAutomaton, t: Tree, semantics: Semantics, prune: bool = False):
@@ -696,11 +654,12 @@ def in_support(automaton: TreeAutomaton, t: Tree, semantics: Semantics) -> bool:
 
 def images_up_to(automaton: TreeAutomaton, max_size: int) -> dict:
     """Exact value sets of both semantics over all trees with <= max_size
-    nodes (deterministic enumeration), keyed by :class:`Semantics`, each in
-    first-seen order; one :func:`explore` walk with exact counts."""
+    nodes, keyed by :class:`Semantics`, each in first-seen order: one
+    :func:`explore` walk, with exact counts, of a :class:`NodeTable` over
+    the automaton's alphabet."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    return _images(explore(automaton, enumerate_trees(automaton.alphabet, max_size)))
+    return _images(explore(automaton, NodeTable(automaton.alphabet, max_size)))
 
 
 # --------------------------------------------------------------------------

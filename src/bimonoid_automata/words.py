@@ -197,12 +197,16 @@ def _run_fold(automaton: WordAutomaton, matrices: list):
     Every add and mul takes the values the literal sum gives it, in its
     order, so the sum is the literal one on any table. The memo stops
     growing at ``algebra.RUN_MEMO_LIMIT`` entries, and the walk goes on as
-    the plain enumeration with the lookups it has. It does not recurse.
+    the plain enumeration with the lookups it has. Where keys never repeat
+    (a running total that grows with every run) it gives up: if its first
+    ``algebra.MEMO_MISS_LIMIT`` entries drew no hit, it is emptied and
+    stores nothing more. It does not recurse.
     """
     alg = automaton.algebra
     add, mul, final = alg.add, alg.mul, automaton.final
-    n, limit = len(matrices), A.RUN_MEMO_LIMIT
+    n, limit, no_hit_limit = len(matrices), A.RUN_MEMO_LIMIT, A.MEMO_MISS_LIMIT
     memo: dict = {}
+    hit = False
     total = None
     # (memo key, position of the children, (state, prefix) of each child left)
     stack = [(None, 0, enumerate(automaton.initial))]
@@ -218,11 +222,14 @@ def _run_fold(automaton: WordAutomaton, matrices: list):
             if done is None:
                 stack.append((child, i + 1, enumerate(map(mul, itertools.repeat(prefix), matrices[i][q]))))
                 break
-            total = done
+            total, hit = done, True
         else:
             stack.pop()
             if key is not None and len(memo) < limit:
                 memo[key] = total
+                if len(memo) == no_hit_limit and not hit:
+                    memo.clear()
+                    limit = 0
     return alg.zero if total is None else total
 
 

@@ -144,6 +144,39 @@ def random_tree(rng: random.Random, alphabet: T.RankedAlphabet, max_depth: int) 
     return T.Tree(sym, tuple(random_tree(rng, alphabet, max_depth - 1) for _ in range(k)))
 
 
+def recursive_trees(alphabet: T.RankedAlphabet, max_size: int) -> list:
+    """All trees with at most max_size nodes, by size, then symbol order,
+    then the lexicographic compositions of size - 1 into the children's
+    sizes, then the product of the children's own listings: the order the
+    sweeps report their first witness in, written as a memoised recursion
+    on trees."""
+    by_size: dict = {}
+
+    def of_size(s):
+        if s in by_size:
+            return by_size[s]
+        found = []
+        for sym in alphabet.symbols:
+            k = alphabet.rank(sym)
+            if k == 0:
+                if s == 1:
+                    found.append(T.Tree(sym))
+                continue
+            if s < k + 1:
+                continue
+            for cuts in itertools.combinations(range(1, s - 1), k - 1):
+                bounds = (0,) + cuts + (s - 1,)
+                parts = [b - a for a, b in zip(bounds, bounds[1:])]
+                for combo in itertools.product(*(of_size(p) for p in parts)):
+                    found.append(T.Tree(sym, combo))
+        by_size[s] = found
+        return found
+
+    if not alphabet.max_rank:
+        max_size = min(max_size, 1)
+    return [t for s in range(1, max_size + 1) for t in of_size(s)]
+
+
 def random_run(rng: random.Random, automaton, t):
     return {p: rng.randrange(len(automaton.states)) for p in T.positions(t)}
 

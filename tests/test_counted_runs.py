@@ -19,8 +19,10 @@ from conftest import (
     literal_word_runs,
     per_input_images,
     plain_tree_init,
+    plain_tree_vectors,
     pool_tree_automaton,
     pool_word_automaton,
+    recursive_trees,
     small_strong_bimonoids,
 )
 
@@ -56,9 +58,12 @@ def assert_word_rows(automaton, max_len, cycle=None):
     return rows
 
 
-def assert_tree_rows(automaton, trees, cycle=None):
-    alg = automaton.algebra
-    rows = list(T.explore(automaton, trees, cycle))
+def assert_tree_rows(automaton, table, cycle=None):
+    """``explore`` yields, by index, the first tree of ``table`` in each
+    configuration with the literal run value and the plain init value, and
+    each tree's values are those of a row at or before it."""
+    alg, trees = automaton.algebra, table.trees
+    rows = list(T.explore(automaton, table, cycle))
     assert [row[0] for row in rows] == sorted({row[0] for row in rows}) and rows[0][0] == 0
     for index, t, run, init in rows:
         assert t is trees[index]
@@ -96,26 +101,34 @@ def test_word_values_match_enumerator_on_infinite_carriers(alg, pool, max_len):
         assert_word_rows(pool_word_automaton(rng, alg, pool, 3), max_len)
 
 
-def _tree_inputs():
-    shared = T.parse("gamma(alpha)")
-    return [
-        *T.enumerate_trees(TREE_ALPHABET, 4),
-        T.Tree("sigma", (shared, shared)),  # one subtree object twice
-        T.parse("sigma(gamma(beta),gamma(beta))"),  # equal, distinct subtrees
-        T.parse("gamma(sigma(alpha,alpha))"),
-        T.parse("alpha"),  # an input seen before
-    ]
+_SHARED = T.parse("gamma(alpha)")
+# trees that repeat a subtree: the per-tree evaluators take each distinct
+# subtree once
+REPEATED_SUBTREES = (
+    T.Tree("sigma", (_SHARED, _SHARED)),  # one subtree object twice
+    T.parse("sigma(gamma(beta),gamma(beta))"),  # equal, distinct subtrees
+    T.parse("gamma(sigma(alpha,alpha))"),
+)
+
+
+def assert_shared_subtree_values(automaton):
+    for t in REPEATED_SUBTREES:
+        literal = T.run_semantics(automaton, t)
+        assert T.run_semantics(automaton, t, prune=True) == literal, str(t)
+        assert T.state_vector(automaton, t) == plain_tree_vectors(automaton, t)[()][2], str(t)
+        assert T.initial_semantics(automaton, t) == plain_tree_init(automaton, t), str(t)
 
 
 @pytest.mark.parametrize("alg", FINITE, ids=_names)
 def test_tree_values_match_enumerator(alg):
     rng = random.Random(17)
-    trees = _tree_inputs()
+    table = T.NodeTable(TREE_ALPHABET, 4)
     cycle = _count_cycle(ba.tabulate(alg))
     for _ in range(3):
         automaton = H.random_tree_automaton(rng, alg, TREE_ALPHABET, 3)
-        rows = assert_tree_rows(automaton, trees)
-        assert set(assert_tree_rows(automaton, trees, cycle)) <= set(rows)
+        rows = assert_tree_rows(automaton, table)
+        assert set(assert_tree_rows(automaton, table, cycle)) <= set(rows)
+        assert_shared_subtree_values(automaton)
 
 
 ATLAS = small_strong_bimonoids(2) + small_strong_bimonoids(3)
@@ -126,10 +139,10 @@ def test_walks_match_the_literal_semantics_on_the_atlas(alg):
     # the atlas has non-commutative and cancelling carriers that no bundled
     # algebra has
     rng = random.Random(43)
-    trees = list(T.enumerate_trees(TREE_ALPHABET, 5))
+    table = T.NodeTable(TREE_ALPHABET, 5)
     for _ in range(3):
         assert_word_rows(H.random_word_automaton(rng, alg, ("a", "b"), 3), 4)
-        assert_tree_rows(H.random_tree_automaton(rng, alg, TREE_ALPHABET, 3), trees)
+        assert_tree_rows(H.random_tree_automaton(rng, alg, TREE_ALPHABET, 3), table)
 
 
 SWEEP_ALPHABET = T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
@@ -137,11 +150,11 @@ SWEEP_ALPHABET = T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 
 @pytest.mark.parametrize("alg", FINITE, ids=_names)
 def test_automata_sharing_a_node_table_get_their_own_rows(alg):
-    # the two walks take turns, so each steps nodes that the other listed
+    # the two walks take turns on one table, and each walks it as a table
+    # of its own would be walked
     rng = random.Random(37)
     cycle = _count_cycle(ba.tabulate(alg))
-    trees = list(T.enumerate_trees(SWEEP_ALPHABET, 7))
-    table = T.NodeTable(SWEEP_ALPHABET, iter(trees))
+    table = T.NodeTable(SWEEP_ALPHABET, 7)
     automata = [H.random_tree_automaton(rng, alg, SWEEP_ALPHABET, 3) for _ in range(2)]
     walks = [T.explore(automaton, table, cycle) for automaton in automata]
     shared: list = [[], []]
@@ -153,31 +166,20 @@ def test_automata_sharing_a_node_table_get_their_own_rows(alg):
             else:
                 rows.append(row)
     for automaton, rows in zip(automata, shared):
-        assert rows == list(T.explore(automaton, list(trees), cycle))
+        assert rows == list(T.explore(automaton, T.NodeTable(SWEEP_ALPHABET, 7), cycle))
     # every subtree of a listed tree is listed before it: one node per tree
-    assert len(table.nodes) == len(table.trees) == len(trees)
+    assert len(table.nodes) == len(table.trees) == len(recursive_trees(SWEEP_ALPHABET, 7))
 
 
 def test_a_node_table_checks_each_automatons_alphabet():
-    # the table's alphabet has delta and the automaton's has not: the walk
-    # refuses it as a walk over a plain list does, after the rows before it
-    trees = [T.parse("alpha"), T.parse("sigma(alpha,gamma(delta))")]
-    table = T.NodeTable(T.RankedAlphabet({**TREE_ALPHABET.to_dict(), "delta": 0}), trees)
+    # a table over another alphabet, here one more nullary symbol, is
+    # refused before any row, on every walk; so is one over fewer symbols
     automaton = H.random_tree_automaton(random.Random(41), ba.b4(), TREE_ALPHABET, 2)
-    for source in (trees, table, table):
-        rows = T.explore(automaton, source)
-        assert next(rows)[:2] == (0, trees[0])
-        with pytest.raises(ValueError, match=r"^unknown symbol 'delta' \(alphabet: alpha, beta, gamma, sigma\)$"):
-            next(rows)
-    # a tree malformed under the table's own alphabet raises on every walk
-    # that reaches it, and is never listed
-    table = T.NodeTable(TREE_ALPHABET, [trees[0], T.parse("sigma(alpha)"), trees[0]])
-    for _ in range(2):
-        rows = T.explore(automaton, table)
-        assert next(rows)[:2] == (0, trees[0])
-        with pytest.raises(ValueError, match="rank 2 but 1 children"):
-            next(rows)
-    assert table.trees == [trees[0]]
+    for ranks in ({**TREE_ALPHABET.to_dict(), "delta": 0}, {"alpha": 0, "sigma": 2}):
+        table = T.NodeTable(T.RankedAlphabet(ranks), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^the node table is over RankedAlphabet\(\{alpha:0, "):
+                next(T.explore(automaton, table))
 
 
 @pytest.mark.parametrize("alg", [*FINITE, ba.nat_plus_min()], ids=_names)
@@ -212,12 +214,13 @@ def test_counts_reduce_by_index_and_period(alg, cycle):
     assert _count_cycle(ba.tabulate(alg)) == cycle
     rng = random.Random(31)
     pool = list(alg.elements())[1:]
-    trees = _tree_inputs()
+    table = T.NodeTable(TREE_ALPHABET, 4)
     for _ in range(4):
         automaton = pool_word_automaton(rng, alg, pool, 3)
         assert set(assert_word_rows(automaton, 4, cycle)) <= set(assert_word_rows(automaton, 4))
         automaton = pool_tree_automaton(rng, alg, pool, 3, TREE_ALPHABET)
-        assert set(assert_tree_rows(automaton, trees, cycle)) <= set(assert_tree_rows(automaton, trees))
+        assert set(assert_tree_rows(automaton, table, cycle)) <= set(assert_tree_rows(automaton, table))
+        assert_shared_subtree_values(automaton)
 
 
 def test_values_check_their_inputs():
@@ -227,10 +230,8 @@ def test_values_check_their_inputs():
     with pytest.raises(ValueError, match="unknown symbol 'c'"):
         W.run_semantics(automaton, ("a", "c"), prune=True)
     automaton = H.random_tree_automaton(rng, alg, TREE_ALPHABET, 2)
-    rows = T.explore(automaton, [T.parse("alpha"), T.parse("sigma(alpha)")])
-    assert next(rows)[:2] == (0, T.parse("alpha"))
     with pytest.raises(ValueError, match="rank 2 but 1 children"):
-        next(rows)
+        T.run_semantics(automaton, T.parse("sigma(alpha)"), prune=True)
     with pytest.raises(ValueError, match="unknown symbol 'delta'"):
         T.run_semantics(automaton, T.parse("gamma(delta)"), prune=True)
 

@@ -272,7 +272,7 @@ def test_sweep_reports_match_the_per_input_oracle(alg):
     # by the add table's cycle, reports what deciding every input reports
     cycle = _count_cycle(ba.tabulate(alg))
     words = list(W.all_words(("a", "b"), 4))
-    trees = list(T.enumerate_trees(SWEEP_TREE_ALPHABET, 5))
+    table = T.NodeTable(SWEEP_TREE_ALPHABET, 5)
     counterexamples = []
     for seed in range(20):
         cfg = config(alg, num_automata=10, seed=seed)
@@ -281,9 +281,9 @@ def test_sweep_reports_match_the_per_input_oracle(alg):
                 ("supports-words", W, words,
                  lambda rng: H.random_word_automaton(rng, alg, ("a", "b"), 3),
                  lambda automaton: W.explore(automaton, 4, cycle)),
-                ("supports-trees", T, trees,
+                ("supports-trees", T, table.trees,
                  lambda rng: H.random_tree_automaton(rng, alg, SWEEP_TREE_ALPHABET, 3),
-                 lambda automaton: T.explore(automaton, trees, cycle)),
+                 lambda automaton: T.explore(automaton, table, cycle)),
             ):
                 report = H._sweep(theorem, cfg, {}, draw, explore, len(inputs), compare).to_dict()
                 assert 1 <= report["stats"].pop("configurations") <= report["stats"]["inputs_checked"]

@@ -20,6 +20,7 @@ from conftest import (
     pool_tree_automaton,
     random_run,
     random_tree,
+    recursive_trees,
 )
 
 ALPHABET = T.RankedAlphabet({"sigma": 2, "delta": 2, "alpha": 0, "beta": 0})
@@ -248,6 +249,27 @@ def test_enumerate_trees_counts():
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize("ranks", [
+    {"alpha": 0, "gamma": 1, "sigma": 2},
+    {"alpha": 0, "beta": 0, "tau": 3},
+    {"e": 0, "a": 1, "b": 1},
+    {"x": 2, "y": 0, "z": 1},
+    {"alpha": 0, "beta": 0},
+], ids=lambda ranks: ",".join(f"{s}:{k}" for s, k in ranks.items()))
+@pytest.mark.parametrize("max_size", [1, 4, 8])
+def test_node_table_lists_trees_in_the_recursive_order(ranks, max_size):
+    # a sweep's first witness is the first failing tree in this order; node
+    # i of the table is tree i, its children listed before it
+    alphabet = T.RankedAlphabet(ranks)
+    table = T.NodeTable(alphabet, max_size)
+    assert table.trees == recursive_trees(alphabet, max_size)
+    assert list(T.enumerate_trees(alphabet, max_size)) == table.trees
+    assert len(table.nodes) == len(table.trees)
+    for i, ((symbol, children), t) in enumerate(zip(table.nodes, table.trees)):
+        assert all(c < i for c in children)
+        assert t == T.Tree(symbol, tuple(table.trees[c] for c in children))
+
+
 def test_enumerate_trees_over_nullary_symbols_stops_after_one_node():
     # the trivial-alphabet sweep passes --max-size as it is: the bound must
     # cost nothing when every tree is a single leaf
@@ -435,7 +457,7 @@ def test_memoised_tree_init_matches_plain_fold(alg, pool, leaves, twin_leaves, d
             if alg.is_finite or alg.name == "NatPlusMin":
                 assert len(calls) < T.size(t)
             assert T.initial_semantics(automaton, t) == plain_tree_init(automaton, t)
-        for _, t, _, init in T.explore(automaton, list(T.enumerate_trees(MEMO_ALPHABET, 5))):
+        for _, t, _, init in T.explore(automaton, T.NodeTable(MEMO_ALPHABET, 5)):
             assert init == plain_tree_init(automaton, t)
 
 
@@ -447,7 +469,7 @@ def test_bypassed_tree_memo_keeps_plain_values(alg, pool, monkeypatch):
         for t in trees:
             assert T.state_vector(automaton, t) == plain_tree_vectors(automaton, t)[()][2]
             assert T.initial_semantics(automaton, t) == plain_tree_init(automaton, t)
-        for _, t, _, init in T.explore(automaton, list(T.enumerate_trees(MEMO_ALPHABET, 5))):
+        for _, t, _, init in T.explore(automaton, T.NodeTable(MEMO_ALPHABET, 5)):
             assert init == plain_tree_init(automaton, t)
 
 

@@ -438,6 +438,26 @@ def test_run_fold_without_memo_is_the_plain_walk(monkeypatch):
     assert memoised == literal_word_runs(automaton, word)
 
 
+def test_run_fold_drops_a_memo_that_never_hits():
+    # over NatPlusPlus the running total grows with every run, so no subtree
+    # key repeats: after MEMO_MISS_LIMIT stores with no hit the fold empties
+    # its memo and walks on as the plain enumeration, in constant memory
+    alg = ba.nat_plus_plus()
+    rng = random.Random(1)
+    draw = lambda: rng.randint(0, 5)
+    automaton = W.WordAutomaton(alg, "ab", "pqr", [draw() for _ in "pqr"], [draw() for _ in "pqr"],
+                                {a: [[draw() for _ in "pqr"] for _ in "pqr"] for a in "ab"})
+    word = tuple(rng.choice("ab") for _ in range(10))
+    tracemalloc.start()
+    try:
+        value = W.run_semantics(automaton, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert value == literal_word_runs(automaton, word)
+
+
 @pytest.mark.parametrize("alg", [pytest.param(alg, id=alg.name) for alg in ba.bundled_finite_algebras()])
 def test_unpruned_run_fold_scales_with_the_word(alg):
     # 3^201 runs: the memoised fold takes each (position, prefix, state,
