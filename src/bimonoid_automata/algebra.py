@@ -117,16 +117,16 @@ class WeightAlgebra:
 
     Two weights are equal exactly when they are the same carrier element, so
     weights compare with ``==`` and must be hashable, on every carrier,
-    finite or not: the init recursion memoises its steps by (vector, symbol)
-    or (symbol, child vectors) (see :func:`_init_memo`), and counted runs key
-    on weights. Every bundled algebra meets this.
+    finite or not: the init recursion interns the vectors it reaches and
+    stores each step between their ids (see :class:`_InitTable`), and
+    counted runs key on weights. Every bundled algebra meets this.
 
     Pruned run semantics (``run_semantics(..., prune=True)`` and the
     ``explore`` walks) counts runs by (state, weight) instead of listing
     them: it also relies on ``add`` being commutative and associative and on
     zero annihilating. On tables that break the axioms (loaded with
     ``allow_invalid``) only the unpruned enumeration is literal; the init
-    memo stays literal on them, since a hit returns the value the same step
+    table stays literal on them, since a hit gives the value the same step
     would compute.
     """
 
@@ -424,9 +424,10 @@ def _images(rows) -> dict:
     return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 
 
-# Misses in a row after which an init memo is emptied and bypassed for the
-# rest of its call: on a carrier whose values keep growing no vector repeats,
-# and a memo would keep every vector where the plain recursion keeps one.
+# Misses in a row after which an init table is dropped and the rest of its
+# call takes plain steps: on a carrier whose values keep growing no vector
+# repeats, and a table would keep every vector where the plain recursion
+# keeps one.
 MEMO_MISS_LIMIT = 1024
 
 # Entries after which the memo of an unpruned word run fold stops growing
@@ -434,42 +435,82 @@ MEMO_MISS_LIMIT = 1024
 RUN_MEMO_LIMIT = 2**16
 
 
-def _init_memo(alg: WeightAlgebra, step: Callable) -> Callable:
-    """An init step ``step(x, y)``, memoised on (x, y) for as long as the
-    returned function lives, on any carrier.
+class _InitTable:
+    """The init recursion's steps between interned vectors, for one call.
 
-    The step depends on its vector(s) and symbol alone, so a hit returns what
-    it would; values are hashable (see :class:`WeightAlgebra`). Whenever the
-    weights generate a locally finite part of the algebra, finitely many
-    vectors are reachable and a long input costs about a lookup per step.
-    After :data:`MEMO_MISS_LIMIT` misses in a row the memo is emptied and
-    every later call takes the plain ``step``, so memory stays that of the
-    plain recursion where values never repeat. The counting wrapper keeps the
-    plain ``step``, so counted profiles see every operation of the recursion.
+    Each vector reached gets an id, its index in ``vectors``. A word step is
+    stored as ``successors[id][symbol]`` and a tree step as
+    ``nodes[symbol, child ids]``, each the id of its result, so a hit is one
+    lookup that hashes no vector. ``step`` (``step(vector, symbol)`` for
+    words, ``step(symbol, child vectors)`` for trees) runs on a miss only,
+    once per distinct step; it depends on its arguments alone, so a hit gives
+    what it would give, and values are hashable (see :class:`WeightAlgebra`).
+    Whenever the weights generate a locally finite part of the algebra,
+    finitely many vectors are reachable and the table is a deterministic
+    automaton over them, so a long input costs about a lookup per step.
+
+    After :data:`MEMO_MISS_LIMIT` misses in a row the table is dropped: it
+    stores no step again, and each later result gets a new id. The counting
+    wrapper starts with it dropped, so counted profiles see every operation
+    of the recursion.
     """
-    if isinstance(alg, CountingAlgebra):
-        return step
-    limit = MEMO_MISS_LIMIT
-    memo: dict = {}
-    misses = 0
 
-    def memoised(x, y):
-        nonlocal misses
-        if misses >= limit:
-            return step(x, y)
-        key = (x, y)
-        value = memo.get(key)
-        if value is not None:
-            misses = 0
-            return value
-        misses += 1
-        if misses >= limit:
-            memo.clear()
-            return step(x, y)
-        value = memo[key] = step(x, y)
-        return value
+    __slots__ = ("step", "vectors", "ids", "successors", "nodes", "misses", "limit")
 
-    return memoised
+    def __init__(self, alg: WeightAlgebra, step: Callable, start: Optional[tuple] = None):
+        self.step = step
+        self.vectors: list = []  # id -> vector
+        self.ids: dict = {}  # vector -> id, while the table lasts
+        self.successors: list = []  # word tables: id -> {symbol: id}
+        self.nodes: dict = {}  # tree tables: (symbol, child ids) -> id
+        self.misses = 0
+        self.limit = 0 if isinstance(alg, CountingAlgebra) else MEMO_MISS_LIMIT
+        if start is not None:  # a word table's initial vector, id 0
+            self.vectors.append(start)
+            self.ids[start] = 0
+            self.successors.append({})
+
+    def word(self, i: int, symbol) -> int:
+        """The id of vector ``i`` times ``symbol``'s matrix."""
+        successors = self.successors
+        steps = successors[i]
+        j = steps.get(symbol)
+        if j is None:
+            j = self._miss(self.step(self.vectors[i], symbol), steps, symbol)
+            if j == len(successors):
+                successors.append({})
+            return j
+        self.misses = 0
+        return j
+
+    def node(self, symbol, child_ids: tuple) -> int:
+        """The id of the vector of a ``symbol`` node over children ``child_ids``."""
+        key = (symbol, child_ids)
+        j = self.nodes.get(key)
+        if j is None:
+            vectors = self.vectors
+            return self._miss(self.step(symbol, tuple([vectors[c] for c in child_ids])), self.nodes, key)
+        self.misses = 0
+        return j
+
+    def _miss(self, vec, steps: dict, key) -> int:
+        """Count a miss that stepped to ``vec`` and give ``vec``'s id. While
+        the table lasts that is the id it has, and ``steps[key]`` keeps it;
+        the miss that reaches the limit drops the table, and from then on
+        each result gets a new id."""
+        self.misses += 1
+        vectors = self.vectors
+        if self.misses < self.limit:
+            j = steps[key] = self.ids.setdefault(vec, len(vectors))
+            if j < len(vectors):
+                return j
+        elif self.misses == self.limit:
+            self.ids.clear()
+            self.nodes.clear()
+            for done in self.successors:
+                done.clear()
+        vectors.append(vec)
+        return len(vectors) - 1
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import sys
 # Loaded for every command: main catches fileio's error and cmd_image reads
 # its default bounds from config. Each command imports the other layers it
 # runs, so it loads no module it does not use.
-from .algebra import HierarchyInconsistencyError, Semantics, UnknownAlgebraError
+from .algebra import FiniteTableAlgebra, HierarchyInconsistencyError, Semantics, UnknownAlgebraError
+from .algebra import validate_axioms
 from .fileio import FileFormatError, automaton_to_dict, load_algebra, load_automaton, save_automaton
 from .config import TheoremCheckConfig
 
@@ -75,12 +76,17 @@ def _module(automaton):
 
 def _evaluate(args) -> tuple:
     """The algebra, semantics and value of ``eval`` and ``support``: the
-    automaton file and input of ``args``, evaluated with pruned runs."""
+    automaton file and input of ``args``, evaluated with pruned runs. Pruning
+    presumes the axioms, so a word automaton over a table that fails them
+    (loaded with ``--allow-invalid``; builtins meet them) takes the literal
+    run fold instead. Trees have no fast literal path and stay pruned."""
     automaton = load_automaton(args.automaton, allow_invalid=args.allow_invalid)
-    mod = _module(automaton)
+    alg, mod = automaton.algebra, _module(automaton)
     inp = mod.parse(args.input, automaton.alphabet)
     semantics = Semantics(args.semantics)
-    return automaton.algebra, semantics, mod.evaluate(automaton, inp, semantics, prune=True)
+    literal = (args.allow_invalid and automaton.kind == "word" and semantics is Semantics.RUN
+               and isinstance(alg, FiniteTableAlgebra) and not validate_axioms(alg).ok)
+    return alg, semantics, mod.evaluate(automaton, inp, semantics, prune=not literal)
 
 
 def _emit(args, payload, text: str):

@@ -13,7 +13,7 @@ import re
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _Frozen, _images, _init_memo, _is_int, _run_total
+from .algebra import _configuration, _cost_profile, _Frozen, _images, _InitTable, _is_int, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -545,28 +545,27 @@ def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> li
     return out
 
 
-def _init_nodes(automaton: TreeAutomaton):
-    """``step(symbol, child vectors)``: :func:`_init_node`, memoised per
-    (symbol, child vectors) on any carrier (see ``algebra._init_memo``), so
-    distinct subtrees that reach the same vectors share one step."""
-    return _init_memo(
-        automaton.algebra, lambda symbol, vecs: _init_node(automaton, symbol, vecs)
-    )
+def _init_table(automaton: TreeAutomaton) -> _InitTable:
+    """The automaton's node steps between interned vectors (see
+    ``algebra._InitTable``)."""
+    return _InitTable(automaton.algebra, lambda symbol, vecs: _init_node(automaton, symbol, vecs))
 
 
 def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
     """Bottom-up evolved weight vector (the initial-algebra recursion).
 
     Only stored transitions are visited; absent entries would contribute a
-    zero factor and change nothing. Repeated subtrees are evaluated once.
-    Each (symbol, child vectors) step is also computed once per call, so
-    distinct subtrees that reach the same vectors share it, on a finite
-    carrier and on an infinite one whose weights reach finitely many vectors
-    (NatPlusMin). Where vectors stop repeating the memo gives up after
+    zero factor and change nothing. Repeated subtrees are evaluated once,
+    each to the id of its vector in an interned-vector table, and each
+    (symbol, child ids) step is computed once per call, so distinct subtrees
+    that reach the same vectors share it, on a finite carrier and on an
+    infinite one whose weights reach finitely many vectors (NatPlusMin).
+    Where vectors stop repeating the table is dropped after
     ``algebra.MEMO_MISS_LIMIT`` misses in a row; from then on, and under the
     counting wrapper throughout, every distinct subtree does its own step.
     """
-    return _bottom_up(automaton.alphabet, t, {}, _init_nodes(automaton))
+    table = _init_table(automaton)
+    return table.vectors[_bottom_up(automaton.alphabet, t, {}, table.node)]
 
 
 def initial_semantics(automaton: TreeAutomaton, t: Tree):
@@ -616,28 +615,29 @@ def explore(automaton: TreeAutomaton, table: NodeTable, cycle: Optional[tuple] =
     ``table`` to reach each configuration (``algebra._configuration`` under
     ``cycle``); the table's alphabet must be the automaton's. Node by node,
     children first, each tree's configuration is interned under its symbol
-    and its children's configuration ids, so a node step (init memoised as
-    in :func:`state_vector`) runs once per distinct (symbol, child ids), and
-    each configuration's values are folded once, when it is first reached.
-    Run values are the pruned ones.
+    and its children's configuration ids, so a node step (its init step
+    taken from a table as in :func:`state_vector`, shared by the walk) runs
+    once per distinct (symbol, child ids), and each configuration's values
+    are folded once, when it is first reached. Run values are the pruned ones.
     """
     if table.alphabet != automaton.alphabet:
         raise ValueError(f"the node table is over {table.alphabet!r}, the automaton over {automaton.alphabet!r}")
     alg, root = automaton.algebra, automaton.root_weights
-    init_step = _init_nodes(automaton)
+    init = _init_table(automaton)
     ids: dict = {}  # configuration -> id
-    reached: list = []  # id -> (vector, counted runs)
+    reached: list = []  # id -> (init vector id, counted runs)
     interned: dict = {}  # (symbol, child ids) -> id
     at: list = []  # node -> configuration id
     for index, (symbol, children) in enumerate(table.nodes):
         child_ids = tuple([at[i] for i in children])
         c = interned.get((symbol, child_ids))
         if c is None:
-            vec = init_step(symbol, tuple([reached[i][0] for i in child_ids]))
+            v = init.node(symbol, tuple([reached[i][0] for i in child_ids]))
+            vec = init.vectors[v]
             runs = _run_node(automaton, symbol, [reached[i][1] for i in child_ids])
             c = interned[symbol, child_ids] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
             if c == len(reached):
-                reached.append((vec, runs))
+                reached.append((v, runs))
                 yield index, table.trees[index], _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
         at.append(c)
 

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import algebra as A
 from .algebra import CostProfile, CountingAlgebra, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _images, _init_memo, _run_total
+from .algebra import _configuration, _cost_profile, _images, _InitTable, _run_total
 
 Word = Sequence[str]
 
@@ -258,30 +258,47 @@ def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
     return tuple([reduce(add, map(mul, vec, column)) for column in columns])
 
 
-def _init_steps(automaton: WordAutomaton):
-    """``step(vec, symbol)``: the vector times the symbol's matrix, memoised
-    per (vector, symbol) (see ``algebra._init_memo``)."""
+def _init_table(automaton: WordAutomaton) -> _InitTable:
+    """The automaton's init steps between interned vectors (see
+    ``algebra._InitTable``), with the initial vector as id 0."""
     add, mul = automaton.algebra.add, automaton.algebra.mul
-    return _init_memo(
-        automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[0])
+    return _InitTable(
+        automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[0]), automaton.initial
     )
 
 
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix.
 
-    Each (vector, symbol) step is computed once per call, so a word whose
-    vectors repeat costs about a lookup per symbol. That holds on every
-    finite carrier, and on an infinite one whenever the weights reach
-    finitely many vectors (NatPlusMin). Where vectors stop repeating
-    (NatPlusPlus, PolyMonome) the memo gives up after
-    ``algebra.MEMO_MISS_LIMIT`` misses in a row and each later step does
-    its |Q|^2 muls and |Q|(|Q|-1) adds, as every step does under the
+    The walk goes from id to id of an interned-vector table: a step already
+    taken in this call is ``successors[id].get(symbol)``, a list index and a
+    dict lookup, and each distinct (vector, symbol) step is computed once.
+    On every finite carrier, and on an infinite one whenever the weights
+    reach finitely many vectors (NatPlusMin), a long word then costs about a
+    lookup per symbol. Where vectors stop repeating (NatPlusPlus,
+    PolyMonome) the table is dropped after ``algebra.MEMO_MISS_LIMIT``
+    misses in a row, and each later step does its |Q|^2 muls and
+    |Q|(|Q|-1) adds on the vector alone, as every step does under the
     counting wrapper.
     """
-    step = _init_steps(automaton)
-    vec = automaton.initial
-    for a in word:
+    table = _init_table(automaton)
+    successors = table.successors
+    i = 0
+    symbols = iter(word)
+    for a in symbols:
+        j = successors[i].get(a)
+        if j is None:
+            j = table.word(i, a)
+            if table.misses >= table.limit:  # the table is dropped
+                vec = table.vectors[j]
+                break
+        else:
+            table.misses = 0
+        i = j
+    else:
+        return table.vectors[i]
+    step = table.step
+    for a in symbols:
         vec = step(vec, a)
     return vec
 
@@ -296,25 +313,26 @@ def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = Non
     :func:`all_words` order, of each configuration (``algebra._configuration``
     under ``cycle``) that words of length <= max_len reach;
     ``rank`` is that word's index there. The walk is breadth first, so rows
-    come by rank: each configuration takes one init step (memoised as in
-    :func:`state_vector`) and one counted step per symbol, and folds its
-    values once. Run values are the pruned ones.
+    come by rank: each configuration takes one init step, from a table as in
+    :func:`state_vector` that the whole walk shares, and one counted step per
+    symbol, and folds its values once. Run values are the pruned ones.
     """
     alg, final, alphabet = automaton.algebra, automaton.final, automaton.alphabet
-    init_step = _init_steps(automaton)
-    start = (0, (), automaton.initial, _run_start(automaton))
-    seen = {_configuration(start[2], start[3], cycle)}
+    table = _init_table(automaton)
+    vectors = table.vectors
+    start = (0, (), 0, _run_start(automaton))
+    seen = {_configuration(automaton.initial, start[3], cycle)}
     queue = deque([start])
     while queue:
-        rank, word, vec, runs = queue.popleft()
-        yield rank, word, _run_total(alg, runs, final), alg.sum(map(alg.mul, vec, final))
+        rank, word, v, runs = queue.popleft()
+        yield rank, word, _run_total(alg, runs, final), alg.sum(map(alg.mul, vectors[v], final))
         if len(word) >= max_len:
             continue
         for i, a in enumerate(alphabet):
             # word + (a_i,) has rank k·rank + 1 + i in all_words order, k = |alphabet|
-            step = (len(alphabet) * rank + 1 + i, word + (a,), init_step(vec, a),
+            step = (len(alphabet) * rank + 1 + i, word + (a,), table.word(v, a),
                     _run_step(alg, runs, automaton._step(a)[1]))
-            key = _configuration(step[2], step[3], cycle)
+            key = _configuration(vectors[step[2]], step[3], cycle)
             if key not in seen:
                 seen.add(key)
                 queue.append(step)

@@ -229,6 +229,10 @@ def test_values_check_their_inputs():
     automaton = H.random_word_automaton(rng, alg, ("a", "b"), 2)
     with pytest.raises(ValueError, match="unknown symbol 'c'"):
         W.run_semantics(automaton, ("a", "c"), prune=True)
+    # the init table's steps on a hold every vector a reaches, so c meets
+    # the table warm and is refused on its miss
+    with pytest.raises(ValueError, match="unknown symbol 'c'"):
+        W.initial_semantics(automaton, ("a",) * 50 + ("c",))
     automaton = H.random_tree_automaton(rng, alg, TREE_ALPHABET, 2)
     with pytest.raises(ValueError, match="rank 2 but 1 children"):
         T.run_semantics(automaton, T.parse("sigma(alpha)"), prune=True)

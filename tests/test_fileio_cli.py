@@ -16,7 +16,7 @@ from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Polynomial, Semantics
 
-from conftest import bundled_carriers
+from conftest import bundled_carriers, literal_word_runs
 
 
 @pytest.fixture
@@ -761,6 +761,32 @@ def test_cli_allow_invalid_flag(tmp_path, capsys):
     assert code == 2 and "axioms fail" in err
     code, out, _ = run_cli(["props", "--algebra", str(path), "--allow-invalid"], capsys)
     assert code == 0
+
+
+def test_cli_run_value_over_an_invalid_table_is_the_literal_one(tmp_path, capsys):
+    # + is neither commutative nor associative (1+a = 1, a+1 = 0), found by
+    # drawing the {1, a} entries of 3-element tables with random.Random(26):
+    # on aa the runs in lexicographic order sum to 1, while the counted runs,
+    # grouped by weight, sum to 0
+    automaton = {
+        "algebra": {"names": ["0", "1", "a"], "zero": "0", "one": "1",
+                    "add": [["0", "1", "a"], ["1", "a", "1"], ["a", "0", "1"]],
+                    "mul": [["0", "0", "0"], ["0", "1", "a"], ["0", "a", "1"]]},
+        "alphabet": ["a"], "states": ["p", "q"],
+        "initial": {"p": "1"}, "final": {"p": "a", "q": "1"},
+        "transitions": [{"from": "p", "symbol": "a", "to": "p", "weight": "a"},
+                        {"from": "p", "symbol": "a", "to": "q", "weight": "1"},
+                        {"from": "q", "symbol": "a", "to": "p", "weight": "1"}],
+    }
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(automaton))
+    loaded = fileio.load_automaton(str(path), allow_invalid=True)
+    word = ("a", "a")
+    assert W.run_semantics(loaded, word) == literal_word_runs(loaded, word) == 1
+    assert W.run_semantics(loaded, word, prune=True) == 0
+    args = ["--automaton", str(path), "--input", "aa", "--semantics", "run", "--allow-invalid"]
+    assert run_cli(["eval", *args], capsys)[:2] == (0, "1\n")
+    assert run_cli(["support", *args], capsys)[:2] == (0, "true\n")
 
 
 def test_cli_props_survives_hierarchy_breaking_table(tmp_path, capsys):

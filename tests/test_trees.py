@@ -21,6 +21,7 @@ from conftest import (
     random_run,
     random_tree,
     recursive_trees,
+    small_strong_bimonoids,
 )
 
 ALPHABET = T.RankedAlphabet({"sigma": 2, "delta": 2, "alpha": 0, "beta": 0})
@@ -415,11 +416,13 @@ MEMO_ALPHABET = T.RankedAlphabet({"alpha": 0, "beta": 0, "gamma": 1, "sigma": 2}
 
 # (algebra, weight pool or None for all of a finite carrier, leaves of the
 # random tree, leaves of each twin, spine depth): PolyMonome's coefficients
-# grow fastest, so its trees are the smallest
+# grow fastest, so its trees are the smallest; the order-<=3 atlas adds
+# non-commutative and cancelling carriers
 MEMO_CASES = [
     pytest.param(alg, pool, *sizes, id=alg.name)
     for alg, pool, sizes in (
         *((alg, None, (200, 60, 300)) for alg in ba.bundled_finite_algebras()),
+        *((alg, None, (60, 20, 100)) for alg in small_strong_bimonoids(2) + small_strong_bimonoids(3)),
         *((alg, pool, (30, 10, 40) if alg.name == "PolyMonome" else (200, 60, 300)) for alg, pool in infinite_pools()),
     )
 ]

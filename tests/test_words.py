@@ -21,6 +21,7 @@ from conftest import (
     nfa_accepts,
     nfa_as_boole_automaton,
     pool_word_automaton,
+    small_strong_bimonoids,
 )
 
 
@@ -245,11 +246,13 @@ def _count_init_steps(monkeypatch) -> list:
 
 
 # (algebra, weight pool or None for all of a finite carrier, word length):
-# PolyMonome's coefficients grow fastest, so its words are the shortest
+# PolyMonome's coefficients grow fastest, so its words are the shortest; the
+# order-<=3 atlas adds non-commutative and cancelling carriers
 MEMO_CASES = [
     pytest.param(alg, pool, length, id=alg.name)
     for alg, pool, length in (
         *((alg, None, 1000) for alg in ba.bundled_finite_algebras()),
+        *((alg, None, 300) for alg in small_strong_bimonoids(2) + small_strong_bimonoids(3)),
         *((alg, pool, {"NatPlusMin": 1000, "NatPlusPlus": 200}.get(alg.name, 40)) for alg, pool in infinite_pools()),
     )
 ]
