@@ -424,10 +424,10 @@ def _images(rows) -> dict:
     return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 
 
-# Misses in a row after which an init table is dropped and the rest of its
-# call takes plain steps: on a carrier whose values keep growing no vector
-# repeats, and a table would keep every vector where the plain recursion
-# keeps one.
+# The most vectors an init table holds; past them its call takes plain
+# steps: on a carrier whose values keep growing no vector repeats, and an
+# unbounded table would keep every vector where the plain recursion keeps
+# one. ``words._run_fold`` drops its memo if this many entries drew no hit.
 MEMO_MISS_LIMIT = 1024
 
 # Entries after which the memo of an unpruned word run fold stops growing
@@ -449,21 +449,20 @@ class _InitTable:
     finitely many vectors are reachable and the table is a deterministic
     automaton over them, so a long input costs about a lookup per step.
 
-    After :data:`MEMO_MISS_LIMIT` misses in a row the table is dropped: it
-    stores no step again, and each later result gets a new id. The counting
-    wrapper starts with it dropped, so counted profiles see every operation
-    of the recursion.
+    The table holds at most ``limit`` (:data:`MEMO_MISS_LIMIT`) vectors.
+    Once it is full it stores no step again, and each later result gets a
+    new id, at or past ``limit``. Under the counting wrapper ``limit`` is 0,
+    so counted profiles see every operation of the recursion.
     """
 
-    __slots__ = ("step", "vectors", "ids", "successors", "nodes", "misses", "limit")
+    __slots__ = ("step", "vectors", "ids", "successors", "nodes", "limit")
 
     def __init__(self, alg: WeightAlgebra, step: Callable, start: Optional[tuple] = None):
         self.step = step
         self.vectors: list = []  # id -> vector
-        self.ids: dict = {}  # vector -> id, while the table lasts
+        self.ids: dict = {}  # vector -> id, for ids below limit
         self.successors: list = []  # word tables: id -> {symbol: id}
         self.nodes: dict = {}  # tree tables: (symbol, child ids) -> id
-        self.misses = 0
         self.limit = 0 if isinstance(alg, CountingAlgebra) else MEMO_MISS_LIMIT
         if start is not None:  # a word table's initial vector, id 0
             self.vectors.append(start)
@@ -479,8 +478,6 @@ class _InitTable:
             j = self._miss(self.step(self.vectors[i], symbol), steps, symbol)
             if j == len(successors):
                 successors.append({})
-            return j
-        self.misses = 0
         return j
 
     def node(self, symbol, child_ids: tuple) -> int:
@@ -489,26 +486,18 @@ class _InitTable:
         j = self.nodes.get(key)
         if j is None:
             vectors = self.vectors
-            return self._miss(self.step(symbol, tuple([vectors[c] for c in child_ids])), self.nodes, key)
-        self.misses = 0
+            j = self._miss(self.step(symbol, tuple([vectors[c] for c in child_ids])), self.nodes, key)
         return j
 
     def _miss(self, vec, steps: dict, key) -> int:
-        """Count a miss that stepped to ``vec`` and give ``vec``'s id. While
-        the table lasts that is the id it has, and ``steps[key]`` keeps it;
-        the miss that reaches the limit drops the table, and from then on
-        each result gets a new id."""
-        self.misses += 1
+        """The id of ``vec``, reached by a miss. While the table has room
+        that is the id it has, and ``steps[key]`` keeps it; once it is full
+        each result gets a new id, at or past ``limit``."""
         vectors = self.vectors
-        if self.misses < self.limit:
+        if len(vectors) < self.limit:
             j = steps[key] = self.ids.setdefault(vec, len(vectors))
             if j < len(vectors):
                 return j
-        elif self.misses == self.limit:
-            self.ids.clear()
-            self.nodes.clear()
-            for done in self.successors:
-                done.clear()
         vectors.append(vec)
         return len(vectors) - 1
 

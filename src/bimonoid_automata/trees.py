@@ -370,7 +370,7 @@ class TreeAutomaton(WeightedAutomaton):
 
     def check_tree(self, t: Tree) -> Tree:
         """``t``, once every distinct subtree is checked against the ranks."""
-        _bottom_up(self.alphabet, t, {}, lambda symbol, children: None)
+        _bottom_up(self.alphabet, t, lambda symbol, children: None)
         return t
 
     def with_algebra(self, algebra: WeightAlgebra) -> "TreeAutomaton":
@@ -472,15 +472,16 @@ def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
         root = automaton.root_weights
         runs = itertools.product(range(len(automaton.states)), repeat=len(nodes))
         return alg.sum(alg.mul(_run_weight(automaton, nodes, run), root[run[0]]) for run in runs)
-    runs = _bottom_up(automaton.alphabet, t, {}, lambda symbol, runs: _run_node(automaton, symbol, runs))
+    runs = _bottom_up(automaton.alphabet, t, lambda symbol, runs: _run_node(automaton, symbol, runs))
     return _run_total(alg, runs, automaton.root_weights)
 
 
-def _bottom_up(alphabet: RankedAlphabet, t: Tree, memo: dict, step):
-    """``memo[t]``, after filling ``memo[u] = step(u's symbol, tuple of
-    memo[c] for c in u.children)`` for every subtree u of t not yet in it,
-    children first. Ranks are checked against ``alphabet`` on the way; an
-    explicit stack keeps the depth unbounded."""
+def _bottom_up(alphabet: RankedAlphabet, t: Tree, step):
+    """t's value, where a subtree's value is ``step(its symbol, tuple of its
+    children's values)``, computed once per distinct subtree, children
+    first. Ranks are checked against ``alphabet`` on the way; an explicit
+    stack keeps the depth unbounded."""
+    memo: dict = {}
     stack = [(t, False)]
     while stack:
         node, children_done = stack.pop()
@@ -560,12 +561,13 @@ def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
     (symbol, child ids) step is computed once per call, so distinct subtrees
     that reach the same vectors share it, on a finite carrier and on an
     infinite one whose weights reach finitely many vectors (NatPlusMin).
-    Where vectors stop repeating the table is dropped after
-    ``algebra.MEMO_MISS_LIMIT`` misses in a row; from then on, and under the
-    counting wrapper throughout, every distinct subtree does its own step.
+    The table holds at most ``algebra.MEMO_MISS_LIMIT`` vectors: where
+    vectors stop repeating it fills, and from then on each step it has not
+    stored is computed for its subtree alone, as every step is under the
+    counting wrapper.
     """
     table = _init_table(automaton)
-    return table.vectors[_bottom_up(automaton.alphabet, t, {}, table.node)]
+    return table.vectors[_bottom_up(automaton.alphabet, t, table.node)]
 
 
 def initial_semantics(automaton: TreeAutomaton, t: Tree):
@@ -784,15 +786,9 @@ def cut_partial_product(automaton: TreeAutomaton, t: Tree, run, cut: Cut):
         for u in postorder(checked)
         if not any(len(c) < len(u) and is_prefix(c, u) for c in cutset)
     ]
-    h_memo: dict = {}
-
-    def h_at(pos):
-        if pos not in h_memo:
-            h_memo[pos] = state_vector(automaton, subtree_at(checked, pos))
-        return h_memo[pos]
-
     factors = [
-        h_at(u)[run[u]] if u in cutset else _local_weight(automaton, checked, run, u)
+        state_vector(automaton, subtree_at(checked, u))[run[u]] if u in cutset
+        else _local_weight(automaton, checked, run, u)
         for u in included
     ]
     return alg.mul(alg.product(factors), automaton.root_weights[run[()]])

@@ -41,6 +41,9 @@ class WordAutomaton(WeightedAutomaton):
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         self.alphabet = tuple(alphabet)
+        for a in self.alphabet:
+            if not isinstance(a, str) or not a:
+                raise ValueError(f"symbol {a!r} must be a nonempty string")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet symbols")
         self.initial = self._vector(initial)
@@ -275,25 +278,23 @@ def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     dict lookup, and each distinct (vector, symbol) step is computed once.
     On every finite carrier, and on an infinite one whenever the weights
     reach finitely many vectors (NatPlusMin), a long word then costs about a
-    lookup per symbol. Where vectors stop repeating (NatPlusPlus,
-    PolyMonome) the table is dropped after ``algebra.MEMO_MISS_LIMIT``
-    misses in a row, and each later step does its |Q|^2 muls and
-    |Q|(|Q|-1) adds on the vector alone, as every step does under the
+    lookup per symbol. The table holds at most ``algebra.MEMO_MISS_LIMIT``
+    vectors: where vectors stop repeating (NatPlusPlus, PolyMonome) it
+    fills, and from the first step past it each step does its |Q|^2 muls
+    and |Q|(|Q|-1) adds on the vector alone, as every step does under the
     counting wrapper.
     """
     table = _init_table(automaton)
-    successors = table.successors
+    successors, limit = table.successors, table.limit
     i = 0
     symbols = iter(word)
     for a in symbols:
         j = successors[i].get(a)
         if j is None:
             j = table.word(i, a)
-            if table.misses >= table.limit:  # the table is dropped
+            if j >= limit:  # the table is full
                 vec = table.vectors[j]
                 break
-        else:
-            table.misses = 0
         i = j
     else:
         return table.vectors[i]
@@ -317,6 +318,8 @@ def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = Non
     :func:`state_vector` that the whole walk shares, and one counted step per
     symbol, and folds its values once. Run values are the pruned ones.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     alg, final, alphabet = automaton.algebra, automaton.final, automaton.alphabet
     table = _init_table(automaton)
     vectors = table.vectors
@@ -359,8 +362,6 @@ def images_up_to(automaton: WordAutomaton, max_len: int) -> dict:
     """Exact value sets of both semantics on all words of length <= max_len,
     keyed by :class:`Semantics`, each in first-seen order; one
     :func:`explore` walk with exact counts."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
     return _images(explore(automaton, max_len))
 
 

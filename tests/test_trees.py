@@ -466,7 +466,7 @@ def test_memoised_tree_init_matches_plain_fold(alg, pool, leaves, twin_leaves, d
 
 @pytest.mark.parametrize("alg, pool", [pytest.param(*case, id=case[0].name) for case in infinite_pools()])
 def test_bypassed_tree_memo_keeps_plain_values(alg, pool, monkeypatch):
-    # at a miss limit of 4 the memo gives up early in most trees
+    # a table of at most 4 vectors fills early in most trees
     monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", 4)
     for automaton, trees in _memo_automata(alg, pool, 30, 10, 40):
         for t in trees:

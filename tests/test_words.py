@@ -117,8 +117,11 @@ def test_image_examples(b4_probe):
     # length 0: the single value sum_q I_q * F_q
     eps = W.initial_semantics(automaton, ())
     assert W.images_up_to(automaton, 0)[Semantics.INIT] == [eps]
-    with pytest.raises(ValueError):
-        W.images_up_to(automaton, -1)
+    # no word has length <= -1, so explore refuses the bound, as images_up_to does
+    assert list(W.all_words(automaton.alphabet, -1)) == []
+    for walk in (W.images_up_to, lambda *args: list(W.explore(*args))):
+        with pytest.raises(ValueError, match="^max_len must be >= 0$"):
+            walk(automaton, -1)
 
 
 ENDS_IN_X = dict(
@@ -297,8 +300,8 @@ def test_memoised_init_matches_literal_fold(alg, pool, length, monkeypatch):
 
 @pytest.mark.parametrize("alg, pool", [pytest.param(*case, id=case[0].name) for case in infinite_pools()])
 def test_bypassed_memo_keeps_literal_values(alg, pool, monkeypatch):
-    # after MEMO_MISS_LIMIT misses in a row the memo is emptied and every
-    # later step takes the plain recursion: at a limit of 4 most words cross it
+    # once the table holds MEMO_MISS_LIMIT vectors every later step takes the
+    # plain recursion: at a limit of 4 most words fill it
     monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", 4)
     for automaton, words in _memo_automata(alg, pool, 40):
         for word in words:
@@ -315,10 +318,10 @@ def test_bypassed_memo_keeps_literal_values(alg, pool, monkeypatch):
     (5, "a" * 8 + "ba" * 16, 8),
 ])
 def test_memo_gives_up_after_the_miss_limit(limit, word, steps, monkeypatch):
-    # a moves the one entry round a 4-cycle of vectors, b keeps it: "a" * 40 makes
-    # four misses in a row, then only hits, unless the fourth miss reached the
-    # limit and every later step is recomputed; in the last word b's four
-    # misses come between hits, so the count of misses in a row stays at 4
+    # a moves the one entry round a 4-cycle of vectors, b keeps it: "a" * 40
+    # makes four misses, then only hits, unless the four vectors fill the table
+    # and every later step is recomputed; in the last word b's four misses
+    # reach no new vector, so the table still holds 4
     monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
     calls = _count_init_steps(monkeypatch)
     cycle = [[int(q == (p + 1) % 4) for q in range(4)] for p in range(4)]
@@ -331,20 +334,24 @@ def test_memo_gives_up_after_the_miss_limit(limit, word, steps, monkeypatch):
 
 
 def test_memo_on_growing_values_keeps_the_plain_memory():
-    # over NatPlusPlus, with every weight the natural 0 and initial (1, 1), each
-    # symbol doubles both entries, so no vector repeats and they reach 2·10^4
-    # bits: a memo of every vector would hold about 50 MB, the plain recursion
-    # holds one vector
-    automaton = W.WordAutomaton(ba.nat_plus_plus(), ("a",), ("p", "q"), (1, 1), (0, 0), {"a": [[0, 0], [0, 0]]})
-    word = ("a",) * 20000
-    tracemalloc.start()
-    try:
-        value = W.initial_semantics(automaton, word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == literal_word_init(automaton, word) == 2**20001
-    assert peak < 4 * 2**20
+    # over NatPlusPlus, with initial (1, 1), a (every weight the natural 0)
+    # doubles both entries and c (0 on the diagonal, the adjoined zero off it)
+    # keeps them, so no vector repeats and they reach 2·10^4 bits: a memo of
+    # every vector would hold about 50 MB, the plain recursion holds one vector.
+    # In the second word each repeated c step is a hit between misses
+    z = algebra.ADJOINED_ZERO
+    automaton = W.WordAutomaton(
+        ba.nat_plus_plus(), ("a", "c"), ("p", "q"), (1, 1), (0, 0), {"a": [[0, 0], [0, 0]], "c": [[0, z], [z, 0]]}
+    )
+    for word, value in ((("a",) * 20000, 2**20001), (("a", "c", "c") * 7000, 2**7001)):
+        tracemalloc.start()
+        try:
+            assert W.initial_semantics(automaton, word) == value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == literal_word_init(automaton, word)
+        assert peak < 4 * 2**20, (len(word), peak)
 
 
 def test_counted_init_takes_the_plain_recursion(monkeypatch):
@@ -526,6 +533,11 @@ def test_word_automaton_construction_validation():
         W.WordAutomaton(alg, ("a",), ("q",), (1,), (1,), [("q", "b", "q", 1)])
     with pytest.raises(ValueError, match="^weight vector has 2 entries, expected 1$"):
         W.WordAutomaton(alg, ("a",), ("q",), (1, 1), (1,), [])
+    # the symbols RankedAlphabet, the file format and the tree bridge accept
+    with pytest.raises(ValueError, match="^symbol '' must be a nonempty string$"):
+        W.WordAutomaton(ba.b4(), ("", "a"), ("q",), (1,), (1,), [])
+    with pytest.raises(ValueError, match="^symbol 1 must be a nonempty string$"):
+        W.WordAutomaton(alg, ("a", 1), ("q",), (1,), (1,), [])
     with pytest.raises(ValueError, match="^unknown symbol 'b'$"):
         W.WordAutomaton(alg, ("a",), ("q",), (1,), (1,), {"b": ((1,),)})
     with pytest.raises(ValueError, match="^matrix for 'a' is not 1x1$"):
