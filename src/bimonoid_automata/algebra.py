@@ -118,8 +118,8 @@ class WeightAlgebra:
     Two weights are equal exactly when they are the same carrier element, so
     weights compare with ``==`` and must be hashable, on every carrier,
     finite or not: the init recursion interns the vectors it reaches and
-    stores each step between their ids (see :class:`_InitTable`), and
-    counted runs key on weights. Every bundled algebra meets this.
+    stores each step between their ids (``words.state_vector``,
+    ``trees.state_vector``), and counted runs key on weights. Every bundled algebra meets this.
 
     Pruned run semantics (``run_semantics(..., prune=True)`` and the
     ``explore`` walks) counts runs by (state, weight) instead of listing
@@ -424,82 +424,17 @@ def _images(rows) -> dict:
     return {Semantics.RUN: list(run), Semantics.INIT: list(init)}
 
 
-# The most vectors an init table holds; past them its call takes plain
-# steps: on a carrier whose values keep growing no vector repeats, and an
-# unbounded table would keep every vector where the plain recursion keeps
-# one. ``words._run_fold`` drops its memo if this many entries drew no hit.
+# The most vectors an init table holds (the word table of ``words`` and the
+# one ``trees.state_vector`` keeps); past them its call takes plain steps: on
+# a carrier whose values keep growing no vector repeats, and an unbounded
+# table would keep every vector where the plain recursion keeps one.
+# ``words._run_fold`` drops its memo if this many entries drew no hit. Each
+# reader looks it up here when its call starts.
 MEMO_MISS_LIMIT = 1024
 
 # Entries after which the memo of an unpruned word run fold stops growing
 # (``words._run_fold``); a finite carrier needs a few per symbol of the word.
 RUN_MEMO_LIMIT = 2**16
-
-
-class _InitTable:
-    """The init recursion's steps between interned vectors, for one call.
-
-    Each vector reached gets an id, its index in ``vectors``. A word step is
-    stored as ``successors[id][symbol]`` and a tree step as
-    ``nodes[symbol, child ids]``, each the id of its result, so a hit is one
-    lookup that hashes no vector. ``step`` (``step(vector, symbol)`` for
-    words, ``step(symbol, child vectors)`` for trees) runs on a miss only,
-    once per distinct step; it depends on its arguments alone, so a hit gives
-    what it would give, and values are hashable (see :class:`WeightAlgebra`).
-    Whenever the weights generate a locally finite part of the algebra,
-    finitely many vectors are reachable and the table is a deterministic
-    automaton over them, so a long input costs about a lookup per step.
-
-    The table holds at most ``limit`` (:data:`MEMO_MISS_LIMIT`) vectors.
-    Once it is full it stores no step again, and each later result gets a
-    new id, at or past ``limit``. Under the counting wrapper ``limit`` is 0,
-    so counted profiles see every operation of the recursion.
-    """
-
-    __slots__ = ("step", "vectors", "ids", "successors", "nodes", "limit")
-
-    def __init__(self, alg: WeightAlgebra, step: Callable, start: Optional[tuple] = None):
-        self.step = step
-        self.vectors: list = []  # id -> vector
-        self.ids: dict = {}  # vector -> id, for ids below limit
-        self.successors: list = []  # word tables: id -> {symbol: id}
-        self.nodes: dict = {}  # tree tables: (symbol, child ids) -> id
-        self.limit = 0 if isinstance(alg, CountingAlgebra) else MEMO_MISS_LIMIT
-        if start is not None:  # a word table's initial vector, id 0
-            self.vectors.append(start)
-            self.ids[start] = 0
-            self.successors.append({})
-
-    def word(self, i: int, symbol) -> int:
-        """The id of vector ``i`` times ``symbol``'s matrix."""
-        successors = self.successors
-        steps = successors[i]
-        j = steps.get(symbol)
-        if j is None:
-            j = self._miss(self.step(self.vectors[i], symbol), steps, symbol)
-            if j == len(successors):
-                successors.append({})
-        return j
-
-    def node(self, symbol, child_ids: tuple) -> int:
-        """The id of the vector of a ``symbol`` node over children ``child_ids``."""
-        key = (symbol, child_ids)
-        j = self.nodes.get(key)
-        if j is None:
-            vectors = self.vectors
-            j = self._miss(self.step(symbol, tuple([vectors[c] for c in child_ids])), self.nodes, key)
-        return j
-
-    def _miss(self, vec, steps: dict, key) -> int:
-        """The id of ``vec``, reached by a miss. While the table has room
-        that is the id it has, and ``steps[key]`` keeps it; once it is full
-        each result gets a new id, at or past ``limit``."""
-        vectors = self.vectors
-        if len(vectors) < self.limit:
-            j = steps[key] = self.ids.setdefault(vec, len(vectors))
-            if j < len(vectors):
-                return j
-        vectors.append(vec)
-        return len(vectors) - 1
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,8 @@ class TheoremCheckConfig:
             tree_alphabet = RankedAlphabet({"alpha": 0, "sigma": 2})
         if min(max_word_len, max_tree_size, num_automata, max_states) < 1:
             raise ValueError("bounds and trial counts must be >= 1")
+        if not word_alphabet:
+            raise ValueError("the word alphabet must be nonempty")
         # the fields in parameter order, which __eq__ and __repr__ read
         self.algebra = algebra
         self.word_alphabet = word_alphabet

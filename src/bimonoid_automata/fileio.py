@@ -9,8 +9,9 @@ Algebra file: ``names`` (array), ``add``/``mul`` (n x n arrays of names),
 ``zero``/``one`` (names). Automaton file: ``algebra`` (builtin name or inline
 algebra object), ``alphabet`` (array of symbols for word automata, mapping
 symbol -> rank for tree automata), ``states`` (strings or integers),
-``initial``/``final`` or ``final`` alone for trees (mappings state -> element
-label, keyed by the state's name as text; omissions mean zero),
+``initial``/``final``, or ``final`` alone for trees, whose leaf weights are
+nullary transitions (mappings state -> element label, keyed by the state's
+name as text; omissions mean zero),
 ``transitions`` (array of {from, symbol, to, weight}; omissions mean zero;
 ``from`` is a state name for words, an array of state names for trees).
 """
@@ -196,11 +197,15 @@ def automaton_from_dict(obj: dict, source: str = "<automaton>", allow_invalid: b
     try:
         if tree:
             from .trees import RankedAlphabet, TreeAutomaton
-            return TreeAutomaton(alg, RankedAlphabet(alphabet), states, quads, final)
-        from .words import WordAutomaton
-        return WordAutomaton(alg, alphabet, states, initial, final, quads)
+            automaton = TreeAutomaton(alg, RankedAlphabet(alphabet), states, quads, final)
+        else:
+            from .words import WordAutomaton
+            automaton = WordAutomaton(alg, alphabet, states, initial, final, quads)
     except ValueError as exc:
         raise FileFormatError(source, str(exc)) from None
+    _expect(not tree or "initial" not in obj, source,
+            "a tree automaton has no 'initial' weights; give its leaf weights as nullary transitions")
+    return automaton
 
 
 def automaton_to_dict(automaton) -> dict:

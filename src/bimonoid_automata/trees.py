@@ -12,8 +12,9 @@ import itertools
 import re
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import CostProfile, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _Frozen, _images, _InitTable, _is_int, _run_total
+from . import algebra as A
+from .algebra import CostProfile, CountingAlgebra, Semantics, WeightAlgebra, WeightedAutomaton
+from .algebra import _configuration, _cost_profile, _Frozen, _images, _is_int, _run_total
 
 Position = Tuple[int, ...]
 Cut = Tuple[Position, ...]
@@ -546,28 +547,40 @@ def _run_node(automaton: TreeAutomaton, symbol: str, child_runs: Sequence) -> li
     return out
 
 
-def _init_table(automaton: TreeAutomaton) -> _InitTable:
-    """The automaton's node steps between interned vectors (see
-    ``algebra._InitTable``)."""
-    return _InitTable(automaton.algebra, lambda symbol, vecs: _init_node(automaton, symbol, vecs))
-
-
 def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
     """Bottom-up evolved weight vector (the initial-algebra recursion).
 
     Only stored transitions are visited; absent entries would contribute a
-    zero factor and change nothing. Repeated subtrees are evaluated once,
-    each to the id of its vector in an interned-vector table, and each
-    (symbol, child ids) step is computed once per call, so distinct subtrees
-    that reach the same vectors share it, on a finite carrier and on an
-    infinite one whose weights reach finitely many vectors (NatPlusMin).
-    The table holds at most ``algebra.MEMO_MISS_LIMIT`` vectors: where
-    vectors stop repeating it fills, and from then on each step it has not
-    stored is computed for its subtree alone, as every step is under the
-    counting wrapper.
+    zero factor and change nothing. The call keeps its own interned-vector
+    table: repeated subtrees are evaluated once, each to the id of its
+    vector (its index in ``vectors``), and each step is stored under
+    (symbol, child ids), so it is computed once per call and distinct
+    subtrees that reach the same vectors share it, on a finite carrier and
+    on an infinite one whose weights reach finitely many vectors
+    (NatPlusMin). The table holds at most ``algebra.MEMO_MISS_LIMIT``
+    vectors: where vectors stop repeating it fills, and from then on each
+    step it has not stored is computed for its subtree alone, its result
+    under a new id, as every step is under the counting wrapper.
     """
-    table = _init_table(automaton)
-    return table.vectors[_bottom_up(automaton.alphabet, t, table.node)]
+    limit = 0 if isinstance(automaton.algebra, CountingAlgebra) else A.MEMO_MISS_LIMIT
+    vectors: list = []  # id -> vector
+    ids: dict = {}  # vector -> id, for ids below limit
+    steps: dict = {}  # (symbol, child ids) -> id
+
+    def node(symbol, child_ids: tuple) -> int:
+        key = (symbol, child_ids)
+        j = steps.get(key)
+        if j is None:
+            vec = _init_node(automaton, symbol, tuple([vectors[c] for c in child_ids]))
+            if len(vectors) < limit:
+                j = steps[key] = ids.setdefault(vec, len(vectors))
+                if j < len(vectors):
+                    return j
+            vectors.append(vec)
+            j = len(vectors) - 1
+        return j
+
+    return vectors[_bottom_up(automaton.alphabet, t, node)]
 
 
 def initial_semantics(automaton: TreeAutomaton, t: Tree):
@@ -617,29 +630,28 @@ def explore(automaton: TreeAutomaton, table: NodeTable, cycle: Optional[tuple] =
     ``table`` to reach each configuration (``algebra._configuration`` under
     ``cycle``); the table's alphabet must be the automaton's. Node by node,
     children first, each tree's configuration is interned under its symbol
-    and its children's configuration ids, so a node step (its init step
-    taken from a table as in :func:`state_vector`, shared by the walk) runs
-    once per distinct (symbol, child ids), and each configuration's values
-    are folded once, when it is first reached. Run values are the pruned ones.
+    and its children's configuration ids, so a node step, init and counted,
+    runs once per distinct (symbol, child ids), and each configuration's
+    values are folded once, when it is first reached. The init step is the
+    plain one: that interning already leaves few steps for a table of
+    vectors to share. Run values are the pruned ones.
     """
     if table.alphabet != automaton.alphabet:
         raise ValueError(f"the node table is over {table.alphabet!r}, the automaton over {automaton.alphabet!r}")
     alg, root = automaton.algebra, automaton.root_weights
-    init = _init_table(automaton)
     ids: dict = {}  # configuration -> id
-    reached: list = []  # id -> (init vector id, counted runs)
+    reached: list = []  # id -> (init vector, counted runs)
     interned: dict = {}  # (symbol, child ids) -> id
     at: list = []  # node -> configuration id
     for index, (symbol, children) in enumerate(table.nodes):
         child_ids = tuple([at[i] for i in children])
         c = interned.get((symbol, child_ids))
         if c is None:
-            v = init.node(symbol, tuple([reached[i][0] for i in child_ids]))
-            vec = init.vectors[v]
+            vec = _init_node(automaton, symbol, tuple([reached[i][0] for i in child_ids]))
             runs = _run_node(automaton, symbol, [reached[i][1] for i in child_ids])
             c = interned[symbol, child_ids] = ids.setdefault(_configuration(vec, runs, cycle), len(ids))
             if c == len(reached):
-                reached.append((v, runs))
+                reached.append((vec, runs))
                 yield index, table.trees[index], _run_total(alg, runs, root), alg.sum(map(alg.mul, vec, root))
         at.append(c)
 

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import algebra as A
 from .algebra import CostProfile, CountingAlgebra, Semantics, WeightAlgebra, WeightedAutomaton
-from .algebra import _configuration, _cost_profile, _images, _InitTable, _run_total
+from .algebra import _configuration, _cost_profile, _images, _run_total
 
 Word = Sequence[str]
 
@@ -261,21 +261,56 @@ def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
     return tuple([reduce(add, map(mul, vec, column)) for column in columns])
 
 
-def _init_table(automaton: WordAutomaton) -> _InitTable:
-    """The automaton's init steps between interned vectors (see
-    ``algebra._InitTable``), with the initial vector as id 0."""
-    add, mul = automaton.algebra.add, automaton.algebra.mul
-    return _InitTable(
-        automaton.algebra, lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[0]), automaton.initial
-    )
+class _WordTable:
+    """The init recursion's word steps between interned vectors, for one
+    :func:`state_vector` call or one :func:`explore` walk.
+
+    Vector ``i`` is ``vectors[i]``, the initial vector is id 0, and a stored
+    step is ``successors[i][symbol]``, the id of its result, so a hit hashes
+    no vector; ``step(vector, symbol)`` runs on a miss only. A step depends
+    on its arguments alone, so a hit gives what it would give. The table
+    holds at most ``limit`` vectors (``algebra.MEMO_MISS_LIMIT``; 0 under the
+    counting wrapper, so counted profiles see every operation): once it is
+    full it stores no step again, and each later result gets a new id, at or
+    past ``limit``.
+    """
+
+    __slots__ = ("step", "vectors", "ids", "successors", "limit")
+
+    def __init__(self, automaton: WordAutomaton):
+        alg, start = automaton.algebra, automaton.initial
+        add, mul = alg.add, alg.mul
+        self.step = lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[0])
+        self.vectors: list = [start]  # id -> vector
+        self.ids: dict = {start: 0}  # vector -> id, for ids below limit
+        self.successors: list = [{}]  # id -> {symbol: id}
+        self.limit = 0 if isinstance(alg, CountingAlgebra) else A.MEMO_MISS_LIMIT
+
+    def word(self, i: int, symbol) -> int:
+        """The id of vector ``i`` times ``symbol``'s matrix. While the table
+        has room a miss stores its step, under the id its result already has
+        or a new one; once it is full each result gets a new id."""
+        steps = self.successors[i]
+        j = steps.get(symbol)
+        if j is None:
+            vectors = self.vectors
+            vec = self.step(vectors[i], symbol)
+            if len(vectors) < self.limit:
+                j = steps[symbol] = self.ids.setdefault(vec, len(vectors))
+                if j < len(vectors):
+                    return j
+            vectors.append(vec)
+            self.successors.append({})
+            j = len(vectors) - 1
+        return j
 
 
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix.
 
-    The walk goes from id to id of an interned-vector table: a step already
-    taken in this call is ``successors[id].get(symbol)``, a list index and a
-    dict lookup, and each distinct (vector, symbol) step is computed once.
+    The walk goes from id to id of a :class:`_WordTable` made for this call:
+    a step already taken is ``successors[id].get(symbol)``, a list index and
+    a dict lookup, and each distinct (vector, symbol) step is computed once.
     On every finite carrier, and on an infinite one whenever the weights
     reach finitely many vectors (NatPlusMin), a long word then costs about a
     lookup per symbol. The table holds at most ``algebra.MEMO_MISS_LIMIT``
@@ -284,7 +319,7 @@ def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     and |Q|(|Q|-1) adds on the vector alone, as every step does under the
     counting wrapper.
     """
-    table = _init_table(automaton)
+    table = _WordTable(automaton)
     successors, limit = table.successors, table.limit
     i = 0
     symbols = iter(word)
@@ -314,14 +349,16 @@ def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = Non
     :func:`all_words` order, of each configuration (``algebra._configuration``
     under ``cycle``) that words of length <= max_len reach;
     ``rank`` is that word's index there. The walk is breadth first, so rows
-    come by rank: each configuration takes one init step, from a table as in
-    :func:`state_vector` that the whole walk shares, and one counted step per
-    symbol, and folds its values once. Run values are the pruned ones.
+    come by rank: each configuration takes one init step per symbol, from a
+    :class:`_WordTable` that the whole walk shares (configurations with
+    different runs often share a vector, and an init step over TruncFun
+    costs more than the lookup), and one counted step per symbol, and folds
+    its values once. Run values are the pruned ones.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     alg, final, alphabet = automaton.algebra, automaton.final, automaton.alphabet
-    table = _init_table(automaton)
+    table = _WordTable(automaton)
     vectors = table.vectors
     start = (0, (), 0, _run_start(automaton))
     seen = {_configuration(automaton.initial, start[3], cycle)}

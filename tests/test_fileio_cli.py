@@ -348,6 +348,8 @@ _MALFORMED_FILES = {
     "alphabet-empty-array": {"alphabet": []},
     "alphabet-repeated": {"alphabet": ["a", "a"]},
     "tree-alphabet-empty-object": {"alphabet": {}},
+    # _WORD_FILE's initial weights: a tree automaton has none to read them into
+    "tree-initial": {"alphabet": {"a": 0}, "transitions": []},
     "poly-monome-negative": {"algebra": "PolyMonome", "final": {"q": [-1]}},
     "poly-monome-dangling-exponent": {"algebra": "PolyMonome", "final": {"q": "2x^"}},
     # bytes are the file's content: a UTF-16 byte order mark is no UTF-8 text
@@ -372,6 +374,8 @@ _MALFORMED_MESSAGES = {
     "alphabet-empty-array": "{path}: alphabet must be nonempty",
     "alphabet-repeated": "{path}: duplicate alphabet symbols",
     "tree-alphabet-empty-object": "{path}: alphabet must be nonempty",
+    "tree-initial": "{path}: a tree automaton has no 'initial' weights;"
+                    " give its leaf weights as nullary transitions",
     "poly-monome-negative": "{path} final 'q': coefficients must be nonnegative",
     "poly-monome-dangling-exponent": "{path} final 'q': cannot parse polynomial term '2x^'",
     "not-utf-8": "{path}: automaton file is not UTF-8 text",

@@ -198,6 +198,10 @@ def test_random_generation_respects_bounds():
 def test_config_validation():
     with pytest.raises(ValueError):
         H.TheoremCheckConfig(algebra=ba.b4(), num_automata=0)
+    # the word probe takes the alphabet's first symbol: an empty one is refused
+    # here, not met as an IndexError in the sweep
+    with pytest.raises(ValueError, match="word alphabet must be nonempty"):
+        H.TheoremCheckConfig(algebra=ba.b4(), word_alphabet=())
 
 
 def test_unexpected_counterexample_is_flagged():

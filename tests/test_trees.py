@@ -476,6 +476,26 @@ def test_bypassed_tree_memo_keeps_plain_values(alg, pool, monkeypatch):
             assert init == plain_tree_init(automaton, t)
 
 
+@pytest.mark.parametrize("limit, steps", [(4, 41), (5, 5), (algebra.MEMO_MISS_LIMIT, 5)])
+def test_tree_memo_gives_up_after_the_miss_limit(limit, steps, monkeypatch):
+    # gamma moves the one entry round a 4-cycle of vectors: the 41-node spine
+    # makes five misses (alpha, then gamma four times), then only hits, unless
+    # the four vectors fill the table and every later step is recomputed
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
+    calls: list = []
+    plain = T._init_node
+    monkeypatch.setattr(T, "_init_node", lambda *args: calls.append(args) or plain(*args))
+    cycle = [((p,), "gamma", q, 1) for p, q in zip("pqrs", "qrsp")]
+    automaton = T.TreeAutomaton(
+        ba.boole(), T.RankedAlphabet({"alpha": 0, "gamma": 1}), "pqrs", [((), "alpha", "p", 1), *cycle], (0, 0, 0, 1)
+    )
+    t = spine(40)
+    expected = plain_tree_init(automaton, t)
+    calls.clear()
+    assert T.initial_semantics(automaton, t) == expected
+    assert len(calls) == steps
+
+
 def test_pruned_run_semantics_equals_unpruned():
     rng = random.Random(47)
     for alg in (ba.b4(), ba.hexagon()):
