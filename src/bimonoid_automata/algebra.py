@@ -455,7 +455,8 @@ class Tabulation(NamedTuple):
     Rows are lists. A tuple of indices maps back to the algebra's own values
     (``values``) and labels (``labels``). The tables are read-only after
     :func:`tabulate`; ``verdicts`` holds the property verdicts decided on
-    them, which only :func:`~.properties.check` writes.
+    them, which only :func:`~.properties.check` writes, and ``derived`` what
+    those decisions read, which only :func:`~.properties._kept` writes.
     """
 
     algebra: WeightAlgebra
@@ -465,6 +466,7 @@ class Tabulation(NamedTuple):
     zero: int
     one: int
     verdicts: dict
+    derived: dict
 
     def values(self, indices) -> tuple:
         return tuple(self.elements[i] for i in indices)
@@ -479,11 +481,16 @@ _MAX_TABULATED = 4096  # elements; the two tables then hold at most 2^25 entries
 def tabulate(alg: WeightAlgebra) -> Tabulation:
     """Tabulate a finite algebra: enumerate ``elements()`` once, then call
     ``add`` and ``mul`` exactly n^2 times each and index every result by
-    hash. Nothing is cached on ``alg``; every call pays again. A carrier of
-    more than ``_MAX_TABULATED`` elements is refused before any operation."""
+    hash; a :class:`FiniteTableAlgebra` itself (a subclass may override the
+    operations) is its own tables, copied with no call. Nothing is cached on
+    ``alg``; every call pays again. A carrier of more than
+    ``_MAX_TABULATED`` elements is refused before any operation."""
     elements = tuple(itertools.islice(alg.elements(), _MAX_TABULATED + 1))
     if len(elements) > _MAX_TABULATED:
         raise ValueError(f"cannot tabulate {alg.name}: it has more than {_MAX_TABULATED} elements")
+    if type(alg) is FiniteTableAlgebra:  # elements are range(n), closed under both tables
+        return Tabulation(alg, elements, list(map(list, alg.add_table)), list(map(list, alg.mul_table)),
+                          alg.zero, alg.one, {}, {})
     index = {x: i for i, x in enumerate(elements)}
 
     def table(op, symbol):
@@ -506,7 +513,7 @@ def tabulate(alg: WeightAlgebra) -> Tabulation:
         return index[x]
 
     add, mul = table(alg.add, "+"), table(alg.mul, "*")
-    return Tabulation(alg, elements, add, mul, position(alg.zero, "zero"), position(alg.one, "one"), {})
+    return Tabulation(alg, elements, add, mul, position(alg.zero, "zero"), position(alg.one, "one"), {}, {})
 
 
 def _first_difference(xs: list, ys: list) -> int:
@@ -514,10 +521,12 @@ def _first_difference(xs: list, ys: list) -> int:
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
-def _first_pair(t: Tabulation, violated):
-    """First (a, b) whose ``violated(a, b)`` is true."""
-    n = len(t.elements)
-    return next(((a, b) for a in range(n) for b in range(n) if violated(a, b)), None)
+def _first_asymmetry(op: list):
+    """First (a, b) with ``op[a][b] != op[b][a]``: row a against column a."""
+    for a, (row, col) in enumerate(zip(op, zip(*op))):
+        if tuple(row) != col:
+            return a, _first_difference(row, col)
+    return None
 
 
 def _gather(indices: Sequence[int]) -> Callable:
@@ -576,21 +585,28 @@ def _generators(op: list) -> Optional[list]:
     return gens
 
 
-def _first_law_difference(op: list, law: tuple, *premises: tuple):
+def _sum_generators(t: Tabulation) -> Optional[list]:
+    """The generators of (B, +) where + is associative at each, and so
+    everywhere; else None. Both distributive laws are proved on them
+    (:func:`_first_law_difference`)."""
+    gens = _generators(t.add)
+    return None if gens is None or _first_slab_difference(t.add, *_associativity(t.add), gens) else gens
+
+
+def _first_law_difference(op: list, law: tuple, base: Optional[list]):
     """First (a, b, c) at which the law ``(rows, rhs)`` fails, over every a
     (see :func:`_first_slab_difference`); None where it holds.
 
-    A law that holds is proved on a generating set G of op instead, when
-    2|G| < n makes that the fewer slabs: the slab of the law and of each
-    premise at every g. The a whose slab holds are closed under op: for
-    associativity itself always (the left nucleus of a magma is a
-    submagma, the argument of Light's test), for a distributive law over op
-    once op is associative, its premise here. So they are every a, on any
-    table. Where a slab fails, the full scan runs and returns the first
-    witness in carrier order.
+    A law that holds is proved on ``base`` instead, when given, in fewer
+    slabs: for the associativity of op, its generators; for a law
+    distributive over op, the same once op is associative at each
+    (:func:`_sum_generators`). The a whose slab holds are closed under op:
+    for associativity always (the left nucleus of a magma is a submagma,
+    the argument of Light's test), for a distributive law over op once op
+    is associative. So they are every a, on any table. Where a slab fails,
+    the full scan runs and returns the first witness in carrier order.
     """
-    gens = _generators(op)
-    if gens is not None and all(_first_slab_difference(op, *l, gens) is None for l in (law, *premises)):
+    if base is not None and _first_slab_difference(op, *law, base) is None:
         return None
     return _first_slab_difference(op, *law, range(len(op)))
 
@@ -645,17 +661,14 @@ def validate_axioms(alg: WeightAlgebra) -> ValidationReport:
         else:
             checks.append(AxiomCheck(axiom, False, t.values(witness), t.labels(witness)))
 
-    def commutativity(op):
-        return _first_pair(t, lambda a, b: op[a][b] != op[b][a])
-
     def unit(op, e, expect):
         # first a with e op a or a op e other than expect(a)
         return next(((a,) for a in range(n) if op[e][a] != expect(a) or op[a][e] != expect(a)), None)
 
-    record("add-associativity", _first_law_difference(add, _associativity(add)))
-    record("add-commutativity", commutativity(add))
+    record("add-associativity", _first_law_difference(add, _associativity(add), _generators(add)))
+    record("add-commutativity", _first_asymmetry(add))
     record("add-identity", unit(add, t.zero, lambda a: a))
-    record("mul-associativity", _first_law_difference(mul, _associativity(mul)))
+    record("mul-associativity", _first_law_difference(mul, _associativity(mul), _generators(mul)))
     record("mul-identity", unit(mul, t.one, lambda a: a))
     record("zero-annihilation", unit(mul, t.zero, lambda a: t.zero))
     return ValidationReport(alg.name, all(c.holds for c in checks), tuple(checks))
@@ -733,12 +746,22 @@ ADJOINED_ZERO = _Adjoined("zero", "ADJOINED_ZERO")
 
 
 class _NaturalsWith(WeightAlgebra):
-    """The naturals with the element ``adjoined``. ``describe`` is the base
-    ``str``, the adjoined element's label; ``parse`` reads that label, the
-    other ``labels``, or a natural number."""
+    """The naturals with the element ``adjoined``. ``parse`` reads its
+    label, the other ``labels``, or a natural number (a numeral within
+    Python's integer-string limit)."""
 
     adjoined: _Adjoined
     labels: tuple
+
+    def describe(self, a) -> str:
+        """The adjoined element's label, or a natural's digits however many:
+        ``str`` refuses more than ``sys.get_int_max_str_digits()`` digits (640
+        at the least), so a longer one is split at a power of ten."""
+        if a is self.adjoined or a.bit_length() <= 2000:  # at most 603 digits
+            return str(a)
+        half = a.bit_length() * 3 // 20  # about half its digits: log10(2) is about 3/10
+        high, low = divmod(a, 10**half)
+        return self.describe(high) + self.describe(low).zfill(half)
 
     def parse(self, value):
         if value is self.adjoined or value in self.labels:

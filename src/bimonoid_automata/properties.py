@@ -14,8 +14,9 @@ from a scan and carries the first violating tuple in carrier enumeration
 order, so reports are reproducible.
 
 The algebra is tabulated once (:func:`~.algebra.tabulate`: n^2 calls of add
-and of mul), every condition is decided on the integer tables, and the
-tabulation keeps each verdict. Where the last quantified variable c only
+and of mul, none for a table algebra), every condition is decided on the
+integer tables, and the tabulation keeps each verdict and what several
+decisions read (:func:`_kept`). Where the last quantified variable c only
 meets zero tests, the condition for all c at once is a bitmask: with
 Z[x] = {c : x*c = 0}, strong zero-sum-freeness compares Z[a+b] with
 Z[a] & Z[b], and the lowest set bit of the violation mask is the first
@@ -26,9 +27,9 @@ Y[x] holds Z[a*x] at bit offset (a - lo)*n, so one mask operation per
 n^4 algebra calls, and a witness at a small a is found after few. The
 distributive and associative laws compare, per a, the slab of every b's row
 at once, gathered with ``operator.itemgetter``. Measured on a 2-core Xeon VM
-(CPython 3.11): a full 4-ary scan of a 16-element lattice takes about
-0.4 ms, and :func:`classify` of TruncFun(3) (64 elements) about 15 ms and of
-TruncFun(4) (625 elements) about 2 s.
+(CPython 3.11.7): a full 4-ary scan of a 16-element lattice takes about
+0.22 ms and :func:`classify` of one about 0.65 ms, of TruncFun(3) (64
+elements) about 10 ms and of TruncFun(4) (625 elements) about 1.4 s.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from .algebra import (
     HierarchyInconsistencyError,
     Tabulation,
     WeightAlgebra,
-    _associativity,
+    _first_asymmetry,
     _first_law_difference,
-    _first_pair,
     _first_slab_difference,
     _gather,
+    _sum_generators,
     tabulate,
 )
 
@@ -94,10 +95,24 @@ def _tables(alg) -> Tabulation:
     return alg if isinstance(alg, Tabulation) else tabulate(alg)
 
 
-def _zero_masks(t: Tabulation) -> list:
-    """Z[x] = {c : x*c = 0} as an int bitmask over carrier indices."""
+def _kept(t: Tabulation, build):
+    """``build(t)``, built once per tabulation: ``t.derived`` keeps it."""
+    if build not in t.derived:
+        t.derived[build] = build(t)
+    return t.derived[build]
+
+
+def _zero_masks(t: Tabulation) -> tuple:
+    """The masks of + and of *: {c : x+c = 0} and Z[x] = {c : x*c = 0}, each
+    as an int bitmask over carrier indices, per x."""
     zero = t.zero
-    return [sum(1 << c for c, v in enumerate(row) if v == zero) for row in t.mul]
+    return tuple([sum(1 << c for c, v in enumerate(row) if v == zero) for row in op] for op in (t.add, t.mul))
+
+
+def _first_row_difference(masks: list, expected: list):
+    """First (a, c) with bit c of ``masks[a]`` other than that of ``expected[a]``."""
+    a = next((a for a, (mask, e) in enumerate(zip(masks, expected)) if mask != e), None)
+    return None if a is None else (a, _lowest(masks[a] ^ expected[a]))
 
 
 def _lowest(mask: int) -> int:
@@ -106,7 +121,7 @@ def _lowest(mask: int) -> int:
 
 def _first_triple(t: Tabulation, violations):
     """First (a, b, c) with bit c set in ``violations(Z[a+b], Z[a], Z[b])``."""
-    z = _zero_masks(t)
+    z = _kept(t, _zero_masks)[1]
     for a, row in enumerate(t.add):
         for b, s in enumerate(row):
             mask = violations(z[s], z[a], z[b])
@@ -126,7 +141,7 @@ def _first_quad(t: Tabulation, violations):
     block with a violation holds the first witness.
     """
     n = len(t.elements)
-    z = _zero_masks(t)
+    z = _kept(t, _zero_masks)[1]
     add, mul = t.add, t.mul
     lo = 0
     while lo < n:
@@ -241,27 +256,29 @@ def _decide(t: Tabulation, cond) -> PropertyVerdict:
         return _composite(cond, (check(t, part) for part in _COMPOSITES[cond]))
     if cond in _IMPLIED_BY and check(t, _IMPLIED_BY[cond]).holds:
         return PropertyVerdict(cond, True)
-    add, mul, zero = t.add, t.mul, t.zero
-    if cond is BimonoidProperty.ZERO_SUM_FREE:
-        witness = _first_pair(t, lambda a, b: (add[a][b] == zero) != (a == zero and b == zero))
+    add, mul, zero, n = t.add, t.mul, t.zero, len(t.elements)
+    if cond is BimonoidProperty.ZERO_SUM_FREE:  # a+b = 0 iff a = b = 0
+        expected = [1 << zero if a == zero else 0 for a in range(n)]
+        witness = _first_row_difference(_kept(t, _zero_masks)[0], expected)
     elif cond in _WORD_FORMS:
         witness = _first_triple(t, _WORD_FORMS[cond])
     elif cond in _TREE_FORMS:
         witness = _first_quad(t, _TREE_FORMS[cond])
-    elif cond is BimonoidProperty.ZERO_DIVISOR_FREE:
-        witness = _first_pair(t, lambda a, b: (mul[a][b] == zero) != (a == zero or b == zero))
+    elif cond is BimonoidProperty.ZERO_DIVISOR_FREE:  # a*b = 0 iff a = 0 or b = 0
+        expected = [(1 << n) - 1 if a == zero else 1 << zero for a in range(n)]
+        witness = _first_row_difference(_kept(t, _zero_masks)[1], expected)
     elif cond is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
         sum_is_zero = [[v == zero for v in row] for row in add]
         product_is_zero = [[v == zero for v in row] for row in mul]
         # compares zero tests only, so no induction on sums proves it
-        witness = _first_slab_difference(add, *_split_law(product_is_zero, sum_is_zero, mul), range(len(add)))
+        witness = _first_slab_difference(add, *_split_law(product_is_zero, sum_is_zero, mul), range(n))
     elif cond is BimonoidProperty.RIGHT_DISTRIBUTIVE:
-        witness = _first_law_difference(add, _split_law(mul, add, mul), _associativity(add))
+        witness = _first_law_difference(add, _split_law(mul, add, mul), _kept(t, _sum_generators))
     elif cond is BimonoidProperty.LEFT_DISTRIBUTIVE:
         cols = list(zip(*mul))  # cols[x][c] = c*x
-        witness = _first_law_difference(add, _split_law(cols, add, cols), _associativity(add))
+        witness = _first_law_difference(add, _split_law(cols, add, cols), _kept(t, _sum_generators))
     elif cond is BimonoidProperty.COMMUTATIVE:
-        witness = _first_pair(t, lambda a, b: mul[a][b] != mul[b][a])
+        witness = _first_asymmetry(mul)
     else:
         raise ValueError(f"unknown condition {cond!r}")
     return _verdict(t, cond, witness)

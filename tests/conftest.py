@@ -43,6 +43,16 @@ def branching_alphabet():
     return T.RankedAlphabet({"alpha": 0, "sigma": 2})
 
 
+def natural_of(digits: str) -> int:
+    """The natural a decimal string names, read in chunks that stay below
+    Python's integer-string limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 # --------------------------------------------------------------------------
 # NFA oracle: textbook subset-construction simulation
 

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from bimonoid_automata.algebra import (
     Polynomial,
     UnknownAlgebraError,
 )
-from conftest import bundled_carriers
+from conftest import bundled_carriers, natural_of
 
 
 def test_axioms_pass_on_all_bundled_finite_algebras(finite_algebras):
@@ -335,6 +336,16 @@ def test_naturals_read_numerals_integers_and_their_labels(alg, adjoined, labels,
     assert all(alg.parse(label) is adjoined for label in labels) and alg.parse(adjoined) is adjoined
     with pytest.raises(ValueError, match="invalid literal"):
         alg.parse(foreign)
+
+
+@pytest.mark.parametrize("alg, adjoined, labels, foreign", NATURALS, ids=["NatPlusMin", "NatPlusPlus"])
+def test_naturals_describe_a_natural_of_any_length(alg, adjoined, labels, foreign):
+    # str() refuses an int of more than 4,300 digits; runs of zeros land
+    # in the low halves the split pads back to length
+    rng = random.Random(29)
+    digits = "7" + "".join(rng.choice("0123456789") for _ in range(5999)) + "0" * 700 + "1" + "0" * 700
+    for x, expected in ((natural_of(digits), digits), (10**5000, "1" + "0" * 5000), (12, "12"), (0, "0")):
+        assert alg.describe(x) == expected
 
 
 def test_trunc_fun_and_poly_monome_refuse_bools_and_fractions():

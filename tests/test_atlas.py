@@ -4,11 +4,12 @@ theorem checks; and the decisions on every one of order 4."""
 
 import pytest
 
+import bimonoid_automata as ba
 from bimonoid_automata import harness as H
 from bimonoid_automata.properties import BimonoidProperty as P
 from bimonoid_automata.properties import HalfCondition, classify
 
-from conftest import literal_check, literal_check_half, small_strong_bimonoids
+from conftest import literal_check, literal_check_half, literal_validate_axioms, small_strong_bimonoids
 
 ATLAS = small_strong_bimonoids(2) + small_strong_bimonoids(3)
 
@@ -36,7 +37,8 @@ def test_atlas_algebra(alg):
 
 def test_atlas_order_4_decisions_match_the_literal_checker():
     # classify raises HierarchyInconsistencyError where a verdict breaks a
-    # rule of the hierarchy, so this also runs every rule on 1,190 tables
+    # rule of the hierarchy, so this also runs every rule on 1,190 tables;
+    # each also passes every axiom, with the literal checker's report
     algebras = small_strong_bimonoids(4)
     assert len(algebras) == 1190
     for alg in algebras:
@@ -45,6 +47,7 @@ def test_atlas_order_4_decisions_match_the_literal_checker():
             assert report.verdicts[prop] == literal_check(alg, prop), (alg.name, prop)
         for half in HalfCondition:
             assert report.verdicts[half] == literal_check_half(alg, half), (alg.name, half)
+        assert ba.validate_axioms(alg) == literal_validate_axioms(alg), alg.name
 
 
 def test_atlas_order_4_image_checks_as_predicted():

@@ -16,7 +16,7 @@ from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import Polynomial, Semantics
 
-from conftest import bundled_carriers, literal_word_runs
+from conftest import bundled_carriers, literal_word_runs, natural_of
 
 
 @pytest.fixture
@@ -754,6 +754,28 @@ def test_cli_eval_works_over_infinite_algebras(tmp_path, capsys):
         ["support", "--automaton", str(path), "--input", "a", "--semantics", "run"], capsys
     )
     assert code == 0 and out.strip() == "true"
+
+
+def test_cli_eval_prints_a_natural_of_any_length(tmp_path, capsys):
+    # every weight of a^n is inf but the initial ones, so both semantics
+    # are 2^(n+1): past str()'s 4,300 digits at n = 16,609 (5,001 digits)
+    automaton = {
+        "algebra": "NatPlusMin",
+        "alphabet": ["a"],
+        "states": ["s", "t"],
+        "initial": {"s": 1, "t": 1},
+        "final": {"s": "inf", "t": "inf"},
+        "transitions": [{"from": p, "symbol": "a", "to": q, "weight": "inf"} for p in "st" for q in "st"],
+    }
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps(automaton))
+    n = 16609
+    for semantics in ("run", "init"):
+        argv = ["eval", "--automaton", str(path), "--input", "a" * n, "--semantics", semantics]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(out.strip()) == 5001 and natural_of(out.strip()) == 2 ** (n + 1)
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0 and natural_of(json.loads(out)["value"]) == 2 ** (n + 1)
 
 
 def test_cli_allow_invalid_flag(tmp_path, capsys):

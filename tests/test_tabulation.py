@@ -25,7 +25,7 @@ from bimonoid_automata.properties import BimonoidProperty as P
 from bimonoid_automata.properties import HalfCondition as H
 from bimonoid_automata.properties import check, classify
 
-from conftest import literal_check, literal_check_half, literal_validate_axioms
+from conftest import literal_check, literal_check_half, literal_validate_axioms, small_strong_bimonoids
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +36,16 @@ def assert_same_as_literal(alg):
     for half in H:
         assert check(alg, half) == literal_check_half(alg, half), (alg.name, half)
     assert ba.validate_axioms(alg) == literal_validate_axioms(alg), alg.name
+
+
+def assert_same_tables(alg):
+    """``tabulate`` gives a table algebra's own tables, with no operation
+    called, equal field by field to those of n^2 counted calls."""
+    counting = ba.CountingAlgebra(alg)
+    direct, counted = tabulate(alg), tabulate(counting)
+    assert direct.algebra is alg and direct[1:] == counted[1:], alg.name
+    n = len(direct.elements)
+    assert counting.read_counts() == (n * n, n * n)
 
 
 class Relabelled(WeightAlgebra):
@@ -83,6 +93,7 @@ def random_tables(draw):
 @given(random_tables())
 def test_random_tables_match_literal_checker(case):
     alg, order = case
+    assert_same_tables(alg)
     assert_same_as_literal(alg)
     assert_same_as_literal(Relabelled(alg, order))
 
@@ -353,6 +364,52 @@ def test_trunc_fun_3_costs_one_tabulation():
     counting.reset_counts()
     assert ba.validate_axioms(counting).ok
     assert counting.read_counts() == (64 * 64, 64 * 64)
+
+
+def test_a_table_algebra_is_its_own_tabulation(monkeypatch):
+    rng = random.Random(29)
+    for alg in (*ba.bundled_finite_algebras(), *small_strong_bimonoids(2), *small_strong_bimonoids(3),
+                *(_random_table(rng, rng.randint(1, 8)) for _ in range(40))):
+        assert_same_tables(alg)
+    b4 = ba.b4()
+    t = tabulate(b4)
+    assert t.add == [list(row) for row in b4.add_table] and t.add is not tabulate(b4).add
+
+    def no_call(*args):
+        raise AssertionError("an operation was called")
+
+    # a subclass may override the operations, so it pays n^2 calls of each
+    calls = [0, 0]
+
+    class Counted(ba.FiniteTableAlgebra):
+        def add(self, a, b):
+            calls[0] += 1
+            return super().add(a, b)
+
+        def mul(self, a, b):
+            calls[1] += 1
+            return super().mul(a, b)
+
+    counted = Counted("counted-B4", b4.names, b4.add_table, b4.mul_table, b4.zero, b4.one)
+    monkeypatch.setattr(ba.FiniteTableAlgebra, "add", no_call)
+    monkeypatch.setattr(ba.FiniteTableAlgebra, "mul", no_call)
+    assert tabulate(b4) == t
+    monkeypatch.undo()
+    assert tabulate(counted)[1:] == t[1:] and calls == [16, 16]
+
+
+def test_first_witnesses_past_the_first_row():
+    # zero is e1; e2 + e3 = e1 and e2 * e2 = e1, and the only asymmetric
+    # pairs are (e2, e3) of both operations, so no witness is at a = e0
+    add = [[3, 0, 3, 3], [0, 1, 2, 3], [3, 2, 3, 1], [3, 3, 2, 3]]
+    mul = [[0, 1, 0, 0], [1, 1, 1, 1], [0, 1, 1, 2], [0, 1, 3, 0]]
+    alg = ba.FiniteTableAlgebra("skew", ["e0", "e1", "e2", "e3"], add, mul, 1, 0)
+    assert_same_as_literal(alg)
+    assert check(alg, P.ZERO_SUM_FREE).witness_labels == ("e2", "e3")
+    assert check(alg, P.ZERO_DIVISOR_FREE).witness_labels == ("e2", "e2")
+    assert check(alg, P.COMMUTATIVE).witness_labels == ("e2", "e3")
+    checks = {c.axiom: c for c in ba.validate_axioms(alg).checks}
+    assert checks["add-commutativity"].witness_labels == ("e2", "e3")
 
 
 def test_tabulation_is_not_cached_between_calls():
