@@ -102,11 +102,16 @@ def _kept(t: Tabulation, build):
     return t.derived[build]
 
 
-def _zero_masks(t: Tabulation) -> tuple:
-    """The masks of + and of *: {c : x+c = 0} and Z[x] = {c : x*c = 0}, each
-    as an int bitmask over carrier indices, per x."""
+def _sum_zero_masks(t: Tabulation) -> list:
+    """{c : x+c = 0} per x, as an int bitmask over carrier indices."""
     zero = t.zero
-    return tuple([sum(1 << c for c, v in enumerate(row) if v == zero) for row in op] for op in (t.add, t.mul))
+    return [sum(1 << c for c, v in enumerate(row) if v == zero) for row in t.add]
+
+
+def _product_zero_masks(t: Tabulation) -> list:
+    """Z[x] = {c : x*c = 0} per x, as an int bitmask over carrier indices."""
+    zero = t.zero
+    return [sum(1 << c for c, v in enumerate(row) if v == zero) for row in t.mul]
 
 
 def _first_row_difference(masks: list, expected: list):
@@ -121,7 +126,7 @@ def _lowest(mask: int) -> int:
 
 def _first_triple(t: Tabulation, violations):
     """First (a, b, c) with bit c set in ``violations(Z[a+b], Z[a], Z[b])``."""
-    z = _kept(t, _zero_masks)[1]
+    z = _kept(t, _product_zero_masks)
     for a, row in enumerate(t.add):
         for b, s in enumerate(row):
             mask = violations(z[s], z[a], z[b])
@@ -141,7 +146,7 @@ def _first_quad(t: Tabulation, violations):
     block with a violation holds the first witness.
     """
     n = len(t.elements)
-    z = _kept(t, _zero_masks)[1]
+    z = _kept(t, _product_zero_masks)
     add, mul = t.add, t.mul
     lo = 0
     while lo < n:
@@ -259,14 +264,14 @@ def _decide(t: Tabulation, cond) -> PropertyVerdict:
     add, mul, zero, n = t.add, t.mul, t.zero, len(t.elements)
     if cond is BimonoidProperty.ZERO_SUM_FREE:  # a+b = 0 iff a = b = 0
         expected = [1 << zero if a == zero else 0 for a in range(n)]
-        witness = _first_row_difference(_kept(t, _zero_masks)[0], expected)
+        witness = _first_row_difference(_kept(t, _sum_zero_masks), expected)
     elif cond in _WORD_FORMS:
         witness = _first_triple(t, _WORD_FORMS[cond])
     elif cond in _TREE_FORMS:
         witness = _first_quad(t, _TREE_FORMS[cond])
     elif cond is BimonoidProperty.ZERO_DIVISOR_FREE:  # a*b = 0 iff a = 0 or b = 0
         expected = [(1 << n) - 1 if a == zero else 1 << zero for a in range(n)]
-        witness = _first_row_difference(_kept(t, _zero_masks)[1], expected)
+        witness = _first_row_difference(_kept(t, _product_zero_masks), expected)
     elif cond is BimonoidProperty.ZERO_RIGHT_DISTRIBUTIVE:
         sum_is_zero = [[v == zero for v in row] for row in add]
         product_is_zero = [[v == zero for v in row] for row in mul]

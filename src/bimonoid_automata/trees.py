@@ -93,7 +93,9 @@ class Tree(_Frozen):
     children's, so hashing a tree (a memo lookup) costs O(1) at any depth.
     Equality recurses only on trees at most ``_SHALLOW`` deep and walks an
     explicit stack on deeper ones; ``str`` and ``repr`` always do, so depth
-    is unbounded.
+    is unbounded. A tree is immutable, so a copy, deep or not, is the tree
+    itself; it pickles as a flat list of its distinct subtree objects, so
+    pickling recurses over no depth and a shared subtree is written once.
     """
 
     __slots__ = ("symbol", "children", "_hash", "_depth")
@@ -104,8 +106,29 @@ class Tree(_Frozen):
         object.__setattr__(self, "_hash", hash((symbol, children)))
         object.__setattr__(self, "_depth", 1 + max([c._depth for c in children], default=0))
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        return Tree, (self.symbol, self.children)
+        # (symbol, child indices) per distinct subtree object, in post-order,
+        # on an explicit stack: a node stays on it until its children are listed
+        index: dict = {}  # id(subtree) -> its index in nodes
+        nodes: list = []
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [c for c in node.children if id(c) not in index]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if id(node) not in index:
+                index[id(node)] = len(nodes)
+                nodes.append((node.symbol, tuple([index[id(c)] for c in node.children])))
+        return _rebuild, (nodes,)
 
     def __hash__(self):
         return self._hash
@@ -162,6 +185,14 @@ class Tree(_Frozen):
             ", ",
             lambda u: ",))" if len(u.children) == 1 else "))",
         )
+
+
+def _rebuild(nodes: list) -> Tree:
+    """The tree that :meth:`Tree.__reduce__` listed as ``nodes``: its last."""
+    trees: list = []
+    for symbol, children in nodes:
+        trees.append(Tree(symbol, tuple([trees[i] for i in children])))
+    return trees[-1]
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|[(),])")
@@ -480,21 +511,45 @@ def run_semantics(automaton: TreeAutomaton, t: Tree, prune: bool = False):
 def _bottom_up(alphabet: RankedAlphabet, t: Tree, step):
     """t's value, where a subtree's value is ``step(its symbol, tuple of its
     children's values)``, computed once per distinct subtree, children
-    first. Ranks are checked against ``alphabet`` on the way; an explicit
-    stack keeps the depth unbounded."""
-    memo: dict = {}
-    stack = [(t, False)]
+    first. Ranks are checked against ``alphabet`` on the way, so a malformed
+    tree raises at its first bad node in post-order; an explicit stack keeps
+    the depth unbounded.
+
+    A unary chain (nodes with one child each) is gathered on its first
+    visit, down to the first node that is done or is not unary, and stepped
+    upward in one loop once that node is done: a chain node costs a memo
+    lookup, a rank lookup, one ``step`` and a memo store. Every chain node
+    is stored, so a chain shared by several parents is walked once.
+    """
+    ranks, memo = alphabet._ranks, {}
+    stack: list = [(t, None)]  # (node, None) on the way down, (node, chain above it) to finish
     while stack:
-        node, children_done = stack.pop()
-        if not children_done:
+        node, chain = stack.pop()
+        if chain is None:
             # look a node up once on the way down: a lookup that meets an
             # equal but distinct subtree compares the two in full
-            if node not in memo:
-                stack.append((node, True))
-                stack.extend([(c, False) for c in node.children if c not in memo])
-            continue
-        _check_rank(alphabet, node.symbol, len(node.children))
-        memo[node] = step(node.symbol, tuple([memo[c] for c in node.children]))
+            if node in memo:
+                continue
+            chain = []
+            while len(node.children) == 1:
+                chain.append(node)
+                node = node.children[0]
+                if node in memo:
+                    value = memo[node]
+                    break
+            else:  # node is not unary and not done: finish it, then the chain
+                stack.append((node, chain))
+                stack.extend([(c, None) for c in node.children if c not in memo])
+                continue
+        else:
+            children = node.children
+            if ranks.get(node.symbol) != len(children):
+                _check_rank(alphabet, node.symbol, len(children))
+            value = memo[node] = step(node.symbol, tuple([memo[c] for c in children]))
+        for node in reversed(chain):
+            if ranks.get(node.symbol) != 1:
+                _check_rank(alphabet, node.symbol, 1)
+            value = memo[node] = step(node.symbol, (value,))
     return memo[t]
 
 
@@ -560,7 +615,9 @@ def state_vector(automaton: TreeAutomaton, t: Tree) -> tuple:
     (NatPlusMin). The table holds at most ``algebra.MEMO_MISS_LIMIT``
     vectors: where vectors stop repeating it fills, and from then on each
     step it has not stored is computed for its subtree alone, its result
-    under a new id, as every step is under the counting wrapper.
+    under a new id, as every step is under the counting wrapper. The walk
+    is :func:`_bottom_up`, which steps a unary chain in one loop, so a
+    word's spine costs about what the word does.
     """
     limit = 0 if isinstance(automaton.algebra, CountingAlgebra) else A.MEMO_MISS_LIMIT
     vectors: list = []  # id -> vector

@@ -238,6 +238,25 @@ def test_quad_decisions_cost_n_squared_per_block(monkeypatch):
     assert calls == [5 * 16**2]
 
 
+def test_lone_decisions_build_only_the_zero_masks_they_read(monkeypatch):
+    # zero-divisor-freeness and strong zero-sum-freeness read the masks of *,
+    # zero-sum-freeness those of +: a lone check builds only its own, and so
+    # does the supports-words check, whose hypothesis is strong
+    # zero-sum-freeness (holding on TruncFun(2), failing on B4)
+    for cond, built in ((P.ZERO_DIVISOR_FREE, properties._product_zero_masks),
+                        (P.STRONGLY_ZSF, properties._product_zero_masks),
+                        (P.ZERO_SUM_FREE, properties._sum_zero_masks)):
+        t = tabulate(ba.trunc_fun(3))
+        check(t, cond)
+        assert list(t.derived) == [built], cond
+    kept = []
+    monkeypatch.setattr(ba.harness, "tabulate", lambda alg: kept.append(tabulate(alg)) or kept[-1])
+    for alg, holds in ((ba.trunc_fun(2), True), (ba.b4(), False)):
+        config = ba.harness.TheoremCheckConfig(algebra=alg, num_automata=2, max_word_len=2)
+        assert ba.harness.check_theorem("supports-words", config).hypothesis["strongly-zero-sum-free"] is holds
+        assert list(kept[-1].derived) == [properties._product_zero_masks]
+
+
 def _chain(n):
     names = [f"c{i}" for i in range(n)]
     return names, list(zip(names, names[1:]))

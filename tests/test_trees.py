@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -81,9 +83,10 @@ def test_tree_utilities():
         T.subtree_at(EXAMPLE, (3,))
 
 
-def spine(depth):
-    """gamma^depth(alpha), built bottom up."""
-    t = T.Tree("alpha")
+def spine(depth, bottom=None):
+    """gamma^depth(bottom), built bottom up; the bottom is a new alpha leaf
+    unless given."""
+    t = T.Tree("alpha") if bottom is None else bottom
     for _ in range(depth):
         t = T.Tree("gamma", (t,))
     return t
@@ -185,6 +188,32 @@ def test_deep_trees_compare_print_measure_and_parse():
     assert T.parse(text, alphabet) == a
     assert T.TreeAutomaton(ba.boole(), alphabet, ("p",), [], (1,)).check_tree(a) is a
     assert str(spine(10**5)) == "gamma(" * 10**5 + "alpha" + ")" * 10**5
+
+
+def test_deep_and_shared_trees_copy_and_pickle():
+    # a tree is immutable, so a copy is the tree itself; it pickles as the
+    # flat list of its distinct subtree objects, so a 10^4-deep spine and a
+    # doubled tree 40 levels deep (2^41 - 1 nodes, 41 objects) go through
+    # every protocol, the doubled one in a few hundred bytes
+    deep = spine(10**4)
+    doubled = T.Tree("alpha")
+    for _ in range(40):
+        doubled = T.Tree("sigma", (doubled, doubled))
+    for t in (deep, doubled):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t and copy.deepcopy([t])[0] is t
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(deep, protocol))
+        assert back == deep and back is not deep
+        data = pickle.dumps(doubled, protocol)
+        assert len(data) < 2000, protocol
+        back = pickle.loads(data)
+        assert hash(back) == hash(doubled)
+        # the rebuilt tree shares its subtrees as the original does; == would
+        # compare the two along each of their 2^40 root-to-leaf paths
+        for _ in range(40):
+            assert back.symbol == "sigma" and back.children[0] is back.children[1]
+            back = back.children[0]
+        assert back == T.Tree("alpha")
 
 
 def test_check_tree_ranks_each_distinct_subtree_once(monkeypatch):
@@ -494,6 +523,147 @@ def test_tree_memo_gives_up_after_the_miss_limit(limit, steps, monkeypatch):
     calls.clear()
     assert T.initial_semantics(automaton, t) == expected
     assert len(calls) == steps
+
+
+# --------------------------------------------------------------------------
+# The bottom-up walk steps each unary chain in one loop
+
+
+def _chain_shapes():
+    """Trees over MEMO_ALPHABET made of unary chains: a comb whose binary
+    nodes take chains as children, one chain object twice under sigma, two
+    equal chains built separately, and chains whose bottom (a binary node,
+    or a chain the left one ends in) the right sibling has already
+    evaluated, since the walk takes the last child first."""
+    fork = T.Tree("sigma", (T.Tree("alpha"), T.Tree("beta")))
+    comb = T.Tree("beta")
+    for depth in (3, 1, 4, 1, 5):
+        comb = T.Tree("sigma", (spine(depth), spine(depth + 1, comb)))
+    chain = spine(40)
+    twins = [spine(40) for _ in range(2)]
+    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    return {
+        "comb": comb,
+        "chain twice": T.Tree("sigma", (chain, chain)),
+        "equal chains": T.Tree("sigma", tuple(twins)),
+        "evaluated bottom": T.Tree("sigma", (spine(30, fork), fork)),
+        "evaluated chain": T.Tree("sigma", (spine(30, chain), chain)),
+    }
+
+
+def _one_target_automaton(rng, alg, n_states):
+    """A leaf symbol reaches every state, and each state word of gamma and
+    sigma one drawn state, with weights drawn from the carrier: a tree with
+    l leaves has at most n_states^l runs of nonzero weight."""
+    states = [f"q{i}" for i in range(n_states)]
+    elements = list(alg.elements())
+    quads = [((), sym, q, rng.choice(elements)) for sym in ("alpha", "beta") for q in states]
+    quads += [(sw, sym, rng.choice(states), rng.choice(elements))
+              for sym in ("gamma", "sigma") for sw in itertools.product(states, repeat=MEMO_ALPHABET.rank(sym))]
+    return T.TreeAutomaton(alg, MEMO_ALPHABET, states, quads, [rng.choice(elements) for _ in states])
+
+
+def _nonzero_run_sum(automaton, t):
+    """The run semantics summed literally over the runs of nonzero weight,
+    each listed: per position, in post-order, (root state, weight) of every
+    run of its subtree, the weight being the children's weights, first to
+    last, times the transition weight."""
+    alg = automaton.algebra
+    runs = {}
+    for pos in T.postorder(t):
+        node = T.subtree_at(t, pos)
+        runs[pos] = []
+        for combo in itertools.product(*[runs[pos + (i,)] for i in range(1, len(node.children) + 1)]):
+            child_states = tuple([q for q, _ in combo])
+            for q in range(len(automaton.states)):
+                weight = alg.product([w for _, w in combo] + [automaton.delta(child_states, node.symbol, q)])
+                if weight != alg.zero:
+                    runs[pos].append((q, weight))
+    return alg.sum(alg.mul(w, automaton.root_weights[q]) for q, w in runs[()])
+
+
+def _chain_walk_automata(alg, seed):
+    """Three-state automata over the carrier: every transition stored, and
+    one target per state word."""
+    rng = random.Random(seed)
+    return pool_tree_automaton(rng, alg, list(alg.elements()), 3, MEMO_ALPHABET), _one_target_automaton(rng, alg, 3)
+
+
+@pytest.mark.parametrize("alg", [ba.pentagon(), ba.b4(), ba.trunc_fun(2)], ids=lambda alg: alg.name)
+def test_chain_walk_matches_the_plain_folds_on_spines(alg):
+    dense, one_target = _chain_walk_automata(alg, 61)
+    t = T.Tree("alpha")
+    for depth in range(1, 301):
+        t = T.Tree("gamma", (t,))
+        assert T.state_vector(dense, t) == plain_tree_vectors(dense, t)[()][2], depth
+        assert T.run_semantics(one_target, t, prune=True) == _nonzero_run_sum(one_target, t), depth
+        if depth <= 5:  # 3^(depth + 1) runs in all
+            for automaton in (dense, one_target):
+                literal = T.run_semantics(automaton, t)
+                assert T.run_semantics(automaton, t, prune=True) == literal == _nonzero_run_sum(automaton, t)
+
+
+@pytest.mark.parametrize("alg", [*ba.bundled_finite_algebras(), *small_strong_bimonoids(2), *small_strong_bimonoids(3)],
+                         ids=lambda alg: alg.name)
+def test_chain_walk_matches_the_plain_folds_on_chain_shapes(alg):
+    dense, one_target = _chain_walk_automata(alg, 67)
+    for name, t in _chain_shapes().items():
+        assert T.state_vector(dense, t) == plain_tree_vectors(dense, t)[()][2], name
+        assert T.run_semantics(one_target, t, prune=True) == _nonzero_run_sum(one_target, t), name
+
+
+def test_chain_walk_steps_each_distinct_subtree_once():
+    # every chain node is stored, so a chain met again, whole or as the
+    # suffix of a longer one, is not walked twice
+    for name, t in _chain_shapes().items():
+        distinct, stack = set(), [t]
+        while stack:
+            node = stack.pop()
+            if node not in distinct:
+                distinct.add(node)
+                stack.extend(node.children)
+        steps = []
+        assert T._bottom_up(MEMO_ALPHABET, t, lambda symbol, children: steps.append(symbol)) is None
+        assert len(steps) == len(distinct), name
+
+
+@pytest.mark.parametrize("bad, error", [
+    (spine(3, T.Tree("alpha", (spine(3, T.Tree("beta")),))), "symbol 'alpha' has rank 0 but 1 children"),
+    (spine(3, T.Tree("gamma", (T.Tree("alpha"), T.Tree("beta")))), "symbol 'gamma' has rank 1 but 2 children"),
+    (spine(3, T.Tree("alpha", (spine(3, T.Tree("gamma", (T.Tree("alpha"), T.Tree("beta")))),))),
+     "symbol 'gamma' has rank 1 but 2 children"),
+    (spine(3, T.Tree("omega", (T.Tree("alpha"),))), "unknown symbol 'omega' (alphabet: alpha, beta, gamma, sigma)"),
+])
+def test_a_malformed_chain_node_raises_the_first_error_in_post_order(bad, error):
+    # a chain node with another rank, or a chain's bottom with another
+    # number of children; below a bad chain node the bottom's error comes first
+    automaton = _chain_walk_automata(ba.boole(), 71)[0]
+    for t in (bad, T.Tree("sigma", (T.Tree("alpha"), bad)), T.Tree("sigma", (bad, spine(5, T.Tree("beta"))))):
+        for evaluate in (automaton.check_tree, lambda t: T.state_vector(automaton, t),
+                         lambda t: T.run_semantics(automaton, t, prune=True)):
+            with pytest.raises(ValueError) as exc:
+                evaluate(t)
+            assert str(exc.value) == error
+
+
+def test_chain_walk_finishes_on_a_10_5_deep_spine():
+    dense, one_target = _chain_walk_automata(ba.pentagon(), 73)
+    alg, t = one_target.algebra, spine(10**5)
+    assert dense.check_tree(t) is t
+    vec = T._init_node(dense, "alpha", ())
+    for _ in range(10**5):
+        vec = T._init_node(dense, "gamma", (vec,))
+    assert T.state_vector(dense, t) == vec
+    # each leaf state starts the one run that gamma's single targets continue
+    step = {sw[0]: next(iter(row.items())) for (sw, sym), row in one_target._delta.items() if sym == "gamma"}
+    total = alg.zero
+    for q0 in range(3):
+        q, weight = q0, one_target.delta((), "alpha", q0)
+        for _ in range(10**5):
+            q, w = step[q]
+            weight = alg.mul(weight, w)
+        total = alg.add(total, alg.mul(weight, one_target.root_weights[q]))
+    assert T.run_semantics(one_target, t, prune=True) == total
 
 
 def test_pruned_run_semantics_equals_unpruned():
