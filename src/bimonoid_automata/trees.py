@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import algebra as A
@@ -83,28 +84,37 @@ def classify_alphabet(alphabet: RankedAlphabet) -> AlphabetClass:
     return AlphabetClass(trivial, monadic, string_ranked, branching=not monadic)
 
 
-_SHALLOW = 100  # trees up to this deep compare recursively
+# every live tree, keyed on (symbol, children); a tree leaves when it dies
+_INTERNED = weakref.WeakValueDictionary()
 
 
 class Tree(_Frozen):
     """A term: a symbol with exactly rank-many child trees.
 
-    The hash and the depth are computed once, at construction, from the
-    children's, so hashing a tree (a memo lookup) costs O(1) at any depth.
-    Equality recurses only on trees at most ``_SHALLOW`` deep and walks an
-    explicit stack on deeper ones; ``str`` and ``repr`` always do, so depth
+    Trees are hash-consed: building a tree equal to a live one returns that
+    tree, so equal trees are one object, and ``==`` and ``hash`` are object
+    identity's, constant-time at any depth. The intern table holds trees
+    weakly and keeps none alive. Construction takes no lock; the library
+    starts no threads. ``str`` and ``repr`` walk an explicit stack, so depth
     is unbounded. A tree is immutable, so a copy, deep or not, is the tree
     itself; it pickles as a flat list of its distinct subtree objects, so
     pickling recurses over no depth and a shared subtree is written once.
+    Unpickling interns again, so it returns a tree that is still alive.
     """
 
-    __slots__ = ("symbol", "children", "_hash", "_depth")
+    __slots__ = ("symbol", "children", "__weakref__")
 
-    def __init__(self, symbol: str, children: Tuple["Tree", ...] = ()):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", hash((symbol, children)))
-        object.__setattr__(self, "_depth", 1 + max([c._depth for c in children], default=0))
+    def __new__(cls, symbol: str, children: Tuple["Tree", ...] = ()):
+        # the children are interned already, so the key hashes and compares
+        # them by identity
+        key = (symbol, children)
+        tree = _INTERNED.get(key)
+        if tree is None:
+            tree = object.__new__(cls)
+            object.__setattr__(tree, "symbol", symbol)
+            object.__setattr__(tree, "children", children)
+            _INTERNED[key] = tree
+        return tree
 
     def __copy__(self):
         return self
@@ -129,30 +139,6 @@ class Tree(_Frozen):
                 index[id(node)] = len(nodes)
                 nodes.append((node.symbol, tuple([index[id(c)] for c in node.children])))
         return _rebuild, (nodes,)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        if self._depth <= _SHALLOW:
-            # comparing the children recurses at most _SHALLOW levels, and
-            # is faster than the explicit stack below on small trees
-            return self.symbol == other.symbol and self.children == other.children
-        a, b, pending = self, other, []
-        while True:
-            if a is not b:
-                if a._hash != b._hash or a.symbol != b.symbol or len(a.children) != len(b.children):
-                    return False
-                pending.extend(zip(a.children, b.children))
-            if not pending:
-                return True
-            a, b = pending.pop()
 
     def _render(self, head, sep: str, tail) -> str:
         """``head(u)``, u's children rendered and separated by ``sep``, then
@@ -526,8 +512,6 @@ def _bottom_up(alphabet: RankedAlphabet, t: Tree, step):
     while stack:
         node, chain = stack.pop()
         if chain is None:
-            # look a node up once on the way down: a lookup that meets an
-            # equal but distinct subtree compares the two in full
             if node in memo:
                 continue
             chain = []

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimonoid_automata as ba
-from bimonoid_automata import algebra
+from bimonoid_automata import algebra, bridge
 from bimonoid_automata import harness as H
 from bimonoid_automata import trees as T
 from bimonoid_automata.algebra import Semantics
@@ -92,6 +93,15 @@ def spine(depth, bottom=None):
     return t
 
 
+def doubled(levels, leaf="alpha"):
+    """A leaf under ``levels`` sigma nodes, each with one subtree twice:
+    2^(levels + 1) - 1 nodes, levels + 1 distinct subtrees."""
+    t = T.Tree(leaf)
+    for _ in range(levels):
+        t = T.Tree("sigma", (t, t))
+    return t
+
+
 def test_repr_is_the_dataclass_repr():
     for t in T.enumerate_trees(T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2, "tau": 3}), 5):
         assert repr(t) == f"Tree(symbol={t.symbol!r}, children={t.children!r})"
@@ -114,8 +124,8 @@ def test_deep_spines_repr_positions_and_postorder():
 
 
 def test_deep_spine_hash_and_init():
-    # hashes are cached at construction, so neither hashing nor the memo of
-    # the bottom-up evaluation recurses over a 10^4-deep spine
+    # a tree hashes by identity, so neither hashing nor the memo of the
+    # bottom-up evaluation recurses over a 10^4-deep spine
     alg = ba.boole()
     alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
     automaton = T.TreeAutomaton(
@@ -175,12 +185,13 @@ def test_probes_need_a_symbol_of_rank_two():
 
 
 def test_deep_trees_compare_print_measure_and_parse():
-    # equality, str, size, parse and check_tree walk explicit stacks, so two
-    # separately built 10^4-deep spines compare (also as dict keys), print,
-    # measure and parse back; str also at 10^5
+    # two separately built 10^4-deep spines are one object, so they compare
+    # (also as dict keys) at once; str, size, parse and check_tree walk
+    # explicit stacks, so the spine prints, measures and parses back; str
+    # also at 10^5
     alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
     a, b = spine(10**4), spine(10**4)
-    assert a is not b and a == b and {a: 1}[b] == 1
+    assert a is b and a == b and {a: 1}[b] == 1
     assert a != spine(10**4 - 1) and a != T.Tree("gamma", (a,))
     assert T.size(a) == 10**4 + 1
     text = "gamma(" * 10**4 + "alpha" + ")" * 10**4
@@ -203,17 +214,67 @@ def test_deep_and_shared_trees_copy_and_pickle():
         assert copy.copy(t) is t and copy.deepcopy(t) is t and copy.deepcopy([t])[0] is t
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(deep, protocol))
-        assert back == deep and back is not deep
+        assert back == deep and back is deep
         data = pickle.dumps(doubled, protocol)
         assert len(data) < 2000, protocol
         back = pickle.loads(data)
         assert hash(back) == hash(doubled)
-        # the rebuilt tree shares its subtrees as the original does; == would
-        # compare the two along each of their 2^40 root-to-leaf paths
+        # the rebuilt tree is the original, which is alive, and shares its
+        # subtrees as the original does
         for _ in range(40):
             assert back.symbol == "sigma" and back.children[0] is back.children[1]
             back = back.children[0]
         assert back == T.Tree("alpha")
+
+
+def test_equal_trees_are_one_object():
+    # trees are hash-consed and Tree compares and hashes by identity, so two
+    # separately built doubled trees 40 levels deep are one object, and ==
+    # returns at once where a structural walk would follow 2^40 paths
+    assert "__eq__" not in vars(T.Tree) and "__hash__" not in vars(T.Tree)
+    a, b = doubled(40), doubled(40)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert a != doubled(39) and a != doubled(40, "beta")
+
+
+def test_the_intern_table_keeps_no_tree_alive():
+    gc.collect()  # trees held only by earlier garbage cycles leave now
+    before = len(T._INTERNED)
+    t = spine(10**4, T.Tree("kappa"))  # no other test builds a kappa leaf
+    assert len(T._INTERNED) == before + 10**4 + 1
+    del t
+    assert len(T._INTERNED) == before
+
+
+def test_a_10e5_deep_spine_builds_evaluates_pickles_and_frees():
+    alphabet = T.RankedAlphabet({"omega": 0, "gamma": 1})
+    automaton = T.TreeAutomaton(
+        ba.boole(), alphabet, ("p",), [((), "omega", "p", 1), (("p",), "gamma", "p", 1)], (1,)
+    )
+    gc.collect()
+    before = len(T._INTERNED)
+    t = spine(10**5, T.Tree("omega"))
+    assert T.state_vector(automaton, t) == (1,)
+    assert T.run_semantics(automaton, t, prune=True) == 1
+    data = pickle.dumps(t)
+    assert pickle.loads(data) is t
+    del t
+    assert len(T._INTERNED) == before
+    # rebuilt from scratch once the original is gone
+    back = pickle.loads(data)
+    assert T.size(back) == 10**5 + 1 and T.state_vector(automaton, back) == (1,)
+    del back
+    assert len(T._INTERNED) == before
+
+
+def test_constructors_return_the_interned_tree():
+    t = T.Tree("sigma", (T.Tree("alpha"), T.Tree("gamma", (T.Tree("alpha"),))))
+    assert T.parse("sigma(alpha, gamma(alpha))") is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert bridge.word_to_tree("ab") is T.Tree("b", (T.Tree("a", (T.Tree("e"),)),))
+    table = T.NodeTable(T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2}), 4)
+    assert any(u is t for u in table.trees)
+    assert all(T.parse(str(u)) is u for u in table.trees)
 
 
 def test_check_tree_ranks_each_distinct_subtree_once(monkeypatch):
@@ -468,7 +529,7 @@ def _memo_automata(alg, pool, leaves, twin_leaves, depth):
             automaton = pool_tree_automaton(rng, alg, pool, n_states, MEMO_ALPHABET)
         seed = rng.random()
         twins = [_random_tree(random.Random(seed), twin_leaves) for _ in range(2)]
-        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        assert twins[0] == twins[1] and twins[0] is twins[1]
         yield automaton, (_random_tree(rng, leaves), T.Tree("sigma", tuple(twins)), spine(depth))
 
 
@@ -541,7 +602,7 @@ def _chain_shapes():
         comb = T.Tree("sigma", (spine(depth), spine(depth + 1, comb)))
     chain = spine(40)
     twins = [spine(40) for _ in range(2)]
-    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    assert twins[0] == twins[1] and twins[0] is twins[1]
     return {
         "comb": comb,
         "chain twice": T.Tree("sigma", (chain, chain)),
