@@ -38,7 +38,7 @@ class HierarchyInconsistencyError(AssertionError):
 
 
 class _Frozen:
-    """Immutable record: ``__init__`` sets each field with ``object.__setattr__``."""
+    """Immutable record: its constructor sets each field with ``object.__setattr__``."""
 
     __slots__ = ()
 

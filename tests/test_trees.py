@@ -279,9 +279,7 @@ def test_constructors_return_the_interned_tree():
 
 def test_check_tree_ranks_each_distinct_subtree_once(monkeypatch):
     # a doubled tree 16 levels deep: 2^17 - 1 nodes, 17 distinct subtrees
-    t = T.Tree("alpha")
-    for _ in range(16):
-        t = T.Tree("sigma", (t, t))
+    t = doubled(16)
     automaton = T.TreeAutomaton(ba.boole(), ALPHABET, ("p",), [], (1,))
     calls = []
     rank = T.RankedAlphabet.rank
