@@ -516,6 +516,11 @@ def tabulate(alg: WeightAlgebra) -> Tabulation:
     return Tabulation(alg, elements, add, mul, position(alg.zero, "zero"), position(alg.one, "one"), {}, {})
 
 
+def _tables(alg: WeightAlgebra | Tabulation) -> Tabulation:
+    """``alg`` if it is a tabulation, else its :func:`tabulate` tables."""
+    return alg if isinstance(alg, Tabulation) else tabulate(alg)
+
+
 def _first_difference(xs: list, ys: list) -> int:
     """First index at which two equally long lists differ; they must differ."""
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
@@ -639,8 +644,9 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def validate_axioms(alg: WeightAlgebra) -> ValidationReport:
-    """Exhaustively check the strong-bimonoid axioms on a finite algebra.
+def validate_axioms(alg: WeightAlgebra | Tabulation) -> ValidationReport:
+    """Exhaustively check the strong-bimonoid axioms on a finite algebra,
+    tabulated afresh, or on its :func:`tabulate` tables.
 
     Returns one verdict per axiom with the first violating tuple in carrier
     enumeration order. Structural problems (malformed tables) surface as
@@ -651,7 +657,7 @@ def validate_axioms(alg: WeightAlgebra) -> ValidationReport:
     slabs (:func:`_first_law_difference`), and one that fails is scanned for
     its first witness.
     """
-    t = tabulate(alg)
+    t = _tables(alg)
     n, add, mul = len(t.elements), t.add, t.mul
     checks = []
 
@@ -671,7 +677,7 @@ def validate_axioms(alg: WeightAlgebra) -> ValidationReport:
     record("mul-associativity", _first_law_difference(mul, _associativity(mul), _generators(mul)))
     record("mul-identity", unit(mul, t.one, lambda a: a))
     record("zero-annihilation", unit(mul, t.zero, lambda a: t.zero))
-    return ValidationReport(alg.name, all(c.holds for c in checks), tuple(checks))
+    return ValidationReport(t.algebra.name, all(c.holds for c in checks), tuple(checks))
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .algebra import (
     _first_slab_difference,
     _gather,
     _sum_generators,
-    tabulate,
+    _tables,
 )
 
 
@@ -89,10 +89,6 @@ def _verdict(t: Tabulation, prop, witness):
     if witness is None:
         return PropertyVerdict(prop, True)
     return PropertyVerdict(prop, False, t.values(witness), t.labels(witness))
-
-
-def _tables(alg) -> Tabulation:
-    return alg if isinstance(alg, Tabulation) else tabulate(alg)
 
 
 def _kept(t: Tabulation, build):
@@ -321,17 +317,19 @@ class PropertyReport(NamedTuple):
         }
 
 
-def classify(alg: WeightAlgebra) -> PropertyReport:
+def classify(alg: WeightAlgebra | Tabulation) -> PropertyReport:
     """Every condition's verdict from :func:`check` on one tabulation,
-    checked against the hierarchy. A rule of ``_IMPLICATIONS`` broken by the
-    verdicts can only come from an implementation bug, so it raises instead
-    of being reported as a result.
+    checked against the hierarchy; ``alg`` is a finite algebra, tabulated
+    afresh, or its :func:`tabulate` tables, which
+    :func:`~.algebra.validate_axioms` can read too. A rule of
+    ``_IMPLICATIONS`` broken by the verdicts can only come from an
+    implementation bug, so it raises instead of being reported as a result.
     """
-    t = tabulate(alg)
-    report = PropertyReport(alg.name, {cond: check(t, cond) for cond in (*BimonoidProperty, *HalfCondition)})
+    t = _tables(alg)
+    report = PropertyReport(t.algebra.name, {cond: check(t, cond) for cond in (*BimonoidProperty, *HalfCondition)})
     for premises, conclusion in _IMPLICATIONS:
         if all(map(report.holds, premises)) and not report.holds(conclusion):
             names = " and ".join(p.value for p in premises)
             verb = "hold" if len(premises) > 1 else "holds"
-            raise HierarchyInconsistencyError(f"{alg.name}: {names} {verb} but {conclusion.value} fails")
+            raise HierarchyInconsistencyError(f"{report.algebra}: {names} {verb} but {conclusion.value} fails")
     return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import reduce
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 from . import algebra as A
@@ -265,52 +266,56 @@ class _WordTable:
     """The init recursion's word steps between interned vectors, for one
     :func:`state_vector` call or one :func:`explore` walk.
 
-    Vector ``i`` is ``vectors[i]``, the initial vector is id 0, and a stored
-    step is ``successors[i][symbol]``, the id of its result, so a hit hashes
-    no vector; ``step(vector, symbol)`` runs on a miss only. A step depends
-    on its arguments alone, so a hit gives what it would give. The table
-    holds at most ``limit`` vectors (``algebra.MEMO_MISS_LIMIT``; 0 under the
-    counting wrapper, so counted profiles see every operation): once it is
-    full it stores no step again, and each later result gets a new id, at or
-    past ``limit``.
+    Each vector it holds has a node, a plain dict from symbol to the node of
+    the step's result, so a hit hashes no vector; ``nodes`` maps a vector to
+    its node, ``start`` is the initial one's, and ``vectors`` maps
+    ``id(node)`` to its vector, written when the node is made. ``step(vector,
+    symbol)`` runs on a miss only; a step depends on its arguments alone, so
+    a hit gives what it would give. The table holds at most ``limit`` vectors
+    (``algebra.MEMO_MISS_LIMIT``; 0 under the counting wrapper, so counted
+    profiles see every operation): once it is full it stores no step again,
+    and each later result gets a new node that stores nothing.
     """
 
-    __slots__ = ("step", "vectors", "ids", "successors", "limit")
+    __slots__ = ("step", "start", "nodes", "vectors", "limit")
 
     def __init__(self, automaton: WordAutomaton):
         alg, start = automaton.algebra, automaton.initial
         add, mul = alg.add, alg.mul
         self.step = lambda vec, a: _init_step(add, mul, vec, automaton._step(a)[0])
-        self.vectors: list = [start]  # id -> vector
-        self.ids: dict = {start: 0}  # vector -> id, for ids below limit
-        self.successors: list = [{}]  # id -> {symbol: id}
+        self.start: dict = {}
+        self.nodes: dict = {start: self.start}
+        self.vectors: dict = {id(self.start): start}
         self.limit = 0 if isinstance(alg, CountingAlgebra) else A.MEMO_MISS_LIMIT
 
-    def word(self, i: int, symbol) -> int:
-        """The id of vector ``i`` times ``symbol``'s matrix. While the table
-        has room a miss stores its step, under the id its result already has
-        or a new one; once it is full each result gets a new id."""
-        steps = self.successors[i]
-        j = steps.get(symbol)
-        if j is None:
-            vectors = self.vectors
-            vec = self.step(vectors[i], symbol)
-            if len(vectors) < self.limit:
-                j = steps[symbol] = self.ids.setdefault(vec, len(vectors))
-                if j < len(vectors):
-                    return j
-            vectors.append(vec)
-            self.successors.append({})
-            j = len(vectors) - 1
-        return j
+    def word(self, node: dict, symbol) -> dict:
+        """The node of ``node``'s vector times ``symbol``'s matrix. While the
+        table has room a miss stores its step, to the node its result already
+        has or a new one; once it is full each result gets a new node."""
+        nxt = node.get(symbol)
+        if nxt is None:
+            vec = self.step(self.vectors[id(node)], symbol)
+            if len(self.nodes) < self.limit:
+                nxt = node[symbol] = self.nodes.setdefault(vec, {})
+                self.vectors.setdefault(id(nxt), vec)
+            else:
+                nxt = {}
+                self.vectors[id(nxt)] = vec
+        return nxt
+
+
+# state_vector's chunk sizes: doubled after a chunk walks through, reset on a miss
+_CHUNK_LEAST, _CHUNK_MOST = 32, 8192
 
 
 def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     """The evolved weight vector: initial vector times each symbol's matrix.
 
-    The walk goes from id to id of a :class:`_WordTable` made for this call:
-    a step already taken is ``successors[id].get(symbol)``, a list index and
-    a dict lookup, and each distinct (vector, symbol) step is computed once.
+    The walk goes from node to node of a :class:`_WordTable` made for this
+    call, ``reduce(getitem, chunk, node)`` a chunk of the word at a time, so
+    a step already taken is a dict lookup in C; a chunk that meets a step the
+    table lacks is walked again symbol by symbol, which computes and stores
+    each missing step once and raises on an unknown symbol.
     On every finite carrier, and on an infinite one whenever the weights
     reach finitely many vectors (NatPlusMin), a long word then costs about a
     lookup per symbol. The table holds at most ``algebra.MEMO_MISS_LIMIT``
@@ -320,23 +325,27 @@ def state_vector(automaton: WordAutomaton, word: Word) -> tuple:
     counting wrapper.
     """
     table = _WordTable(automaton)
-    successors, limit = table.successors, table.limit
-    i = 0
-    symbols = iter(word)
-    for a in symbols:
-        j = successors[i].get(a)
-        if j is None:
-            j = table.word(i, a)
-            if j >= limit:  # the table is full
-                vec = table.vectors[j]
-                break
-        i = j
-    else:
-        return table.vectors[i]
-    step = table.step
-    for a in symbols:
-        vec = step(vec, a)
-    return vec
+    if not isinstance(word, (tuple, list, str)):
+        word = tuple(word)
+    node, end, size = table.start, 0, _CHUNK_LEAST
+    while end < len(word):
+        chunk = word[end:end + size]
+        end += len(chunk)
+        try:
+            node, size = reduce(getitem, chunk, node), min(2 * size, _CHUNK_MOST)
+            continue
+        except KeyError:
+            size = _CHUNK_LEAST
+        chunk = iter(chunk)
+        for a in chunk:
+            nxt = table.word(node, a)
+            if a not in node:  # the table is full
+                vec = table.vectors[id(nxt)]
+                for a in itertools.chain(chunk, itertools.islice(word, end, None)):
+                    vec = table.step(vec, a)
+                return vec
+            node = nxt
+    return table.vectors[id(node)]
 
 
 def initial_semantics(automaton: WordAutomaton, word: Word):
@@ -360,19 +369,19 @@ def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = Non
     alg, final, alphabet = automaton.algebra, automaton.final, automaton.alphabet
     table = _WordTable(automaton)
     vectors = table.vectors
-    start = (0, (), 0, _run_start(automaton))
+    start = (0, (), table.start, _run_start(automaton))
     seen = {_configuration(automaton.initial, start[3], cycle)}
     queue = deque([start])
     while queue:
-        rank, word, v, runs = queue.popleft()
-        yield rank, word, _run_total(alg, runs, final), alg.sum(map(alg.mul, vectors[v], final))
+        rank, word, node, runs = queue.popleft()
+        yield rank, word, _run_total(alg, runs, final), alg.sum(map(alg.mul, vectors[id(node)], final))
         if len(word) >= max_len:
             continue
         for i, a in enumerate(alphabet):
             # word + (a_i,) has rank k·rank + 1 + i in all_words order, k = |alphabet|
-            step = (len(alphabet) * rank + 1 + i, word + (a,), table.word(v, a),
+            step = (len(alphabet) * rank + 1 + i, word + (a,), table.word(node, a),
                     _run_step(alg, runs, automaton._step(a)[1]))
-            key = _configuration(vectors[step[2]], step[3], cycle)
+            key = _configuration(vectors[id(step[2])], step[3], cycle)
             if key not in seen:
                 seen.add(key)
                 queue.append(step)

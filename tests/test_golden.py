@@ -2,9 +2,10 @@
 
 Each command of ``COMMANDS`` runs in process through ``cli.main`` in
 ``tests/golden/inputs/``, so file names in its output are relative; each
-demo runs as a script. Every run is written as one file: the command, its
-exit code, its stdout and its stderr. A change to a report then shows up
-as a diff of these files.
+demo runs as a script, once, in its own test case, which also asserts that
+it exits 0. Every run is written as one file: the command, its exit code,
+its stdout and its stderr. A change to a report then shows up as a diff of
+these files.
 
 To rewrite the files after an intended change, run::
 
@@ -24,6 +25,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from bimonoid_automata import cli
 
@@ -110,22 +113,33 @@ def _run_command(argv: list) -> str:
     return _record(["bimaut", *argv], code, out.getvalue(), err.getvalue())
 
 
-def _run_demo(demo: Path) -> str:
+def _run_demo(demo: Path) -> tuple:
+    """(exit code, recorded run) of one demo."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
                             timeout=120)
-    return _record(["python", f"demos/{demo.name}"], result.returncode, result.stdout, result.stderr)
+    return result.returncode, _record(["python", f"demos/{demo.name}"], result.returncode, result.stdout,
+                                      result.stderr)
+
+
+def _demo_file(demo: Path) -> str:
+    return f"demo-{demo.stem}.txt"
+
+
+def command_outputs() -> dict:
+    """File name -> recorded run, for every command."""
+    here = os.getcwd()
+    os.chdir(INPUTS)
+    try:
+        return {f"{name}.txt": _run_command(argv) for name, argv in COMMANDS}
+    finally:
+        os.chdir(here)
 
 
 def outputs() -> dict:
     """File name -> recorded run, for every command and every demo."""
-    here = os.getcwd()
-    os.chdir(INPUTS)
-    try:
-        runs = {f"{name}.txt": _run_command(argv) for name, argv in COMMANDS}
-    finally:
-        os.chdir(here)
-    runs.update({f"demo-{demo.stem}.txt": _run_demo(demo) for demo in DEMOS})
+    runs = command_outputs()
+    runs.update({_demo_file(demo): _run_demo(demo)[1] for demo in DEMOS})
     return runs
 
 
@@ -135,23 +149,39 @@ def write(directory: Path, runs: dict) -> None:
         (directory / name).write_text(text, encoding="utf-8")
 
 
-def test_outputs_match_golden_files():
-    runs = outputs()
-    assert len(runs) == len(COMMANDS) + len(DEMOS), "two runs write one file name"
+def _assert_golden(runs: dict) -> None:
+    """Each run equals its file in tests/golden, which ``GOLDEN_UPDATE``
+    first rewrites."""
     if os.environ.get("GOLDEN_UPDATE"):
-        for stale in set(p.name for p in GOLDEN.glob("*.txt")) - set(runs):
-            (GOLDEN / stale).unlink()
         write(GOLDEN, runs)
-    stored = {p.name: p.read_text(encoding="utf-8") for p in GOLDEN.glob("*.txt")}
-    assert sorted(stored) == sorted(runs), "golden files without a run, or runs without a file"
-    differing = [name for name in runs if runs[name] != stored[name]]
+    stored = {name: (GOLDEN / name).read_text(encoding="utf-8") for name in runs if (GOLDEN / name).exists()}
+    differing = [name for name in runs if runs[name] != stored.get(name, "")]
     diff = "".join(
         line
         for name in differing
-        for line in difflib.unified_diff(stored[name].splitlines(True), runs[name].splitlines(True),
+        for line in difflib.unified_diff(stored.get(name, "").splitlines(True), runs[name].splitlines(True),
                                          f"golden/{name}", "this run")
     )
     assert not differing, f"{len(differing)} outputs differ from tests/golden:\n{diff}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_matches_golden_file(demo):
+    code, run = _run_demo(demo)
+    assert code == 0, run
+    _assert_golden({_demo_file(demo): run})
+
+
+def test_outputs_match_golden_files():
+    runs = command_outputs()
+    names = set(runs) | {_demo_file(demo) for demo in DEMOS}
+    assert len(names) == len(COMMANDS) + len(DEMOS), "two runs write one file name"
+    if os.environ.get("GOLDEN_UPDATE"):
+        for stale in set(p.name for p in GOLDEN.glob("*.txt")) - names:
+            (GOLDEN / stale).unlink()
+    _assert_golden(runs)
+    assert sorted(p.name for p in GOLDEN.glob("*.txt")) == sorted(names), \
+        "golden files without a run, or runs without a file"
 
 
 if __name__ == "__main__":

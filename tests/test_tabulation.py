@@ -385,6 +385,26 @@ def test_trunc_fun_3_costs_one_tabulation():
     assert counting.read_counts() == (64 * 64, 64 * 64)
 
 
+def test_one_tabulation_serves_classify_and_validate_axioms(monkeypatch):
+    # both take an algebra, tabulated afresh, or its tables: given one
+    # tabulation of native TruncFun(3) they tabulate nothing more, where the
+    # algebra form tabulates once each
+    calls: list = []
+    plain = algebra.tabulate
+    monkeypatch.setattr(algebra, "tabulate", lambda alg: calls.append(alg) or plain(alg))
+    native = ba.trunc_fun(3)
+    t = algebra.tabulate(native)
+    from_tables = ba.validate_axioms(t), classify(t)
+    assert calls == [native]
+    assert from_tables == (ba.validate_axioms(native), classify(native))
+    assert calls == [native] * 3
+    monkeypatch.undo()
+    for alg in (*ba.bundled_finite_algebras(), *small_strong_bimonoids(2), *small_strong_bimonoids(3)):
+        t = tabulate(alg)
+        assert ba.validate_axioms(t) == ba.validate_axioms(alg), alg.name
+        assert classify(t) == classify(alg), alg.name
+
+
 def test_a_table_algebra_is_its_own_tabulation(monkeypatch):
     rng = random.Random(29)
     for alg in (*ba.bundled_finite_algebras(), *small_strong_bimonoids(2), *small_strong_bimonoids(3),

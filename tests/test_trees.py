@@ -124,8 +124,9 @@ def test_deep_spines_repr_positions_and_postorder():
 
 
 def test_deep_spine_hash_and_init():
-    # a tree hashes by identity, so neither hashing nor the memo of the
-    # bottom-up evaluation recurses over a 10^4-deep spine
+    # two spines built side by side are one interned object, and a tree
+    # hashes by identity, so neither hashing nor the memo of the bottom-up
+    # evaluation recurses over a 10^4-deep spine
     alg = ba.boole()
     alphabet = T.RankedAlphabet({"alpha": 0, "gamma": 1})
     automaton = T.TreeAutomaton(
@@ -134,7 +135,8 @@ def test_deep_spine_hash_and_init():
     spine, other = T.Tree("alpha"), T.Tree("alpha")
     for _ in range(10**4):
         spine, other = T.Tree("gamma", (spine,)), T.Tree("gamma", (other,))
-    assert hash(spine) == hash(other) != hash(spine.children[0])
+    assert spine is other
+    assert hash(spine) != hash(spine.children[0])
     assert T.state_vector(automaton, spine) == (1,)
     assert T.run_semantics(automaton, spine, prune=True) == 1
 

@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -372,6 +374,127 @@ def test_counted_init_takes_the_plain_recursion(monkeypatch):
     assert W.initial_semantics(counted, word) == plain_value
     assert len(calls) == n
     assert counting.read_counts() == (6 * n + 2, 9 * n + 3)
+
+
+def _table_steps(vecs: list, word, limit: int) -> int:
+    """The init steps a word table takes on ``word``, whose literal vectors
+    are ``vecs``: each (vector, symbol) step once while the table holds fewer
+    than ``limit`` vectors, then, from the first step it cannot store, one
+    plain step per symbol left."""
+    held, stored = {vecs[0]}, set()
+    for i, step in enumerate(zip(vecs, word)):
+        if step in stored:
+            continue
+        if len(held) >= limit:
+            return len(stored) + len(word) - i
+        stored.add(step)
+        held.add(vecs[i + 1])
+    return len(stored)
+
+
+def _walked_chunks(monkeypatch) -> list:
+    """Record the length of every chunk that state_vector walks through the
+    table's nodes, whether it walks through or meets a miss."""
+    chunks: list = []
+    plain = W.reduce
+
+    def reduce(fn, items, *start):
+        if fn is operator.getitem:
+            chunks.append(len(items))
+        return plain(fn, items, *start)
+
+    monkeypatch.setattr(W, "reduce", reduce)
+    return chunks
+
+
+@pytest.mark.parametrize("alg, length", [
+    pytest.param(alg, length, id=f"{alg.name}-{length}")
+    for alg in (ba.pentagon(), ba.b4()) for length in (10**4, 10**5)
+])
+def test_a_late_new_step_in_a_chunk_of_the_most_symbols(alg, length, monkeypatch):
+    # 9/10 of the word is a's: their vectors soon cycle, the chunks walk
+    # through and double up to the most, and the first b, 9,000 or 90,000
+    # symbols in, is a step the table lacks, deep inside such a chunk; that
+    # chunk is walked again symbol by symbol, and random symbols follow
+    automaton = pool_word_automaton(random.Random(33), alg, list(alg.elements()), 3)
+    rng = random.Random(length)
+    first_b = length * 9 // 10
+    word = ("a",) * first_b + ("b",) + tuple(rng.choice("ab") for _ in range(length - first_b - 1))
+    vecs = literal_word_vectors(automaton, word)
+    calls = _count_init_steps(monkeypatch)
+    chunks = _walked_chunks(monkeypatch)
+    assert W.state_vector(automaton, word) == vecs[-1]
+    assert len(calls) == len(set(zip(vecs, word)))
+    assert sum(chunks) == length
+    # the chunk before the one holding the first b walked through at half
+    # the most symbols or more, so that one was cut at the most, or at the
+    # word's end, and the b is neither its first symbol nor its last
+    starts = list(itertools.accumulate(chunks, initial=0))
+    k = bisect.bisect_right(starts, first_b) - 1
+    assert 2 * chunks[k - 1] >= W._CHUNK_MOST
+    assert chunks[k] == min(W._CHUNK_MOST, length - starts[k])
+    assert starts[k] < first_b < starts[k + 1] - 1
+
+
+def _cycle_automaton(k: int) -> W.WordAutomaton:
+    """Boole, four states, initial vector e0: a moves the one entry round a
+    k-cycle of the first k states, and c maps every vector to zero."""
+    cycle = [[int(q == (p + 1) % k if p < k else q == p) for q in range(4)] for p in range(4)]
+    zero = [[0] * 4 for _ in range(4)]
+    return W.WordAutomaton(ba.boole(), ("a", "c"), "pqrs", (1, 0, 0, 0), (1, 1, 1, 1), {"a": cycle, "c": zero})
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4])
+def test_a_table_that_fills_inside_a_chunk(limit, monkeypatch):
+    # at a limit of 2 to 4 vectors the table fills on one of the steps it
+    # lacks, inside the chunk being walked again: the rest of that chunk and
+    # of the word take plain steps. In the last word the a-cycle leaves room
+    # for one vector, and c fills the table 9,000 symbols in
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
+    calls = _count_init_steps(monkeypatch)
+    cases = [
+        *(case for alg in ba.bundled_finite_algebras() for case in _memo_automata(alg, None, 300)),
+        *(case for alg, pool in infinite_pools() for case in _memo_automata(alg, pool, 40)),
+        (_cycle_automaton(limit - 1), (("a",) * 9000 + ("c",) + ("a",) * 999,)),
+    ]
+    for automaton, words in cases:
+        for word in words:
+            vecs = literal_word_vectors(automaton, word)
+            calls.clear()
+            assert W.state_vector(automaton, word) == vecs[-1]
+            assert len(calls) == _table_steps(vecs, word, limit)
+            assert W.initial_semantics(automaton, word) == literal_word_init(automaton, word)
+
+
+@pytest.mark.parametrize("limit", [algebra.MEMO_MISS_LIMIT, 0])
+@pytest.mark.parametrize("where", [0, 50_000, 10**5 - 1])
+def test_an_unknown_symbol_raises_wherever_it_stands(where, limit, monkeypatch):
+    # first, in the middle and last of a 10^5-symbol word, through a table
+    # with room and through one full from the start (every step plain)
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
+    automaton = pool_word_automaton(random.Random(33), ba.pentagon(), list(ba.pentagon().elements()), 3)
+    rng = random.Random(where)
+    word = [rng.choice("ab") for _ in range(10**5)]
+    for bad, error, message in (("c", ValueError, r"^unknown symbol 'c' \(alphabet: a, b\)$"),
+                                (["a"], TypeError, "unhashable type: 'list'")):
+        word[where] = bad
+        with pytest.raises(error, match=message):
+            W.state_vector(automaton, word)
+        with pytest.raises(error, match=message):
+            W.initial_semantics(automaton, tuple(word))
+
+
+@pytest.mark.parametrize("limit", [algebra.MEMO_MISS_LIMIT, 3])
+def test_a_word_as_a_list_a_string_or_an_iterator(limit, monkeypatch):
+    # at a limit of 3 the table fills early, and the rest of the word is
+    # read past the chunk it filled in, from the word as given
+    monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
+    automaton = pool_word_automaton(random.Random(33), ba.pentagon(), list(ba.pentagon().elements()), 3)
+    rng = random.Random(33)
+    word = tuple(rng.choice("ab") for _ in range(10**4))
+    expected = literal_word_vectors(automaton, word)[-1]
+    for given in (word, list(word), "".join(word), iter(word), (a for a in word)):
+        assert W.state_vector(automaton, given) == expected, type(given)
 
 
 def test_deterministic_evaluation(b4_probe):
