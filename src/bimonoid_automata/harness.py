@@ -105,18 +105,13 @@ class CheckReport(_CheckReportFields):
 # Random automata (zero-biased weights make support differences findable)
 
 
-def random_weight(rng: random.Random, carrier, zero):
-    if rng.random() < 0.5:
-        return zero
-    return carrier[rng.randrange(len(carrier))]
-
-
 def _random_states(rng: random.Random, algebra: WeightAlgebra, max_states: int) -> tuple:
     """Between 1 and ``max_states`` states named q0, q1, ..., and a sampler
-    of zero-biased weights from the algebra's carrier."""
-    carrier = list(algebra.elements())
+    of zero-biased weights: zero on half the draws of ``rng.random()``, else
+    a uniform element of the algebra's carrier."""
+    carrier, zero, coin, choice = list(algebra.elements()), algebra.zero, rng.random, rng.choice
     states = tuple(f"q{i}" for i in range(rng.randint(1, max_states)))
-    return states, lambda: random_weight(rng, carrier, algebra.zero)
+    return states, lambda: zero if coin() < 0.5 else choice(carrier)
 
 
 def random_word_automaton(

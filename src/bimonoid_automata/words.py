@@ -54,27 +54,28 @@ class WordAutomaton(WeightedAutomaton):
         # entries as (target, weight) pairs (counted run step)
         zero = algebra.zero
         self._steps = {
-            a: (tuple(zip(*m)), tuple(tuple((q, w) for q, w in enumerate(row) if w != zero) for row in m))
+            a: (tuple(zip(*m)), tuple(tuple([(q, w) for q, w in enumerate(row) if w != zero]) for row in m))
             for a, m in self.transitions.items()
         }
 
     def _matrices(self, data):
         n = len(self.states)
         zero_row = (self.algebra.zero,) * n
-        mats = {a: [list(zero_row) for _ in range(n)] for a in self.alphabet}
         if isinstance(data, dict):
+            mats = dict.fromkeys(self.alphabet, (zero_row,) * n)
             for sym, matrix in data.items():
                 if sym not in mats:
                     raise ValueError(f"unknown symbol {sym!r}")
                 if len(matrix) != n or any(len(row) != n for row in matrix):
                     raise ValueError(f"matrix for {sym!r} is not {n}x{n}")
-                mats[sym] = [list(row) for row in matrix]
-        else:
-            for src, sym, dst, w in data:
-                if sym not in mats:
-                    raise ValueError(f"unknown symbol {sym!r}")
-                mats[sym][self.state_index(src)][self.state_index(dst)] = w
-        return {a: tuple(tuple(row) for row in m) for a, m in mats.items()}
+                mats[sym] = tuple(map(tuple, matrix))
+            return mats
+        mats = {a: [list(zero_row) for _ in range(n)] for a in self.alphabet}
+        for src, sym, dst, w in data:
+            if sym not in mats:
+                raise ValueError(f"unknown symbol {sym!r}")
+            mats[sym][self.state_index(src)][self.state_index(dst)] = w
+        return {a: tuple(map(tuple, m)) for a, m in mats.items()}
 
     def stored_transitions(self) -> Iterator[tuple]:
         """(from_state, symbol, to_state, weight) for every nonzero matrix
@@ -264,7 +265,7 @@ def _init_step(add, mul, vec: tuple, columns: tuple) -> tuple:
 
 class _WordTable:
     """The init recursion's word steps between interned vectors, for one
-    :func:`state_vector` call or one :func:`explore` walk.
+    :func:`state_vector` call.
 
     Each vector it holds has a node, a plain dict from symbol to the node of
     the step's result, so a hit hashes no vector; ``nodes`` maps a vector to
@@ -358,33 +359,30 @@ def explore(automaton: WordAutomaton, max_len: int, cycle: Optional[tuple] = Non
     :func:`all_words` order, of each configuration (``algebra._configuration``
     under ``cycle``) that words of length <= max_len reach;
     ``rank`` is that word's index there. The walk is breadth first, so rows
-    come by rank: each configuration takes one init step per symbol, from a
-    :class:`_WordTable` that the whole walk shares (configurations with
-    different runs often share a vector, and an init step over TruncFun
-    costs more than the lookup), and one counted step per symbol, and folds
-    its values once. Run values are the pruned ones.
+    come by rank: each configuration takes one plain init step and one
+    counted step per symbol, each symbol's columns and successor rows bound
+    once per walk, and folds its values once. Run values are the pruned ones.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    alg, final, alphabet = automaton.algebra, automaton.final, automaton.alphabet
-    table = _WordTable(automaton)
-    vectors = table.vectors
-    start = (0, (), table.start, _run_start(automaton))
+    alg, final, k = automaton.algebra, automaton.final, len(automaton.alphabet)
+    add, mul = alg.add, alg.mul
+    steps = [(a, *automaton._steps[a]) for a in automaton.alphabet]
+    start = (0, (), automaton.initial, _run_start(automaton))
     seen = {_configuration(automaton.initial, start[3], cycle)}
     queue = deque([start])
     while queue:
-        rank, word, node, runs = queue.popleft()
-        yield rank, word, _run_total(alg, runs, final), alg.sum(map(alg.mul, vectors[id(node)], final))
+        rank, word, vec, runs = queue.popleft()
+        yield rank, word, _run_total(alg, runs, final), alg.sum(map(mul, vec, final))
         if len(word) >= max_len:
             continue
-        for i, a in enumerate(alphabet):
-            # word + (a_i,) has rank k·rank + 1 + i in all_words order, k = |alphabet|
-            step = (len(alphabet) * rank + 1 + i, word + (a,), table.word(node, a),
-                    _run_step(alg, runs, automaton._step(a)[1]))
-            key = _configuration(vectors[id(step[2])], step[3], cycle)
+        for i, (a, columns, successors) in enumerate(steps):
+            nxt, nxt_runs = _init_step(add, mul, vec, columns), _run_step(alg, runs, successors)
+            key = _configuration(nxt, nxt_runs, cycle)
             if key not in seen:
                 seen.add(key)
-                queue.append(step)
+                # word + (a_i,) has rank k·rank + 1 + i in all_words order, k = |alphabet|
+                queue.append((k * rank + 1 + i, word + (a,), nxt, nxt_runs))
 
 
 def evaluate(automaton: WordAutomaton, word: Word, semantics: Semantics, prune: bool = False):

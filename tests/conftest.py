@@ -23,6 +23,14 @@ def finite_algebras():
     return ba.bundled_finite_algebras()
 
 
+def count_init_steps(monkeypatch) -> list:
+    """Record every call of the unmemoised word init step."""
+    calls: list = []
+    plain = W._init_step
+    monkeypatch.setattr(W, "_init_step", lambda *args: calls.append(args) or plain(*args))
+    return calls
+
+
 def bundled_carriers():
     """``(algebra, sample elements)`` for every bundled algebra, each
     parametrised one at its default: a finite carrier's samples are all its

@@ -14,6 +14,7 @@ from bimonoid_automata import trees as T
 from bimonoid_automata import words as W
 from bimonoid_automata.algebra import INFINITY, CountingAlgebra, _count_cycle
 from conftest import (
+    count_init_steps,
     infinite_pools,
     literal_word_init,
     literal_word_runs,
@@ -294,3 +295,20 @@ def test_default_sweep_operation_counts(key):
         assert report.stats["inputs_checked"] == 900
     assert report.verdict == "consistent" and report.as_predicted
     assert counting.read_counts() == SWEEP_COUNTS[key]
+
+
+@pytest.mark.parametrize("alg", [ba.nat_plus_plus_table(3), ba.trunc_fun(2)], ids=lambda alg: alg.name)
+def test_word_walk_takes_one_init_step_per_configuration_and_symbol(alg, monkeypatch):
+    # the walk's cost model: each configuration it expands, a row whose word
+    # is shorter than max_len, takes one init step per symbol, so the steps
+    # are as many whether or not configurations share a vector
+    calls = count_init_steps(monkeypatch)
+    cycle = _count_cycle(ba.tabulate(alg))
+    rng = random.Random(61)
+    for alphabet, max_len in ((("a", "b"), 8), (("a", "b", "c"), 5)):
+        for _ in range(16):
+            automaton = H.random_word_automaton(rng, alg, alphabet, 3)
+            for key in (cycle, None):
+                calls.clear()
+                rows = list(W.explore(automaton, max_len, key))
+                assert len(calls) == len(alphabet) * sum(len(word) < max_len for _, word, _, _ in rows)

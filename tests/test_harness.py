@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -193,6 +194,57 @@ def test_random_generation_respects_bounds():
         rng, ba.b4(), T.RankedAlphabet({"alpha": 0, "sigma": 2}), 3
     )
     assert 1 <= len(tree_automaton.states) <= 3
+
+
+def _literal_random_automaton(rng, alg, alphabet, max_states, structure):
+    """A sweep automaton drawn literally: the state count, then per weight a
+    coin, zero on rng.random() < 0.5, else carrier[rng.randrange(len(carrier))],
+    initial, final and matrices in order for words; transitions by symbol,
+    source tuple and target, then final, for trees."""
+    carrier = list(alg.elements())
+    states = tuple(f"q{i}" for i in range(rng.randint(1, max_states)))
+
+    def draw():
+        if rng.random() < 0.5:
+            return alg.zero
+        return carrier[rng.randrange(len(carrier))]
+
+    if structure == "words":
+        initial = tuple(draw() for _ in states)
+        final = tuple(draw() for _ in states)
+        matrices = {a: [[draw() for _ in states] for _ in states] for a in alphabet}
+        return W.WordAutomaton(alg, alphabet, states, initial, final, matrices)
+    quads = []
+    for sym in alphabet.symbols:
+        for sources in itertools.product(states, repeat=alphabet.rank(sym)):
+            for q in states:
+                w = draw()
+                if w != alg.zero:
+                    quads.append((sources, sym, q, w))
+    return T.TreeAutomaton(alg, alphabet, states, quads, tuple(draw() for _ in states))
+
+
+@pytest.mark.parametrize("alg", [ba.boole(), ba.pentagon(), ba.trunc_fun(2)], ids=lambda alg: alg.name)
+@pytest.mark.parametrize("structure", ["words", "trees"])
+def test_sweep_corpus_is_the_literal_draw(alg, structure):
+    # the sweeps' corpus is fixed by its seeds: the harness's draw must take
+    # from the stream what the literal coin-then-randrange draw takes
+    if structure == "words":
+        alphabet, build = ("a", "b", "c"), H.random_word_automaton
+    else:
+        alphabet, build = T.RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2}), H.random_tree_automaton
+    for seed in (1, 42, 20240913):
+        ours, literal = random.Random(seed), random.Random(seed)
+        for _ in range(12):
+            a = build(ours, alg, alphabet, 3)
+            b = _literal_random_automaton(literal, alg, alphabet, 3, structure)
+            assert a.states == b.states
+            assert list(a.stored_transitions()) == list(b.stored_transitions())
+            if structure == "words":
+                assert (a.initial, a.final, a.transitions) == (b.initial, b.final, b.transitions)
+            else:
+                assert a.root_weights == b.root_weights
+        assert ours.random() == literal.random()
 
 
 def test_config_validation():

@@ -16,6 +16,7 @@ from bimonoid_automata.algebra import CountingAlgebra, Semantics
 
 from conftest import (
     bundled_carriers,
+    count_init_steps,
     infinite_pools,
     literal_word_init,
     literal_word_runs,
@@ -242,14 +243,6 @@ def test_literal_order_on_tables_that_break_the_axioms(case):
     assert W.initial_semantics(automaton, long_word) == literal_word_init(automaton, long_word)
 
 
-def _count_init_steps(monkeypatch) -> list:
-    """Record every call of the unmemoised word init step."""
-    calls: list = []
-    plain = W._init_step
-    monkeypatch.setattr(W, "_init_step", lambda *args: calls.append(args) or plain(*args))
-    return calls
-
-
 # (algebra, weight pool or None for all of a finite carrier, word length):
 # PolyMonome's coefficients grow fastest, so its words are the shortest; the
 # order-<=3 atlas adds non-commutative and cancelling carriers
@@ -286,7 +279,7 @@ def test_memoised_init_matches_literal_fold(alg, pool, length, monkeypatch):
     # over NatPlusMin, whose values stay bounded, a long word revisits vectors,
     # so most steps are memo hits; over NatPlusPlus and PolyMonome they do not
     # repeat, and the memo must still give the literal values
-    calls = _count_init_steps(monkeypatch)
+    calls = count_init_steps(monkeypatch)
     for automaton, words in _memo_automata(alg, pool, length):
         for word in words:
             vecs = literal_word_vectors(automaton, word)
@@ -325,7 +318,7 @@ def test_memo_gives_up_after_the_miss_limit(limit, word, steps, monkeypatch):
     # and every later step is recomputed; in the last word b's four misses
     # reach no new vector, so the table still holds 4
     monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
-    calls = _count_init_steps(monkeypatch)
+    calls = count_init_steps(monkeypatch)
     cycle = [[int(q == (p + 1) % 4) for q in range(4)] for p in range(4)]
     identity = [[int(q == p) for q in range(4)] for p in range(4)]
     automaton = W.WordAutomaton(
@@ -367,7 +360,7 @@ def test_counted_init_takes_the_plain_recursion(monkeypatch):
     counting = CountingAlgebra(ba.pentagon())
     counted = automaton.with_algebra(counting)
     word = ("a",) * n
-    calls = _count_init_steps(monkeypatch)
+    calls = count_init_steps(monkeypatch)
     plain_value = W.initial_semantics(automaton, word)
     assert len(calls) < n
     calls.clear()
@@ -421,7 +414,7 @@ def test_a_late_new_step_in_a_chunk_of_the_most_symbols(alg, length, monkeypatch
     first_b = length * 9 // 10
     word = ("a",) * first_b + ("b",) + tuple(rng.choice("ab") for _ in range(length - first_b - 1))
     vecs = literal_word_vectors(automaton, word)
-    calls = _count_init_steps(monkeypatch)
+    calls = count_init_steps(monkeypatch)
     chunks = _walked_chunks(monkeypatch)
     assert W.state_vector(automaton, word) == vecs[-1]
     assert len(calls) == len(set(zip(vecs, word)))
@@ -451,7 +444,7 @@ def test_a_table_that_fills_inside_a_chunk(limit, monkeypatch):
     # of the word take plain steps. In the last word the a-cycle leaves room
     # for one vector, and c fills the table 9,000 symbols in
     monkeypatch.setattr(algebra, "MEMO_MISS_LIMIT", limit)
-    calls = _count_init_steps(monkeypatch)
+    calls = count_init_steps(monkeypatch)
     cases = [
         *(case for alg in ba.bundled_finite_algebras() for case in _memo_automata(alg, None, 300)),
         *(case for alg, pool in infinite_pools() for case in _memo_automata(alg, pool, 40)),
